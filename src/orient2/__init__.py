@@ -16,8 +16,6 @@ from .certs import (
     combine,
     orient_bipartite_blue_matchjoin,
     orient_complete_bipartite,
-    orient_path_components,
-    quadruple_orient,
     verify_cert,
 )
 from .codec import (
@@ -123,11 +121,9 @@ __all__ = [
     "orient_bipartite_blue_matchjoin",
     "orient_complete_bipartite",
     "orient_diameter_two",
-    "orient_path_components",
     "parse_digraph6",
     "parse_graph",
     "parse_graph6",
-    "quadruple_orient",
     "replay_trace",
     "select_forest",
     "threshold_size",

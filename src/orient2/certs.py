@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import (
     Arc,
@@ -370,32 +370,6 @@ def orient_bipartite_blue_matchjoin(a: int, b: int, blue_y: Graph) -> GoodOrient
     return cert
 
 
-def orient_path_components(x_sizes: Sequence[int], y_sizes: Sequence[int]) -> GoodOrientationCert:
-    """Certificate when both classes are disjoint unions of paths.
-
-    ``x_sizes`` and ``y_sizes`` give the path orders.  The class vertex
-    counts a = sum(x_sizes) and b = sum(y_sizes) must satisfy
-    3 <= a <= b <= 2a.  Paths are laid out consecutively: x paths first.
-    """
-    if not x_sizes or not y_sizes or min(min(x_sizes), min(y_sizes)) < 1:
-        raise ValueError("path orders must be positive")
-    a = sum(x_sizes)
-    b = sum(y_sizes)
-    if not 3 <= a <= b <= 2 * a:
-        raise ValueError(f"class vertex counts ({a}, {b}) outside 3 <= a <= b <= 2a")
-    edges: list[tuple[int, int]] = []
-    start = 0
-    for size in list(x_sizes) + list(y_sizes):
-        edges.extend((v, v + 1) for v in range(start, start + size - 1))
-        start += size
-    missing = Graph.from_edges(a + b, edges)
-    world = complement(missing)
-    cert = matchjoin_cert(world, list(range(a)), list(range(a, a + b)))
-    if cert is None:
-        raise ValueError("path classes do not admit the clique-pair embedding")
-    return cert
-
-
 def split_cert(world: Graph, side_a: Sequence[int], side_b: Sequence[int]) -> GoodOrientationCert | None:
     """First non-trivial certificate for the given two-class split, if any.
 
@@ -511,41 +485,3 @@ def combine(
     if diameter(orientation.dir) > 2:
         raise AssertionError("combined orientation failed its diameter check")
     return orientation
-
-
-def quadruple_orient(
-    red: Graph,
-    u1: Iterable[int],
-    v1: Iterable[int],
-    u2: Iterable[int],
-    v2: Iterable[int],
-) -> Orientation:
-    """Diameter-2 orientation from a four-set partition of the vertices.
-
-    (u2, v2) must admit a non-trivial certificate via one of the explicit
-    constructions; z = u1 + v1 must be two vertices, three vertices with
-    every edge present among them and toward the rest, or admit a
-    non-trivial certificate of its own.
-    """
-    sets = [sorted(set(s)) for s in (u1, v1, u2, v2)]
-    flat = [v for s in sets for v in s]
-    if len(flat) != len(set(flat)) or set(flat) != set(range(red.n)):
-        raise ValueError("the four sets must partition the vertex set")
-    s_u1, s_v1, s_u2, s_v2 = sets
-    w = sorted(s_u2 + s_v2)
-    world = red.induced(w)
-    local = {v: i for i, v in enumerate(w)}
-    cert_w = split_cert(world, [local[v] for v in s_u2], [local[v] for v in s_v2])
-    if cert_w is None:
-        raise ValueError("no construction certifies the main split")
-    z = sorted(s_u1 + s_v1)
-    if len(z) == 2:
-        return combine(red, cert_w, z, CombineCase.TWO)
-    if len(z) == 3 and all(red.has_edge(p, q) for p in z for q in z if p < q):
-        return combine(red, cert_w, z, CombineCase.THREE_ISOLATED)
-    zw = red.induced(z)
-    zlocal = {v: i for i, v in enumerate(z)}
-    cert_z = split_cert(zw, [zlocal[v] for v in s_u1], [zlocal[v] for v in s_v1])
-    if cert_z is None:
-        raise ValueError("leftover sets admit no construction")
-    return combine(red, cert_w, z, CombineCase.NONTRIVIAL_CERT, cert_z)

@@ -2,7 +2,9 @@
 
 One graph per line on stdin (graph6 or edge-list via --file), results on
 stdout, batch-friendly.  Exit codes: 0 success, 1 negative or
-indeterminate answer, 2 bad input, 3 internal verification failure.
+indeterminate answer, 2 bad input, 3 internal verification failure.  A
+failing line is reported on stderr as ``error: line N: ...`` and the rest of
+the batch still runs; the exit code is the worst over all lines.
 """
 
 from __future__ import annotations
@@ -10,12 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ._backend import backend_name
 from .codec import GraphFormatError, emit_graph6, emit_orientation, parse_graph
 from .construct import InternalVerificationError, orient_diameter_two, threshold_size
-from .graphs import INFINITE, complement, components, diameter
+from .graphs import INFINITE, Graph, complement, components, diameter
 from .oracle import (
     SearchBudget,
     SearchStatus,
@@ -35,7 +37,8 @@ EXIT_VERIFY_FAILED = 3
 JSON_SCHEMA = "orient2/1"
 
 
-def _input_lines(args: argparse.Namespace) -> Iterable[str]:
+def _input_lines(args: argparse.Namespace) -> Iterable[tuple[int, str]]:
+    """Numbered non-blank input lines (an edge-list block counts as line 1)."""
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="ascii") as fh:
             text = fh.read()
@@ -43,11 +46,11 @@ def _input_lines(args: argparse.Namespace) -> Iterable[str]:
         text = sys.stdin.read()
     if "\n" in text.strip() and text.strip().splitlines()[0].split()[0].isdigit():
         # a single edge-list block spans several lines
-        yield text
+        yield 1, text
         return
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         if line.strip():
-            yield line
+            yield number, line
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
@@ -56,32 +59,48 @@ def _budget(args: argparse.Namespace) -> SearchBudget:
     return default_budget()
 
 
-def cmd_orient(args: argparse.Namespace) -> int:
-    for line in _input_lines(args):
+class _LineError(Exception):
+    """One input line failed with the given exit code; the batch goes on."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _each_line(args: argparse.Namespace, handle: Callable[[Graph], int]) -> int:
+    """Run ``handle`` on the graph of every input line.  A failing line is
+    reported on stderr with its number and the batch continues; returns the
+    worst exit code seen."""
+    worst = EXIT_OK
+    for number, line in _input_lines(args):
         try:
-            g = parse_graph(line)
-        except GraphFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            code = handle(parse_graph(line))
+        except (GraphFormatError, _LineError) as exc:
+            code = exc.code if isinstance(exc, _LineError) else EXIT_BAD_INPUT
+            print(f"error: line {number}: {exc}", file=sys.stderr)
+        worst = max(worst, code)
+    return worst
+
+
+def cmd_orient(args: argparse.Namespace) -> int:
+    def orient(g: Graph) -> int:
         if g.n < 5:
-            print(f"error: need at least 5 vertices, got {g.n}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise _LineError(EXIT_BAD_INPUT, f"need at least 5 vertices, got {g.n}")
         if g.m < threshold_size(g.n):
-            print(
-                f"error: graph of order {g.n} has {g.m} edges; the guarantee "
+            raise _LineError(
+                EXIT_BAD_INPUT,
+                f"graph of order {g.n} has {g.m} edges; the guarantee "
                 f"needs at least {threshold_size(g.n)}",
-                file=sys.stderr,
             )
-            return EXIT_BAD_INPUT
         try:
             orientation, trace = orient_diameter_two(g)
         except InternalVerificationError as exc:
-            print(f"internal error: {exc}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+            raise _LineError(EXIT_VERIFY_FAILED, f"internal error: {exc}") from exc
         # independent re-check before anything is printed
         if diameter(orientation.dir) > 2:
-            print("internal error: emitted orientation fails its re-check", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
+            raise _LineError(
+                EXIT_VERIFY_FAILED, "internal error: emitted orientation fails its re-check"
+            )
         if args.json:
             payload = {
                 "schema": JSON_SCHEMA,
@@ -97,26 +116,23 @@ def cmd_orient(args: argparse.Namespace) -> int:
             if args.trace:
                 for entry in trace.to_json():
                     print(f"# {json.dumps(entry, separators=(',', ':'))}")
-    return EXIT_OK
+        return EXIT_OK
+
+    return _each_line(args, orient)
 
 
 def cmd_diameter(args: argparse.Namespace) -> int:
-    status = EXIT_OK
-    for line in _input_lines(args):
-        try:
-            g = parse_graph(line)
-        except GraphFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        value = exact_oriented_diameter(g, _budget(args))
+    budget = _budget(args)
+
+    def oriented_diameter(g: Graph) -> int:
+        value = exact_oriented_diameter(g, budget)
         if value is None:
             print("indeterminate")
-            status = EXIT_NEGATIVE
-        elif value == INFINITE:
-            print("infinite")
-        else:
-            print(int(value))
-    return status
+            return EXIT_NEGATIVE
+        print("infinite" if value == INFINITE else int(value))
+        return EXIT_OK
+
+    return _each_line(args, oriented_diameter)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -152,19 +168,16 @@ def cmd_sharpness(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    for line in _input_lines(args):
-        try:
-            g = parse_graph(line)
-        except GraphFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+    def classify(g: Graph) -> int:
         blue = complement(g)
         print(f"graph {emit_graph6(g)}: complement components")
         for comp in components(blue):
             cls = classify_component(blue, comp)
             sub = blue.induced(comp)
             print(f"  {{{','.join(map(str, comp))}}} order={len(comp)} class={cls} excess={excess(sub)}")
-    return EXIT_OK
+        return EXIT_OK
+
+    return _each_line(args, classify)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diam = sub.add_parser("diameter", help="exact oriented diameter by exhaustive search")
     p_diam.add_argument("--file", help="read input from a file instead of stdin")
-    p_diam.add_argument("--exact", action="store_true", help="accepted for compatibility (always exact)")
     p_diam.add_argument("--budget", type=int, help="search-node budget override")
     p_diam.set_defaults(func=cmd_diameter)
 

@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Callable
 
 from . import _backend
 from ._basecase_table import TABLE
@@ -49,7 +50,6 @@ from .graphs import (
 from .structure import (
     ComponentClass,
     ComponentKind,
-    TripleWitness,
     _candidate_splits,
     classify_component,
     find_reduction,
@@ -130,13 +130,22 @@ class ConstructionTrace:
 
 
 @dataclass(frozen=True)
-class ContractionFrame:
-    kind: str  # "REDUCTION" or "TRIPLE"
+class ReductionFrame:
+    """A certified set contracted to the super-vertices len(kept), len(kept) + 1."""
+
     red_before: Graph
     removed: tuple[int, ...]
     kept: tuple[int, ...]
-    added: tuple[int, ...]
-    cert: GoodOrientationCert | None
+    cert: GoodOrientationCert
+
+
+@dataclass(frozen=True)
+class TripleFrame:
+    """An independent triple identified into the vertex len(kept)."""
+
+    red_before: Graph
+    removed: tuple[int, ...]
+    kept: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +350,8 @@ def base_case_orient(b: Graph) -> Orientation | None:
 
 
 def _contract_reduction(
-    norm_red: Graph, w: tuple[int, ...], cert: GoodOrientationCert, recipe: str = ""
-) -> tuple[ContractionFrame, Graph]:
+    norm_red: Graph, w: tuple[int, ...], cert: GoodOrientationCert
+) -> tuple[ReductionFrame, Graph]:
     removed = tuple(sorted(w))
     assert len(removed) >= 4, "a certified contractible set has at least four vertices"
     kept = tuple(v for v in range(norm_red.n) if v not in set(removed))
@@ -358,19 +367,11 @@ def _contract_reduction(
     contracted_blue = Graph(k + 2, tuple(rows))
     assert contracted_blue.m <= contracted_blue.n - 5
     assert contracted_blue.n > 5
-    frame = ContractionFrame(
-        kind="REDUCTION",
-        red_before=norm_red,
-        removed=removed,
-        kept=kept,
-        added=(k, k + 1),
-        cert=cert,
-    )
-    return frame, complement(contracted_blue)
+    return ReductionFrame(norm_red, removed, kept, cert), complement(contracted_blue)
 
 
-def _contract_triple(norm_red: Graph, witness: TripleWitness) -> tuple[ContractionFrame, Graph]:
-    removed = tuple(sorted((witness.x1, witness.x2, witness.x3)))
+def _contract_triple(norm_red: Graph, triple: tuple[int, int, int]) -> tuple[TripleFrame, Graph]:
+    removed = tuple(sorted(triple))
     kept = tuple(v for v in range(norm_red.n) if v not in set(removed))
     k = len(kept)
     blue = complement(norm_red)
@@ -385,30 +386,18 @@ def _contract_triple(norm_red: Graph, witness: TripleWitness) -> tuple[Contracti
             rows[k] |= 1 << i
     contracted_blue = Graph(k + 1, tuple(rows))
     assert contracted_blue.m <= contracted_blue.n - 5
-    frame = ContractionFrame(
-        kind="TRIPLE",
-        red_before=norm_red,
-        removed=removed,
-        kept=kept,
-        added=(k,),
-        cert=None,
-    )
-    return frame, complement(contracted_blue)
+    return TripleFrame(norm_red, removed, kept), complement(contracted_blue)
 
 
-def expand_reduction(o_star: Orientation, frame: ContractionFrame) -> Orientation:
+def expand_reduction(o_star: Orientation, frame: ReductionFrame) -> Orientation:
     """Lift an orientation of the contracted graph back over the removed set.
 
     Edges inside the removed set follow the stored certificate; edges
     between a kept vertex and a certificate class copy the direction that
     vertex chose toward the class's super-vertex."""
-    if frame.kind != "REDUCTION" or frame.cert is None:
-        raise ValueError("frame does not describe a certified contraction")
     if diameter(o_star.dir) > 2:
         raise ValueError("contracted orientation must have diameter at most 2")
-    kept, removed = frame.kept, frame.removed
-    super_first, super_second = frame.added
-    cert = frame.cert
+    kept, removed, cert = frame.kept, frame.removed, frame.cert
     first_g = [removed[i] for i in cert.classes.first]
     second_g = [removed[i] for i in cert.classes.second]
     k = len(kept)
@@ -417,7 +406,7 @@ def expand_reduction(o_star: Orientation, frame: ContractionFrame) -> Orientatio
         if a < k and b < k:
             arcs.append((kept[a], kept[b]))
     for idx, gx in enumerate(kept):
-        for super_label, cls in ((super_first, first_g), (super_second, second_g)):
+        for super_label, cls in ((k, first_g), (k + 1, second_g)):
             if o_star.dir.has_arc(idx, super_label):
                 arcs.extend((gx, w) for w in cls)
             elif o_star.dir.has_arc(super_label, idx):
@@ -432,21 +421,19 @@ def expand_reduction(o_star: Orientation, frame: ContractionFrame) -> Orientatio
     return result
 
 
-def expand_triple_contraction(o_star: Orientation, frame: ContractionFrame) -> Orientation:
+def expand_triple_contraction(o_star: Orientation, frame: TripleFrame) -> Orientation:
     """Lift an orientation over an identified independent triple.
 
     The triple becomes a directed 3-cycle; every kept vertex that kept all
     three edges copies its direction toward the merged vertex, and partial
     remnants are oriented low label to high label."""
-    if frame.kind != "TRIPLE":
-        raise ValueError("frame does not describe a triple contraction")
     if diameter(o_star.dir) > 2:
         raise ValueError("contracted orientation must have diameter at most 2")
     kept, removed = frame.kept, frame.removed
-    (merged,) = frame.added
     x1, x2, x3 = removed
     red = frame.red_before
     k = len(kept)
+    merged = k  # the contracted vertex
     arcs: list[Arc] = [(x1, x2), (x2, x3), (x3, x1)]
     for a, b in o_star.dir.arcs():
         if a < k and b < k:
@@ -493,68 +480,54 @@ def _oracle_fallback(norm: Graph) -> Orientation:
     return Orientation.from_arcs(norm, arcs)
 
 
-def orient_diameter_two(g: Graph) -> tuple[Orientation, ConstructionTrace]:
-    """Diameter-2 orientation for any graph with n >= 5 and at least
-    C(n,2) - n + 5 edges, together with a replayable construction trace."""
-    _check_precondition(g)
+Move = tuple[tuple[Edge, ...], TraceStep]  # (padding deleted at a level, its non-pad step)
+
+
+def _execute(
+    g: Graph, next_step: Callable[[Graph], Move]
+) -> tuple[Orientation, ConstructionTrace]:
+    """Descend through the moves ``next_step`` hands out level by level, then
+    lift the innermost orientation back through every padding and contraction.
+
+    Contractions and the innermost orientation are built from the steps'
+    contents alone, so the driver runs exactly the trace it records."""
     steps: list[TraceStep] = []
-    frames: list[ContractionFrame] = []
-    level_inputs: list[Graph] = []
-    pads: list[tuple[Edge, ...]] = []
+    levels: list[tuple[Graph, tuple[Edge, ...]]] = []
+    frames: list[ReductionFrame | TripleFrame] = []
     current = g
-    inner: Orientation
     while True:
-        _check_precondition(current)
-        norm, deleted = normalize_to_threshold(current)
-        level_inputs.append(current)
-        pads.append(deleted)
+        deleted, move = next_step(current)
+        levels.append((current, deleted))
         if deleted:
             steps.append(PadStep(deleted))
-        blue = complement(norm)
-        base = _base_case_with_family(blue)
-        if base is not None:
-            orientation, family = base
-            steps.append(BaseCaseStep(family, tuple(orientation.dir.arcs())))
-            inner = orientation
+        steps.append(move)
+        norm = current
+        for u, v in deleted:
+            norm = norm.without_edge(u, v)
+        if isinstance(move, (BaseCaseStep, FallbackStep)):
+            o = Orientation.from_arcs(norm, move.arcs)
             break
-        plan = find_reduction(blue)
-        if plan is not None:
-            frame, contracted = _contract_reduction(norm, plan.w, plan.cert, plan.recipe)
-            steps.append(
-                ReduceStep(
-                    plan.w,
-                    plan.recipe,
-                    tuple(plan.cert.orientation.dir.arcs()),
-                    plan.cert.classes.first,
-                    plan.cert.classes.second,
-                )
+        if isinstance(move, ReduceStep):
+            w = tuple(sorted(move.w))
+            world = norm.induced(w)
+            cert = GoodOrientationCert(
+                world=world,
+                orientation=Orientation.from_arcs(world, move.cert_arcs),
+                classes=Partition2(move.cert_first, move.cert_second),
+                nontrivial=True,
             )
-            frames.append(frame)
-            current = contracted
-            continue
-        witness = find_violating_triple(blue)
-        if witness is not None:
-            frame, contracted = _contract_triple(norm, witness)
-            steps.append(TripleStep(witness.x1, witness.x2, witness.x3))
-            frames.append(frame)
-            current = contracted
-            continue
-        orientation = _oracle_fallback(norm)
-        steps.append(
-            FallbackStep(
-                "no base case, contractible set, or triple applied",
-                tuple(orientation.dir.arcs()),
-            )
-        )
-        inner = orientation
-        break
+            frame, current = _contract_reduction(norm, w, cert)
+        elif isinstance(move, TripleStep):
+            frame, current = _contract_triple(norm, (move.x1, move.x2, move.x3))
+        else:
+            raise ValueError(f"unexpected trace step {move!r}")
+        frames.append(frame)
 
-    o = inner
-    for level in range(len(level_inputs) - 1, -1, -1):
-        o = _restore_padding(level_inputs[level], o, pads[level])
-        if level > 0:
-            frame = frames[level - 1]
-            if frame.kind == "REDUCTION":
+    for level_input, deleted in reversed(levels):
+        o = _restore_padding(level_input, o, deleted)
+        if frames:
+            frame = frames.pop()
+            if isinstance(frame, ReductionFrame):
                 o = expand_reduction(o, frame)
             else:
                 o = expand_triple_contraction(o, frame)
@@ -563,55 +536,55 @@ def orient_diameter_two(g: Graph) -> tuple[Orientation, ConstructionTrace]:
     return o, ConstructionTrace(tuple(steps))
 
 
+def _choose_move(current: Graph) -> Move:
+    """The constructor's decision at one level: trim to the threshold, then the
+    first of base case, reduction, violating triple and exhaustive fallback."""
+    _check_precondition(current)
+    norm, deleted = normalize_to_threshold(current)
+    blue = complement(norm)
+    base = _base_case_with_family(blue)
+    if base is not None:
+        orientation, family = base
+        return deleted, BaseCaseStep(family, tuple(orientation.dir.arcs()))
+    plan = find_reduction(blue)
+    if plan is not None:
+        cert = plan.cert
+        arcs = tuple(cert.orientation.dir.arcs())
+        step = ReduceStep(plan.w, plan.recipe, arcs, cert.classes.first, cert.classes.second)
+        return deleted, step
+    witness = find_violating_triple(blue)
+    if witness is not None:
+        return deleted, TripleStep(witness.x1, witness.x2, witness.x3)
+    orientation = _oracle_fallback(norm)
+    reason = "no base case, contractible set, or triple applied"
+    return deleted, FallbackStep(reason, tuple(orientation.dir.arcs()))
+
+
+def orient_diameter_two(g: Graph) -> tuple[Orientation, ConstructionTrace]:
+    """Diameter-2 orientation for any graph with n >= 5 and at least
+    C(n,2) - n + 5 edges, together with a replayable construction trace."""
+    return _execute(g, _choose_move)
+
+
 def replay_trace(g: Graph, trace: ConstructionTrace) -> Orientation:
-    """Re-apply recorded steps mechanically; reproduces the driver's output."""
-    steps = list(trace.steps)
-    idx = 0
-    frames: list[ContractionFrame] = []
-    level_inputs: list[Graph] = []
-    pads: list[tuple[Edge, ...]] = []
-    current = g
-    inner: Orientation
-    while True:
+    """Re-apply recorded steps mechanically; reproduces the driver's output.
+
+    Raises ValueError when the trace ends before a base-case or fallback
+    step, or continues after one."""
+    steps = iter(trace.steps)
+
+    def recorded(current: Graph) -> Move:
+        step = next(steps, None)
         deleted: tuple[Edge, ...] = ()
-        if idx < len(steps) and isinstance(steps[idx], PadStep):
-            deleted = steps[idx].deleted  # type: ignore[union-attr]
-            idx += 1
-        norm = current
-        for u, v in deleted:
-            norm = norm.without_edge(u, v)
-        level_inputs.append(current)
-        pads.append(deleted)
-        step = steps[idx]
-        idx += 1
-        if isinstance(step, (BaseCaseStep, FallbackStep)):
-            inner = Orientation.from_arcs(norm, step.arcs)
-            break
-        if isinstance(step, ReduceStep):
-            w = tuple(sorted(step.w))
-            world = complement(complement(norm).induced(w))
-            cert = GoodOrientationCert(
-                world=world,
-                orientation=Orientation.from_arcs(world, step.cert_arcs),
-                classes=Partition2(step.cert_first, step.cert_second),
-                nontrivial=True,
-            )
-            frame, current = _contract_reduction(norm, w, cert, step.recipe)
-            frames.append(frame)
-            continue
-        if isinstance(step, TripleStep):
-            witness = TripleWitness(step.x1, step.x2, step.x3, (), ())
-            frame, current = _contract_triple(norm, witness)
-            frames.append(frame)
-            continue
-        raise ValueError(f"unexpected trace step {step!r}")
-    o = inner
-    for level in range(len(level_inputs) - 1, -1, -1):
-        o = _restore_padding(level_inputs[level], o, pads[level])
-        if level > 0:
-            frame = frames[level - 1]
-            if frame.kind == "REDUCTION":
-                o = expand_reduction(o, frame)
-            else:
-                o = expand_triple_contraction(o, frame)
+        if isinstance(step, PadStep):
+            deleted = step.deleted
+            step = next(steps, None)
+        if step is None:
+            raise ValueError("trace ends before its base-case or fallback step")
+        return deleted, step
+
+    o, _ = _execute(g, recorded)
+    extra = sum(1 for _ in steps)
+    if extra:
+        raise ValueError(f"trace has {extra} steps after its base-case or fallback step")
     return o

@@ -12,7 +12,7 @@ from enum import Enum
 from itertools import permutations
 
 from . import _backend
-from .codec import emit_graph6
+from .codec import emit_graph6, parse_graph6
 from .graphs import (
     INFINITE,
     DistanceValue,
@@ -208,24 +208,18 @@ def enumerate_blue(n: int, max_edges: int):
         raise ValueError("enumeration is limited to max_edges <= n")
     level = {emit_graph6(canonical_form(Graph.from_edges(n, [])))}
     for g6 in sorted(level):
-        yield _parse_cached(g6)
+        yield parse_graph6(g6)
     for _ in range(max_edges):
         nxt: set[str] = set()
         for g6 in level:
-            g = _parse_cached(g6)
+            g = parse_graph6(g6)
             for u in range(n):
                 for v in range(u + 1, n):
                     if not g.has_edge(u, v):
                         nxt.add(emit_graph6(canonical_form(g.with_edge(u, v))))
         for g6 in sorted(nxt):
-            yield _parse_cached(g6)
+            yield parse_graph6(g6)
         level = nxt
-
-
-def _parse_cached(g6: str) -> Graph:
-    from .codec import parse_graph6
-
-    return parse_graph6(g6)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +238,7 @@ def extremal_graph(n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def verify_theorem(n: int, budget: SearchBudget | None = None) -> VerificationReport:
+def verify_theorem(n: int) -> VerificationReport:
     """Run the constructor on every threshold instance of order ``n``.
 
     Enumerates all complements with at most n - 5 edges, orients each

@@ -54,7 +54,6 @@ class ReductionPlan:
 
     w: tuple[int, ...]
     recipe: str
-    excess_of_w: int
     cert: GoodOrientationCert  # local to sorted(w)
 
 
@@ -213,15 +212,14 @@ def _validated_plan(
     if len(w) == b.n:
         return None  # a contractible set must be a proper subset
     sub_blue = b.induced(w)
-    ex = excess(sub_blue)
-    if ex < -1:
+    if excess(sub_blue) < -1:
         return None
     world = complement(sub_blue)
     local = {v: i for i, v in enumerate(w)}
     for side_a, side_b in _candidate_splits(parts):
         cert = split_cert(world, [local[v] for v in side_a], [local[v] for v in side_b])
         if cert is not None:
-            return ReductionPlan(tuple(w), recipe, ex, cert)
+            return ReductionPlan(tuple(w), recipe, cert)
     return None
 
 

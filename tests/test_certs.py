@@ -10,12 +10,11 @@ from orient2.certs import (
     MatchJoinSpec,
     Partition2,
     combine,
+    matchjoin_cert,
     matchjoin_graph,
     matchjoin_spec,
     orient_bipartite_blue_matchjoin,
     orient_complete_bipartite,
-    orient_path_components,
-    quadruple_orient,
     split_cert,
     verify_cert,
     window_cert,
@@ -165,22 +164,28 @@ class TestMatchJoin:
             assert verify_cert(cert) and cert.nontrivial
 
 
+
+def path_classes_cert(x_paths, y_paths):
+    # both classes are unions of paths of missing edges, laid out x first
+    a, b = sum(x_paths), sum(y_paths)
+    world = complement(paths_union(x_paths + y_paths))
+    return world, matchjoin_cert(world, list(range(a)), list(range(a, a + b)))
+
+
 class TestPathClasses:
     def test_three_singletons_each(self):
-        cert = orient_path_components([1, 1, 1], [1, 1, 1])
-        assert cert.world.n == 6 and verify_cert(cert) and cert.nontrivial
+        world, cert = path_classes_cert([1, 1, 1], [1, 1, 1])
+        assert world.n == 6 and cert is not None and verify_cert(cert) and cert.nontrivial
 
     def test_mixed_paths(self):
-        cert = orient_path_components([1, 1, 2], [2, 2, 1, 1])
-        assert cert.world.n == 10 and verify_cert(cert) and cert.nontrivial
+        world, cert = path_classes_cert([1, 1, 2], [2, 2, 1, 1])
+        assert world.n == 10 and cert is not None and verify_cert(cert) and cert.nontrivial
 
     def test_small_side_rejected(self):
-        with pytest.raises(ValueError):
-            orient_path_components([1, 1], [1, 1])
+        assert path_classes_cert([1, 1], [1, 1])[1] is None
 
     def test_unbalanced_rejected(self):
-        with pytest.raises(ValueError):
-            orient_path_components([1, 1, 1], [4, 4])
+        assert path_classes_cert([1, 1, 1], [4, 4])[1] is None
 
 
 class TestCombine:
@@ -221,24 +226,36 @@ class TestCombine:
             combine(red, cert, [6, 7, 8], CombineCase.THREE_ISOLATED)
 
 
+def certify_and_combine_two(red, u1, v1, u2, v2):
+    # certify the (u2, v2) split, then extend it over the two leftovers u1 + v1
+    w = sorted(u2 + v2)
+    local = {v: i for i, v in enumerate(w)}
+    cert = split_cert(red.induced(w), [local[v] for v in u2], [local[v] for v in v2])
+    assert cert is not None
+    return combine(red, cert, u1 + v1, CombineCase.TWO)
+
+
 class TestQuadruple:
     def test_clique_core(self):
         blue = Graph.from_edges(11, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        o = quadruple_orient(complement(blue), [4], [5], [0, 1, 2, 3], [6, 7, 8, 9, 10])
+        o = certify_and_combine_two(complement(blue), [4], [5], [0, 1, 2, 3], [6, 7, 8, 9, 10])
         assert diameter(o.dir) == 2
 
     def test_dumbbell_core(self):
         d43 = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6), (0, 3)]
         blue = Graph.from_edges(15, d43)
-        o = quadruple_orient(complement(blue), [7], [8], [9, 10, 11, 12, 13, 14], [0, 1, 2, 3, 4, 5, 6])
+        o = certify_and_combine_two(complement(blue), [7], [8], [9, 10, 11, 12, 13, 14], [0, 1, 2, 3, 4, 5, 6])
         assert diameter(o.dir) == 2
 
     def test_path_partition(self):
         blue = paths_union([3, 3, 1, 1, 1])
-        o = quadruple_orient(complement(blue), [6], [7], [0, 1, 2], [3, 4, 5, 8])
+        o = certify_and_combine_two(complement(blue), [6], [7], [0, 1, 2], [3, 4, 5, 8])
         assert diameter(o.dir) == 2
 
     def test_not_a_partition_rejected(self):
-        blue = Graph.from_edges(6, [])
+        # vertex 3 is both certified and a leftover
+        red = complement(Graph.from_edges(6, []))
+        cert = split_cert(red.induced([2, 3, 4, 5]), [0, 1], [2, 3])
+        assert cert is not None
         with pytest.raises(ValueError):
-            quadruple_orient(complement(blue), [0], [1], [2, 3], [3, 4, 5])
+            combine(red, cert, [0, 1, 3], CombineCase.TWO)

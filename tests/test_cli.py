@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import complete_graph, path_graph, petersen
 from orient2 import cli
 from orient2.codec import emit_graph6, parse_digraph6
@@ -86,6 +88,22 @@ class TestDiameter:
             capsys, monkeypatch, ["diameter", "--budget", "2"], emit_graph6(petersen()) + "\n"
         )
         assert code == 1 and out.strip() == "indeterminate"
+
+
+class TestBatches:
+    @pytest.mark.parametrize("command", ["orient", "diameter", "classify"])
+    def test_bad_line_is_reported_and_skipped(self, capsys, monkeypatch, command):
+        k5 = emit_graph6(complete_graph(5))
+        _, single, _ = run_cli(capsys, monkeypatch, [command], k5 + "\n")
+        code, out, err = run_cli(capsys, monkeypatch, [command], f"{k5}\nbad!\n\n{k5}\n")
+        assert code == 2 and out == single * 2
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+    def test_exit_code_is_the_worst_line(self, capsys, monkeypatch):
+        # a bad line (2) before an indeterminate answer (1): the batch exits 2
+        stdin = "bad!\n" + emit_graph6(petersen()) + "\n"
+        code, out, err = run_cli(capsys, monkeypatch, ["diameter", "--budget", "2"], stdin)
+        assert code == 2 and out == "indeterminate\n" and err.startswith("error: line 1: ")
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ from conftest import complete_graph, cycle_graph, dumbbell, paths_union, short_d
 from orient2._basecase_table import TABLE
 from orient2.construct import (
     BaseCaseStep,
+    ConstructionTrace,
     PadStep,
     ReduceStep,
     TripleStep,
@@ -134,7 +135,7 @@ class TestExpansion:
         assert red.m == threshold_size(red.n)
         plan = find_reduction(blue)
         assert plan is not None
-        frame, contracted = _contract_reduction(red, plan.w, plan.cert, plan.recipe)
+        frame, contracted = _contract_reduction(red, plan.w, plan.cert)
         return red, frame, contracted
 
     def test_contracted_instance_stays_above_threshold(self):
@@ -266,3 +267,20 @@ class TestReplay:
         g = complete_graph(9)
         o, trace = orient_diameter_two(g)
         assert replay_trace(g, trace) == o
+
+    @pytest.mark.parametrize(
+        "cut, match",
+        [
+            (lambda steps: (), "ends before"),
+            (lambda steps: steps[:1], "ends before"),
+            (lambda steps: steps[:-1], "ends before"),
+            (lambda steps: steps + steps[-1:], "1 steps after"),
+            (lambda steps: steps[:1] + steps, "unexpected trace step"),
+        ],
+        ids=["empty", "pad-only", "cut-before-base-case", "step-after-base-case", "pad-twice"],
+    )
+    def test_malformed_trace_rejected(self, cut, match):
+        g = complete_graph(9)
+        _, trace = orient_diameter_two(g)  # pad, contract-triple, base-case
+        with pytest.raises(ValueError, match=match):
+            replay_trace(g, ConstructionTrace(cut(trace.steps)))
