@@ -1,14 +1,16 @@
 """Build script.
 
 The search kernel ships both as a Cython extension and as pure Python.
-If Cython or a C compiler is unavailable the extension is skipped and the
-package falls back to the pure implementation at import time.  Set
-ORIENT2_NO_EXTENSION=1 to skip the extension on purpose.
+With Cython present the extension is built from ``_speedups.pyx``; without
+it, from the committed ``_speedups.c``.  If no C compiler is available the
+extension is skipped and the package falls back to the pure implementation
+at import time.  Set ORIENT2_NO_EXTENSION=1 to skip the extension on
+purpose.
 """
 
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 
 ext_modules = []
 if os.environ.get("ORIENT2_NO_EXTENSION") != "1":
@@ -25,6 +27,6 @@ if os.environ.get("ORIENT2_NO_EXTENSION") != "1":
             },
         )
     except ImportError:
-        pass
+        ext_modules = [Extension("orient2._speedups", ["src/orient2/_speedups.c"], optional=True)]
 
 setup(ext_modules=ext_modules)

@@ -136,17 +136,18 @@ def cmd_diameter(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not 5 <= args.n <= 11:
-        print("error: --n must be between 5 and 11", file=sys.stderr)
+    try:
+        report = verify_theorem(args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    report = verify_theorem(args.n)
     print(
         f"n={report.n}: checked {report.instances_checked} instances, "
         f"{len(report.failures)} failures, {report.fallback_count} oracle fallbacks, "
         f"{report.wall_time:.2f}s"
     )
-    for g6 in report.failures:
-        print(f"failure: {g6}")
+    for failure in report.failures:
+        print(f"failure: {failure}")
     if report.fallback_count:
         print("warning: oracle fallback fired; the case analysis may have a gap", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_NEGATIVE

@@ -9,10 +9,11 @@ import os
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import chain, permutations, product
+from operator import attrgetter
 
 from . import _backend
-from .codec import emit_graph6, parse_graph6
+from .codec import emit_graph6
 from .graphs import (
     INFINITE,
     DistanceValue,
@@ -149,42 +150,68 @@ def naive_oriented_diameter(g: Graph) -> DistanceValue:
 # isomorphism-free enumeration
 
 
+def _refined_cells(neighbours: list[tuple[int, ...]]) -> list[list[int]]:
+    """Cells of the stable colouring of a graph, given as neighbour lists,
+    under colour refinement.
+
+    Every vertex starts with one colour; each round recolours a vertex by
+    the rank of (its colour, its sorted neighbour colours) among the
+    distinct signatures, until the number of cells stops growing.  Ranks
+    depend only on the signatures, so the cells and their order are
+    invariant under relabelling.
+    """
+    colour = [0] * len(neighbours)
+    cells = 1
+    while True:
+        sigs = [(colour[u], tuple(sorted(colour[w] for w in nbrs))) for u, nbrs in enumerate(neighbours)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colour = [rank[sig] for sig in sigs]
+        if len(rank) == cells:
+            break
+        cells = len(rank)
+    grouped: list[list[int]] = [[] for _ in range(cells)]
+    for u, c in enumerate(colour):
+        grouped[c].append(u)
+    return grouped
+
+
 def _canonical_component_rows(sub: Graph) -> tuple[int, ...]:
+    """Minimum adjacency-row tuple over the vertex orders that lay out the
+    refined cells in colour order and permute inside each cell."""
     if sub.n > _CANONICAL_COMPONENT_LIMIT:
         raise ValueError(
-            f"component with {sub.n} vertices exceeds the brute-force canonical labeling limit"
+            f"component with {sub.n} vertices exceeds the canonical labeling limit"
         )
-    best: tuple[int, ...] | None = None
-    for perm in permutations(range(sub.n)):
-        rows = [0] * sub.n
-        for u in range(sub.n):
-            row = 0
-            for v in range(sub.n):
-                if sub.has_edge(perm[u], perm[v]):
-                    row |= 1 << v
-            rows[u] = row
-        t = tuple(rows)
-        if best is None or t < best:
-            best = t
-    assert best is not None
-    return best
+    neighbours = [sub.neighbors(u) for u in range(sub.n)]
+    bit = [0] * sub.n
+
+    def rows(order: list[int]) -> tuple[int, ...]:
+        for i, u in enumerate(order):
+            bit[u] = 1 << i
+        return tuple([sum([bit[w] for w in neighbours[u]]) for u in order])
+
+    cells = _refined_cells(neighbours)
+    return min(rows(list(chain(*orders))) for orders in product(*map(permutations, cells)))
 
 
 def canonical_form(g: Graph) -> Graph:
     """Canonical representative of the isomorphism class of ``g``.
 
-    Each component is canonicalized by brute-force minimum over its vertex
-    permutations; components are then sorted by (size, canonical rows) and
-    laid out consecutively.  Feasible because intended inputs have tiny
-    components.
+    Isolated vertices come first.  Every other component is canonicalized
+    by the minimum of its adjacency rows over the vertex orders allowed by
+    colour refinement (`_canonical_component_rows`); components are then
+    sorted by (size, canonical rows) and laid out consecutively.
+    Isomorphic graphs get equal forms and non-isomorphic graphs different
+    ones.  Feasible because intended inputs have small components.
     """
+    isolated = sum(1 for row in g.adj if not row)
     pieces = []
     for comp in components(g):
-        rows = _canonical_component_rows(g.induced(comp))
-        pieces.append((len(comp), rows))
+        if len(comp) > 1:
+            pieces.append((len(comp), _canonical_component_rows(g.induced(comp))))
     pieces.sort()
     edges = []
-    offset = 0
+    offset = isolated
     for size, rows in pieces:
         for u in range(size):
             for v in range(u + 1, size):
@@ -200,26 +227,29 @@ def enumerate_blue(n: int, max_edges: int):
 
     Classes are grown level by level, adding one edge at a time and
     deduplicating through `canonical_form`.  Emission order: by edge
-    count, then by graph6 string of the representative.
+    count, then by the adjacency rows of the representative.
     """
-    if n > 12:
-        raise ValueError("enumeration is limited to n <= 12")
+    if n > 13:
+        raise ValueError("enumeration is limited to n <= 13")
     if max_edges > n:
         raise ValueError("enumeration is limited to max_edges <= n")
-    level = {emit_graph6(canonical_form(Graph.from_edges(n, [])))}
-    for g6 in sorted(level):
-        yield parse_graph6(g6)
+    largest = min(n, max_edges + 1)
+    if largest > _CANONICAL_COMPONENT_LIMIT:
+        raise ValueError(
+            f"components of up to {largest} vertices exceed the "
+            f"canonical labeling limit of {_CANONICAL_COMPONENT_LIMIT}"
+        )
+    level = {canonical_form(Graph.from_edges(n, []))}
+    yield from sorted(level, key=attrgetter("adj"))
     for _ in range(max_edges):
-        nxt: set[str] = set()
-        for g6 in level:
-            g = parse_graph6(g6)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if not g.has_edge(u, v):
-                        nxt.add(emit_graph6(canonical_form(g.with_edge(u, v))))
-        for g6 in sorted(nxt):
-            yield parse_graph6(g6)
-        level = nxt
+        level = {
+            canonical_form(g.with_edge(u, v))
+            for g in level
+            for u in range(n)
+            for v in range(u + 1, n)
+            if not g.has_edge(u, v)
+        }
+        yield from sorted(level, key=attrgetter("adj"))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +273,13 @@ def verify_theorem(n: int) -> VerificationReport:
 
     Enumerates all complements with at most n - 5 edges, orients each
     input, and independently re-checks every output at diameter <= 2.
+    Each failure reads ``"<graph6 of the input>: <reason>"``; the reason
+    is ``"<exception type>: <message>"`` when the constructor raised.
     """
     from .construct import orient_diameter_two
 
-    if not 5 <= n <= 11:
-        raise ValueError("verification harness supports 5 <= n <= 11")
+    if not 5 <= n <= 13:
+        raise ValueError("verification harness supports 5 <= n <= 13")
     start = time.monotonic()
     checked = 0
     failures: list[str] = []
@@ -255,13 +287,18 @@ def verify_theorem(n: int) -> VerificationReport:
     for blue in enumerate_blue(n, n - 5):
         red = complement(blue)
         checked += 1
+        reason = None
         try:
             orientation, trace = orient_diameter_two(red)
             fallbacks += trace.fallback_count()
-            if orientation.base != red or diameter(orientation.dir) > 2:
-                failures.append(emit_graph6(red))
-        except Exception:
-            failures.append(emit_graph6(red))
+            if orientation.base != red:
+                reason = "orientation is not of the input graph"
+            elif (d := diameter(orientation.dir)) > 2:
+                reason = f"orientation has diameter {d}"
+        except Exception as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        if reason is not None:
+            failures.append(f"{emit_graph6(red)}: {reason}")
     return VerificationReport(
         n=n,
         instances_checked=checked,

@@ -116,6 +116,21 @@ class TestVerify:
         code, _, err = run_cli(capsys, monkeypatch, ["verify", "--n", "4"])
         assert code == 2
 
+    def test_above_range_exit_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch, ["verify", "--n", "14"])
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_failure_lines_carry_the_reason(self, capsys, monkeypatch):
+        import orient2.construct
+
+        def broken(g):
+            raise RuntimeError("no move")
+
+        monkeypatch.setattr(orient2.construct, "orient_diameter_two", broken)
+        code, out, _ = run_cli(capsys, monkeypatch, ["verify", "--n", "5"])
+        assert code == 1
+        assert out.splitlines()[1].endswith(": RuntimeError: no move")
+
 
 class TestSharpness:
     def test_confirmed(self, capsys, monkeypatch):

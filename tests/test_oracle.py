@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, petersen, random_connected
+from orient2.codec import emit_graph6
 from orient2.graphs import INFINITE, Graph, complement, diameter
 from orient2.oracle import (
     SearchBudget,
@@ -120,9 +121,93 @@ class TestEnumeration:
 
     def test_limits(self):
         with pytest.raises(ValueError):
-            list(enumerate_blue(13, 2))
+            list(enumerate_blue(14, 2))
         with pytest.raises(ValueError):
             list(enumerate_blue(6, 7))
+
+    def test_component_limit_checked_before_first_yield(self):
+        # 11-vertex components could appear; nothing is yielded before the error
+        with pytest.raises(ValueError):
+            next(enumerate_blue(12, 10))
+
+    @pytest.mark.parametrize(
+        "n, counts",
+        [
+            (10, [1, 1, 2, 5, 11, 26]),
+            (11, [1, 1, 2, 5, 11, 26, 67]),
+            (12, [1, 1, 2, 5, 11, 26, 68, 175]),
+        ],
+    )
+    def test_counts_per_level_match_oeis(self, n, counts):
+        # OEIS A000664 (graphs with m edges), less those needing more than n vertices
+        per_level = [0] * (n - 4)
+        for g in enumerate_blue(n, n - 5):
+            per_level[g.m] += 1
+        assert per_level == counts
+
+
+def _brute_force_form(g: Graph) -> tuple[int, ...]:
+    """Minimum adjacency-row tuple over all n! vertex orders."""
+    neighbours = [g.neighbors(u) for u in range(g.n)]
+    bit = [0] * g.n
+    best = None
+    for order in permutations(range(g.n)):
+        for i, u in enumerate(order):
+            bit[u] = 1 << i
+        rows = tuple([sum([bit[w] for w in neighbours[u]]) for u in order])
+        if best is None or rows < best:
+            best = rows
+    return best
+
+
+def _shuffled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _k33() -> Graph:
+    return Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+def _prism() -> Graph:
+    return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+def _cube() -> Graph:
+    return Graph.from_edges(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3) if not u >> b & 1])
+
+
+class TestCanonicalLabelling:
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(2014)
+        graphs = []
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            p = rng.uniform(0.1, 0.6)
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            graphs += [g, _shuffled(g, rng)]
+        mine = [canonical_form(g) for g in graphs]
+        oracle = [_brute_force_form(g) for g in graphs]
+        # equal forms exactly when the brute-force forms are equal
+        pairs = set(zip(mine, oracle))
+        assert len(set(mine)) == len(set(oracle)) == len(pairs)
+        # and every form is isomorphic to its input
+        assert all(_brute_force_form(c) == o for c, o in pairs)
+
+    @pytest.mark.parametrize(
+        "g",
+        [_k33(), _prism(), cycle_graph(6), _cube(), Graph.from_edges(7, [(0, v) for v in range(1, 7)])],
+        ids=["K3,3", "prism", "C6", "Q3", "K1,6"],
+    )
+    def test_relabelling_invariant_where_refinement_cannot_split(self, g):
+        rng = random.Random(g.m)
+        form = canonical_form(g)
+        for _ in range(4):
+            assert canonical_form(_shuffled(g, rng)) == form
+
+    def test_k33_and_prism_differ(self):
+        assert canonical_form(_k33()) != canonical_form(_prism())
 
 
 class TestExtremalFamily:
@@ -159,6 +244,25 @@ class TestHarnesses:
     def test_verify_theorem_range_check(self):
         with pytest.raises(ValueError):
             verify_theorem(4)
+        with pytest.raises(ValueError):
+            verify_theorem(14)
+
+    def test_verify_theorem_n12(self):
+        report = verify_theorem(12)
+        assert report.instances_checked == 289 and report.ok
+        assert report.fallback_count == 0
+
+    def test_verify_theorem_records_why_an_instance_failed(self, monkeypatch):
+        import orient2.construct
+
+        def broken(g):
+            raise RuntimeError("no move at level 0")
+
+        monkeypatch.setattr(orient2.construct, "orient_diameter_two", broken)
+        report = verify_theorem(6)
+        assert report.instances_checked == 2 and len(report.failures) == 2
+        red = complement(next(enumerate_blue(6, 1)))
+        assert report.failures[0] == f"{emit_graph6(red)}: RuntimeError: no move at level 0"
 
     def test_sharpness_small(self):
         assert verify_sharpness(5)
