@@ -11,7 +11,6 @@ from ._backend import backend_name
 from .certs import (
     CombineCase,
     GoodOrientationCert,
-    MatchJoinSpec,
     Partition2,
     combine,
     orient_bipartite_blue_matchjoin,
@@ -71,7 +70,6 @@ from .structure import (
     excess,
     find_reduction,
     find_violating_triple,
-    select_forest,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +87,6 @@ __all__ = [
     "GoodOrientationCert",
     "INFINITE",
     "InternalVerificationError",
-    "MatchJoinSpec",
     "Orientation",
     "Partition2",
     "ReductionPlan",
@@ -125,7 +122,6 @@ __all__ = [
     "parse_graph",
     "parse_graph6",
     "replay_trace",
-    "select_forest",
     "threshold_size",
     "undirected_diameter",
     "verify_cert",

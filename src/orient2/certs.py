@@ -55,36 +55,11 @@ class GoodOrientationCert:
     nontrivial: bool
 
 
-@dataclass(frozen=True)
-class MatchJoinSpec:
-    """Two disjoint cliques plus a matching of every small-clique vertex into the large one."""
-
-    a: int
-    k: int
-    matching: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.k > self.a:
-            raise ValueError("small clique larger than large clique")
-        if len(self.matching) != self.k:
-            raise ValueError("matching must pair every small-clique vertex")
-        larger = [p for p, _ in self.matching]
-        smaller = [q for _, q in self.matching]
-        if len(set(larger)) != self.k or len(set(smaller)) != self.k:
-            raise ValueError("matching pairs must be disjoint")
-
-
-def matchjoin_spec(a: int, k: int) -> MatchJoinSpec:
-    """Canonical spec on labels 0..a+k-1: large clique first, pair i with a+i."""
-    return MatchJoinSpec(a, k, tuple((i, a + i) for i in range(k)))
-
-
 def matchjoin_graph(a: int, k: int) -> Graph:
-    """The graph described by `matchjoin_spec(a, k)`."""
-    spec = matchjoin_spec(a, k)
+    """Cliques on 0..a-1 and a..a+k-1, with vertex i matched to a + i for i < k."""
     edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
     edges += [(a + u, a + v) for u in range(k) for v in range(u + 1, k)]
-    edges += list(spec.matching)
+    edges += [(i, a + i) for i in range(k)]
     return Graph.from_edges(a + k, edges)
 
 

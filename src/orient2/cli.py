@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Iterable
+from typing import Callable
 
 from ._backend import backend_name
 from .codec import GraphFormatError, emit_graph6, emit_orientation, parse_graph
@@ -37,20 +37,21 @@ EXIT_VERIFY_FAILED = 3
 JSON_SCHEMA = "orient2/1"
 
 
-def _input_lines(args: argparse.Namespace) -> Iterable[tuple[int, str]]:
-    """Numbered non-blank input lines (an edge-list block counts as line 1)."""
+def _input_lines(args: argparse.Namespace) -> list[tuple[int, str]]:
+    """Numbered non-blank input lines (an edge-list block counts as line 1).
+
+    A byte that is not ASCII reaches the per-line parser, which rejects
+    only its own line.  Raises OSError when ``--file`` cannot be read.
+    """
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="ascii") as fh:
+        with open(args.file, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
     if "\n" in text.strip() and text.strip().splitlines()[0].split()[0].isdigit():
         # a single edge-list block spans several lines
-        yield 1, text
-        return
-    for number, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            yield number, line
+        return [(1, text)]
+    return [(number, line) for number, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
@@ -71,8 +72,13 @@ def _each_line(args: argparse.Namespace, handle: Callable[[Graph], int]) -> int:
     """Run ``handle`` on the graph of every input line.  A failing line is
     reported on stderr with its number and the batch continues; returns the
     worst exit code seen."""
+    try:
+        lines = _input_lines(args)
+    except OSError as exc:
+        print(f"error: {args.file}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     worst = EXIT_OK
-    for number, line in _input_lines(args):
+    for number, line in lines:
         try:
             code = handle(parse_graph(line))
         except (GraphFormatError, _LineError) as exc:

@@ -273,9 +273,8 @@ def _family_signature(classes: list[ComponentClass]) -> str | None:
     return None
 
 
-def _quadruple_search(blue: Graph, red: Graph) -> Orientation | None:
-    """Deterministic search over leftover choices and two-class splits."""
-    comps = components(blue)
+def _quadruple_search(red: Graph, comps: list[tuple[int, ...]]) -> Orientation | None:
+    """Deterministic search over leftover choices and two-class splits of the blue ``comps``."""
     r = len(comps)
     singles = [i for i in range(r) if len(comps[i]) == 1]
     pairs = [i for i in range(r) if len(comps[i]) == 2]
@@ -332,7 +331,7 @@ def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
         served = _serve_table(blue, red, comps)
         if served is not None:
             return served, f"table:{family}"
-    found = _quadruple_search(blue, red)
+    found = _quadruple_search(red, comps)
     if found is not None:
         return found, family
     return None

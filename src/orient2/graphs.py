@@ -266,20 +266,24 @@ def undirected_diameter(g: Graph) -> DistanceValue:
     return diameter(as_digraph(g))
 
 
+def reach(rows: tuple[int, ...], start: int) -> int:
+    """Bitmask of the vertices reachable from the vertex set ``start`` along ``rows``."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & ~seen
+        seen |= nxt
+    return seen
+
+
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by (size, smallest label)."""
     remaining = (1 << g.n) - 1
     comps: list[tuple[int, ...]] = []
     while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~seen
-            seen |= nxt
+        seen = reach(g.adj, remaining & -remaining)
         comps.append(tuple(bits(seen)))
         remaining &= ~seen
     comps.sort(key=lambda c: (len(c), c[0]))

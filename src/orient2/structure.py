@@ -8,13 +8,14 @@ function of the blue graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterator, Sequence
 
 from .certs import GoodOrientationCert, split_cert
-from .graphs import Graph, complement, components
+from .graphs import Graph, bits, complement, components, reach
 
 
 class ComponentKind(Enum):
@@ -62,48 +63,42 @@ def excess(g: Graph) -> int:
     return g.m - g.n
 
 
-def _is_clique(g: Graph, vertices: Sequence[int]) -> bool:
-    return all(g.has_edge(u, v) for u, v in combinations(vertices, 2))
+def _two_cliques(rows: Sequence[int], mask: int) -> tuple[int, int] | None:
+    """Sorted sizes when ``mask`` spans exactly two cliques with no edge between them."""
+    low = mask & -mask
+    side = rows[low.bit_length() - 1] & mask | low
+    other = mask & ~side
+    if not other:
+        return None
+    for v in bits(mask):
+        clique = side if side >> v & 1 else other
+        if rows[v] & mask != clique & ~(1 << v):
+            return None
+    k, l = sorted((side.bit_count(), other.bit_count()))
+    return k, l
 
 
-def _is_path(sub: Graph) -> bool:
-    if sub.n == 1:
-        return True
-    degs = sorted(sub.degree(v) for v in range(sub.n))
-    if sub.n == 2:
-        return degs == [1, 1]
-    return sub.m == sub.n - 1 and degs[:2] == [1, 1] and degs[2:] == [2] * (sub.n - 2)
-
-
-def _dumbbell_params(sub: Graph) -> tuple[int, int] | None:
-    """(k, l) if sub is two cliques joined by a single edge, else None."""
-    for u, v in sub.edges():
-        trimmed = sub.without_edge(u, v)
-        parts = components(trimmed)
-        if len(parts) != 2:
-            continue
-        left, right = parts
-        if (u in left) == (v in left):
-            continue
-        if _is_clique(sub, left) and _is_clique(sub, right):
-            k, l = sorted((len(left), len(right)))
-            return k, l
+def _short_dumbbell_params(rows: Sequence[int], mask: int) -> tuple[int, int] | None:
+    """(k, l) if ``mask`` spans two cliques sharing exactly one vertex, else None."""
+    for z in bits(mask):
+        rest = mask & ~(1 << z)
+        if rows[z] & mask == rest:  # the shared vertex sees every other vertex
+            sizes = _two_cliques(rows, rest)
+            if sizes is not None:
+                return sizes[0] + 1, sizes[1] + 1
     return None
 
 
-def _short_dumbbell_params(sub: Graph) -> tuple[int, int] | None:
-    """(k, l) if sub is two cliques sharing exactly one vertex, else None."""
-    for z in range(sub.n):
-        rest = [v for v in range(sub.n) if v != z]
-        parts = components(sub.induced(rest))
-        if len(parts) != 2:
-            continue
-        rest_sorted = rest  # induced() relabels by sorted order; rest is sorted
-        side_a = [rest_sorted[i] for i in parts[0]]
-        side_b = [rest_sorted[i] for i in parts[1]]
-        if _is_clique(sub, side_a + [z]) and _is_clique(sub, side_b + [z]):
-            k, l = sorted((len(side_a) + 1, len(side_b) + 1))
-            return k, l
+def _dumbbell_params(rows: Sequence[int], mask: int) -> tuple[int, int] | None:
+    """(k, l) if ``mask`` spans two cliques joined by a single edge, else None."""
+    for u in bits(mask):
+        for v in bits(rows[u] >> u + 1 << u + 1):
+            trimmed = list(rows)
+            trimmed[u] &= ~(1 << v)
+            trimmed[v] &= ~(1 << u)
+            sizes = _two_cliques(trimmed, mask)
+            if sizes is not None:
+                return sizes
     return None
 
 
@@ -114,20 +109,22 @@ def classify_component(g: Graph, comp: Sequence[int]) -> ComponentClass:
     dumbbell; anything else is OTHER.  Raises if ``comp`` is not a
     component of ``g``.
     """
-    comp_sorted = tuple(sorted(comp))
-    if comp_sorted not in set(components(g)):
+    mask = sum(1 << v for v in set(comp) if 0 <= v < g.n)
+    if not mask or len(comp) != mask.bit_count() or reach(g.adj, mask & -mask) != mask:
         raise ValueError("vertex set is not a connected component")
-    sub = g.induced(comp_sorted)
-    if _is_path(sub):
-        return ComponentClass(ComponentKind.PATH, (sub.n,))
-    if sub.m == sub.n * (sub.n - 1) // 2:
-        return ComponentClass(ComponentKind.COMPLETE, (sub.n,))
-    if sub.n == 5 and sub.m == 5 and all(sub.degree(v) == 2 for v in range(5)):
+    degs = [g.adj[v].bit_count() for v in bits(mask)]
+    n = len(degs)
+    m = sum(degs) // 2
+    if m == n - 1 and max(degs) <= 2:
+        return ComponentClass(ComponentKind.PATH, (n,))
+    if m == n * (n - 1) // 2:
+        return ComponentClass(ComponentKind.COMPLETE, (n,))
+    if n == 5 and m == 5 and max(degs) == 2:
         return ComponentClass(ComponentKind.FIVE_CYCLE)
-    short = _short_dumbbell_params(sub)
+    short = _short_dumbbell_params(g.adj, mask)
     if short is not None and short[0] >= 3:
         return ComponentClass(ComponentKind.PROPER_SHORT_DUMBBELL, short)
-    dumb = _dumbbell_params(sub)
+    dumb = _dumbbell_params(g.adj, mask)
     if dumb is not None and dumb[1] >= 3:
         return ComponentClass(ComponentKind.PROPER_DUMBBELL, dumb)
     return ComponentClass(ComponentKind.OTHER)
@@ -159,41 +156,6 @@ def find_violating_triple(b: Graph) -> TripleWitness | None:
     return None
 
 
-def tree_components(b: Graph) -> list[tuple[int, ...]]:
-    """Components with edge count one less than vertex count."""
-    out = []
-    for comp in components(b):
-        sub = b.induced(comp)
-        if sub.m == sub.n - 1:
-            out.append(comp)
-    return out
-
-
-def select_forest(b: Graph, t: int, m0: int) -> tuple[tuple[int, ...], ...]:
-    """Union of tree components with t <= total vertices <= t + m0.
-
-    Only trees of size (edge count) at most ``m0`` qualify.  Greedy over
-    the largest qualifying trees: take the shortest prefix reaching t
-    vertices.  The resulting forest has excess at least -t, and at least
-    -t + m0 when t > m0 and a size-m0 tree exists.
-    """
-    if t < 1:
-        raise ValueError("need a positive vertex target")
-    qualifying = [c for c in tree_components(b) if len(c) - 1 <= m0]
-    if len(qualifying) < t:
-        raise ValueError(f"need at least {t} tree components of size <= {m0}")
-    qualifying.sort(key=lambda c: (-len(c), c[0]))
-    chosen: list[tuple[int, ...]] = []
-    total = 0
-    for comp in qualifying[:t]:
-        chosen.append(comp)
-        total += len(comp)
-        if total >= t:
-            break
-    assert t <= total <= t + m0
-    return tuple(chosen)
-
-
 def _candidate_splits(parts: Sequence[tuple[int, ...]]) -> Iterator[tuple[list[int], list[int]]]:
     """Unordered two-colorings of whole parts into nonempty sides, smallest mask first."""
     r = len(parts)
@@ -205,16 +167,20 @@ def _candidate_splits(parts: Sequence[tuple[int, ...]]) -> Iterator[tuple[list[i
         yield side_a, side_b
 
 
+def _union_excess(b: Graph, vertices: Sequence[int]) -> int:
+    """Excess of a union of whole components, which keeps all of their edges."""
+    return sum(b.adj[v].bit_count() for v in vertices) // 2 - len(vertices)
+
+
 def _validated_plan(
     b: Graph, parts: Sequence[tuple[int, ...]], recipe: str
 ) -> ReductionPlan | None:
     w = sorted(v for part in parts for v in part)
     if len(w) == b.n:
         return None  # a contractible set must be a proper subset
-    sub_blue = b.induced(w)
-    if excess(sub_blue) < -1:
+    if _union_excess(b, w) < -1:
         return None
-    world = complement(sub_blue)
+    world = complement(b.induced(w))
     local = {v: i for i, v in enumerate(w)}
     for side_a, side_b in _candidate_splits(parts):
         cert = split_cert(world, [local[v] for v in side_a], [local[v] for v in side_b])
@@ -232,56 +198,45 @@ def find_reduction(b: Graph) -> ReductionPlan | None:
     validated candidate wins, so results are deterministic.
     """
     comps = components(b)
-    infos = [(comp, b.induced(comp)) for comp in comps]
-    non_trees = [(comp, sub) for comp, sub in infos if sub.m >= sub.n]
-    trees = [comp for comp, sub in infos if sub.m == sub.n - 1]
+    non_trees = [comp for comp in comps if _union_excess(b, comp) >= 0]
+    trees = [comp for comp in comps if _union_excess(b, comp) == -1]
     trees_big_first = sorted(trees, key=lambda c: (-len(c), c[0]))
+    covered = list(accumulate(len(c) for c in trees_big_first))
 
-    # recipe 1: one non-tree component plus a greedy forest of tree components
-    for comp, sub in non_trees:
-        ex1 = excess(sub)
-        n1 = sub.n
-        tried: set[tuple[tuple[int, ...], ...]] = set()
-        for t in (n1 - 2, 5):
+    # recipe 1: one non-tree component plus the fewest largest trees covering t vertices
+    for comp in non_trees:
+        tried: set[int] = set()
+        for t in (len(comp) - 2, 5):
             if t < 1 or len(trees) < t:
                 continue
-            m0 = max((len(c) - 1 for c in trees), default=0)
-            try:
-                forest = select_forest(b, t, m0)
-            except ValueError:
+            count = bisect_left(covered, t) + 1
+            if count in tried:
                 continue
-            if forest in tried:
-                continue
-            tried.add(forest)
-            if ex1 - len(forest) < -1:
-                continue
-            plan = _validated_plan(b, [comp, *forest], "non-tree+forest")
+            tried.add(count)
+            plan = _validated_plan(b, [comp, *trees_big_first[:count]], "non-tree+forest")
             if plan is not None:
                 return plan
 
     # recipe 2: two non-tree components, possibly with one or two tree components
-    for (ca, sa), (cb, sb) in combinations(non_trees, 2):
-        base_ex = excess(sa) + excess(sb)
+    for ca, cb in combinations(non_trees, 2):
         plan = _validated_plan(b, [ca, cb], "two-non-trees")
         if plan is not None:
             return plan
         for count in (1, 2):
-            if base_ex - count < -1:
-                continue
             for combo in combinations(trees_big_first, count):
                 plan = _validated_plan(b, [ca, cb, *combo], "two-non-trees+trees")
                 if plan is not None:
                     return plan
 
     # recipe 3: non-tree plus a four-vertex tree, then non-tree plus a small forest
-    for comp, sub in non_trees:
+    for comp in non_trees:
         for tree in trees_big_first:
             if len(tree) == 4:
                 plan = _validated_plan(b, [comp, tree], "non-tree+tree4")
                 if plan is not None:
                     return plan
-        lo = min(4, sub.n)
-        ex1 = excess(sub)
+        lo = min(4, len(comp))
+        ex1 = _union_excess(b, comp)
         for count in range(1, min(len(trees), ex1 + 1) + 1):
             for combo in combinations(trees_big_first, count):
                 total = sum(len(c) for c in combo)
@@ -292,8 +247,8 @@ def find_reduction(b: Graph) -> ReductionPlan | None:
                     return plan
 
     # recipe 4: small non-tree plus a three-vertex tree
-    for comp, sub in non_trees:
-        if not 4 <= sub.n <= 6:
+    for comp in non_trees:
+        if not 4 <= len(comp) <= 6:
             continue
         for tree in trees_big_first:
             if len(tree) == 3:

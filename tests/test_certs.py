@@ -7,12 +7,10 @@ from conftest import complete_graph, cycle_graph, paths_union
 from orient2.certs import (
     CombineCase,
     GoodOrientationCert,
-    MatchJoinSpec,
     Partition2,
     combine,
     matchjoin_cert,
     matchjoin_graph,
-    matchjoin_spec,
     orient_bipartite_blue_matchjoin,
     orient_complete_bipartite,
     split_cert,
@@ -113,15 +111,12 @@ class TestWindowConstruction:
 
 
 class TestMatchJoin:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            MatchJoinSpec(2, 3, ((0, 2), (1, 3), (0, 4)))
-        spec = matchjoin_spec(4, 2)
-        assert spec.matching == ((0, 4), (1, 5))
-
     def test_graph_shape(self):
         g = matchjoin_graph(3, 2)
         assert g.n == 5 and g.m == 3 + 1 + 2
+        g = matchjoin_graph(4, 2)
+        assert g.has_edge(0, 4) and g.has_edge(1, 5)
+        assert not g.has_edge(2, 4) and not g.has_edge(0, 5)
 
     @pytest.mark.parametrize("a", range(3, 7))
     def test_full_patterns(self, a):

@@ -105,6 +105,23 @@ class TestBatches:
         code, out, err = run_cli(capsys, monkeypatch, ["diameter", "--budget", "2"], stdin)
         assert code == 2 and out == "indeterminate\n" and err.startswith("error: line 1: ")
 
+    @pytest.mark.parametrize("command", ["orient", "classify"])
+    def test_non_ascii_file_line_is_reported_and_skipped(self, capsys, monkeypatch, tmp_path, command):
+        k5 = emit_graph6(complete_graph(5))
+        _, single, _ = run_cli(capsys, monkeypatch, [command], k5 + "\n")
+        path = tmp_path / "batch.txt"
+        path.write_bytes(f"{k5}\n".encode() + "é\n".encode() + f"{k5}\n".encode())
+        code, out, err = run_cli(capsys, monkeypatch, [command, "--file", str(path)])
+        assert code == 2 and out == single * 2
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["orient", "classify"])
+    def test_missing_file_exit_2(self, capsys, monkeypatch, tmp_path, command):
+        path = tmp_path / "absent.txt"
+        code, out, err = run_cli(capsys, monkeypatch, [command, "--file", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: No such file or directory\n"
+
 
 class TestVerify:
     def test_n7_clean(self, capsys, monkeypatch):

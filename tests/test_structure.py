@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -13,10 +15,10 @@ from orient2.structure import (
     excess,
     find_reduction,
     find_violating_triple,
-    select_forest,
-    tree_components,
 )
 from orient2.certs import verify_cert
+
+PLAN_SHA256 = "a00174acb001e9bb78a1a1bd3e237e8635e46879920f705f6aaa54ec46c8570f"
 
 
 def disjoint_union(*parts: Graph) -> Graph:
@@ -112,6 +114,92 @@ class TestClassify:
         assert classify_component(g, tuple(range(g.n))) == classify_component(h, tuple(range(h.n)))
 
 
+def _ref_is_clique(g: Graph, vertices) -> bool:
+    return all(g.has_edge(u, v) for u, v in combinations(vertices, 2))
+
+
+def _ref_is_path(sub: Graph) -> bool:
+    if sub.n == 1:
+        return True
+    degs = sorted(sub.degree(v) for v in range(sub.n))
+    if sub.n == 2:
+        return degs == [1, 1]
+    return sub.m == sub.n - 1 and degs[:2] == [1, 1] and degs[2:] == [2] * (sub.n - 2)
+
+
+def _ref_dumbbell_params(sub: Graph):
+    """Remove one edge at a time; (k, l) when it leaves two cliques, one per endpoint."""
+    for u, v in sub.edges():
+        parts = components(sub.without_edge(u, v))
+        if len(parts) != 2 or (u in parts[0]) == (v in parts[0]):
+            continue
+        if all(_ref_is_clique(sub, part) for part in parts):
+            return tuple(sorted(len(part) for part in parts))
+    return None
+
+
+def _ref_short_dumbbell_params(sub: Graph):
+    """Remove one vertex at a time; (k, l) when each side left is a clique with it."""
+    for z in range(sub.n):
+        rest = [v for v in range(sub.n) if v != z]
+        parts = [[rest[i] for i in part] for part in components(sub.induced(rest))]
+        if len(parts) != 2:
+            continue
+        if all(_ref_is_clique(sub, part + [z]) for part in parts):
+            return tuple(sorted(len(part) + 1 for part in parts))
+    return None
+
+
+def reference_classify(g: Graph, comp) -> ComponentClass:
+    """Subgraph-building classifier, the reference for `classify_component`."""
+    sub = g.induced(comp)
+    if _ref_is_path(sub):
+        return ComponentClass(ComponentKind.PATH, (sub.n,))
+    if sub.m == sub.n * (sub.n - 1) // 2:
+        return ComponentClass(ComponentKind.COMPLETE, (sub.n,))
+    if sub.n == 5 and sub.m == 5 and all(sub.degree(v) == 2 for v in range(5)):
+        return ComponentClass(ComponentKind.FIVE_CYCLE)
+    short = _ref_short_dumbbell_params(sub)
+    if short is not None and short[0] >= 3:
+        return ComponentClass(ComponentKind.PROPER_SHORT_DUMBBELL, short)
+    dumb = _ref_dumbbell_params(sub)
+    if dumb is not None and dumb[1] >= 3:
+        return ComponentClass(ComponentKind.PROPER_DUMBBELL, dumb)
+    return ComponentClass(ComponentKind.OTHER)
+
+
+class TestClassifyAgainstReference:
+    def test_random_graphs(self):
+        rng = random.Random(7)
+        kinds = set()
+        for _ in range(2000):
+            n = rng.randint(1, 11)
+            p = rng.random()
+            g = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+            for comp in components(g):
+                cls = classify_component(g, comp)
+                assert cls == reference_classify(g, comp)
+                kinds.add(cls.kind)
+        # a random graph almost never has a C5 component; the cycle family below covers it
+        assert kinds == set(ComponentKind) - {ComponentKind.FIVE_CYCLE}
+
+    @pytest.mark.parametrize(
+        "family",
+        [dumbbell, lambda a, b: short_dumbbell(a + 1, b + 1), lambda a, b: cycle_graph(a + b + 1)],
+        ids=["dumbbell", "short_dumbbell", "cycle"],
+    )
+    def test_relabelled_families(self, family):
+        rng = random.Random(11)
+        for a in range(1, 8):
+            for b in range(1, 8):
+                g = disjoint_union(family(a, b), Graph.from_edges(2, []))
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                h = g.relabel(perm)
+                comp = tuple(sorted(perm[v] for v in range(g.n - 2)))
+                assert classify_component(h, comp) == reference_classify(h, comp)
+
+
 def brute_force_triples(b: Graph):
     """Independent re-implementation used as the oracle for the search."""
     hits = []
@@ -164,29 +252,6 @@ class TestViolatingTriples:
             assert (got.x1, got.x2, got.x3) == expected[0]
 
 
-class TestSelectForest:
-    def test_all_singletons(self):
-        b = Graph.from_edges(8, [])
-        forest = select_forest(b, 5, 0)
-        assert len(forest) == 5 and sum(len(c) for c in forest) == 5
-
-    def test_mixed_sizes_within_bounds(self):
-        b = disjoint_union(path_graph(3), path_graph(2), *[Graph.from_edges(1, [])] * 3)
-        forest = select_forest(b, 3, 2)
-        total = sum(len(c) for c in forest)
-        assert 3 <= total <= 5
-        assert -len(forest) >= -3
-
-    def test_no_trees_errors(self):
-        with pytest.raises(ValueError):
-            select_forest(cycle_graph(4), 1, 3)
-
-    def test_size_filter_applies(self):
-        b = disjoint_union(path_graph(4), *[Graph.from_edges(1, [])] * 4)
-        forest = select_forest(b, 2, 0)
-        assert all(len(c) == 1 for c in forest)
-
-
 class TestFindReduction:
     def check(self, b, plan):
         assert plan is not None
@@ -229,6 +294,27 @@ class TestFindReduction:
         if plan is not None:
             self.check(b, plan)
 
+    def test_plans_match_the_pin(self):
+        # (w, recipe, cert arcs, cert classes) over seeded blue graphs, n = 8..30, m <= n
+        rng = random.Random(4)
+        digest = hashlib.sha256()
+        for _ in range(1500):
+            n = rng.randint(8, 30)
+            b = Graph.from_edges(n, rng.sample(list(combinations(range(n), 2)), rng.randint(0, n)))
+            plan = find_reduction(b)
+            row = None
+            if plan is not None:
+                cert = plan.cert
+                row = [
+                    list(plan.w),
+                    plan.recipe,
+                    cert.orientation.dir.arcs(),
+                    list(cert.classes.first),
+                    list(cert.classes.second),
+                ]
+            digest.update((json.dumps(row) + "\n").encode())
+        assert digest.hexdigest() == PLAN_SHA256
+
     def test_determinism(self):
         b = disjoint_union(dumbbell(3, 3), path_graph(3), *[Graph.from_edges(1, [])] * 5)
         assert find_reduction(b) == find_reduction(b)
@@ -248,7 +334,7 @@ class TestTreeAccounting:
             parts.extend([Graph.from_edges(1, [])] * excess(part))
         b = disjoint_union(*parts)
         assert excess(b) == -5
-        non_tree_excess = sum(
-            excess(b.induced(c)) for c in components(b) if b.induced(c).m >= len(c)
-        )
-        assert len(tree_components(b)) == 5 + non_tree_excess
+        shapes = [(len(c), b.induced(c).m) for c in components(b)]
+        trees = sum(1 for n, m in shapes if m == n - 1)
+        non_tree_excess = sum(m - n for n, m in shapes if m >= n)
+        assert trees == 5 + non_tree_excess
