@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .graphs import (
@@ -158,12 +159,16 @@ def _window_arcs(xs: Sequence[int], ys: Sequence[int]) -> dict[frozenset[int], A
 def window_sizes_ok(a: int, b: int) -> bool:
     if (a, b) == (1, 1):
         return True
-    if a < 2 or b < a:
-        return False
-    limit = 1
-    for t in range(a // 2):
-        limit = limit * (a - t) // (t + 1)
-    return b <= limit
+    return 2 <= a <= b <= comb(a, a // 2)
+
+
+def split_sizes_ok(a: int, b: int) -> bool:
+    """Whether `split_cert` can certify some split with sides of sizes ``a <= b``.
+
+    The window needs ``2 <= a <= b <= C(a, a//2)`` and the clique pair
+    ``3 <= a <= b <= 2a``; other sizes never get a certificate.
+    """
+    return a >= 2 and window_sizes_ok(a, b) or 3 <= a <= b <= 2 * a
 
 
 def window_cert(world: Graph, side_x: Sequence[int], side_y: Sequence[int]) -> GoodOrientationCert | None:
@@ -352,10 +357,11 @@ def split_cert(world: Graph, side_a: Sequence[int], side_b: Sequence[int]) -> Go
     then the clique-pair construction with either side as the x class.
     """
     small, large = (side_a, side_b) if len(side_a) <= len(side_b) else (side_b, side_a)
-    if len(small) >= 2:
-        cert = window_cert(world, small, large)
-        if cert is not None:
-            return cert
+    if not split_sizes_ok(len(small), len(large)):
+        return None
+    cert = window_cert(world, small, large)
+    if cert is not None:
+        return cert
     for xs, ys in ((side_a, side_b), (side_b, side_a)):
         cert = matchjoin_cert(world, xs, ys)
         if cert is not None:

@@ -1,8 +1,10 @@
-"""graph6 / digraph6 text codecs (single-byte size, n <= 62) and an edge-list reader.
+"""graph6 / digraph6 text codecs (n <= 258,047) and an edge-list reader.
 
 graph6 packs the upper triangle of the adjacency matrix in column order
 (0,1), (0,2), (1,2), (0,3), ... into big-endian 6-bit groups offset by 63.
-digraph6 is '&' plus the full n*n matrix in row-major order.
+digraph6 is '&' plus the full n*n matrix in row-major order.  The order
+comes first: one byte n + 63 for n <= 62, else '~' and three bytes
+holding n as an 18-bit big-endian number (B. McKay, *formats.txt*).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from .graphs import Digraph, Graph, Orientation
 GRAPH6_HEADER = ">>graph6<<"
 DIGRAPH6_HEADER = ">>digraph6<<"
 
-MAX_VERTICES = 62
+SHORT_ORDER_MAX = 62
+MAX_VERTICES = 258047  # largest order with a four-byte header; the eight-byte form is not read
 
 
 class GraphFormatError(ValueError):
@@ -53,19 +56,28 @@ def _unpack_bits(payload: str, nbits: int) -> list[int]:
 def _encode_order(n: int) -> str:
     if not 0 <= n <= MAX_VERTICES:
         raise GraphFormatError(f"only graphs with at most {MAX_VERTICES} vertices are supported")
-    return chr(n + 63)
+    if n <= SHORT_ORDER_MAX:
+        return chr(n + 63)
+    return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
 
 
 def _decode_order(text: str) -> tuple[int, str]:
     if not text:
         raise GraphFormatError("empty input")
-    code = ord(text[0])
-    if not 63 <= code <= 126:
-        raise GraphFormatError(f"bad length byte {code!r}")
-    n = code - 63
-    if n > MAX_VERTICES:
+    if text[0] != "~":
+        code = ord(text[0])
+        if not 63 <= code <= 125:
+            raise GraphFormatError(f"bad length byte {code!r}")
+        return code - 63, text[1:]
+    if text[1:2] == "~":
         raise GraphFormatError(f"graphs with more than {MAX_VERTICES} vertices are not supported")
-    return n, text[1:]
+    head = text[1:4]
+    if len(head) < 3 or not all(63 <= ord(ch) <= 126 for ch in head):
+        raise GraphFormatError(f"bad long order header {text[:4]!r}")
+    n = 0
+    for ch in head:
+        n = n << 6 | ord(ch) - 63
+    return n, text[4:]
 
 
 def emit_graph6(g: Graph) -> str:

@@ -43,6 +43,7 @@ from .graphs import (
     Edge,
     Graph,
     Orientation,
+    bits,
     complement,
     components,
     diameter,
@@ -320,13 +321,14 @@ def _quadruple_search(red: Graph, comps: list[tuple[int, ...]]) -> Orientation |
     return None
 
 
-def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
+def _base_case_with_family(blue: Graph, red: Graph) -> tuple[Orientation, str] | None:
+    """Orientation of ``red`` and its family name when its complement ``blue``
+    is one of the directly orientable component families."""
     comps = components(blue)
     classes = [classify_component(blue, c) for c in comps]
     family = _family_signature(classes)
     if family is None:
         return None
-    red = complement(blue)
     if all(cls.kind is ComponentKind.PATH for cls in classes):
         served = _serve_table(blue, red, comps)
         if served is not None:
@@ -340,12 +342,27 @@ def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
 def base_case_orient(b: Graph) -> Orientation | None:
     """Orientation of the complement of ``b`` when ``b`` is one of the
     directly orientable component families; None otherwise."""
-    result = _base_case_with_family(b)
+    result = _base_case_with_family(b, complement(b))
     return result[0] if result is not None else None
 
 
 # ---------------------------------------------------------------------------
 # contraction / expansion
+
+
+def _kept_blue_rows(red: Graph, kept: tuple[int, ...]) -> list[int]:
+    """Blue (missing-edge) rows of ``red`` restricted to ``kept``, relabelled by position."""
+    full = (1 << red.n) - 1
+    index = {v: j for j, v in enumerate(kept)}
+    rows = []
+    for u in kept:
+        row = 0
+        for v in bits(full & ~red.adj[u] & ~(1 << u)):
+            j = index.get(v)
+            if j is not None:
+                row |= 1 << j
+        rows.append(row)
+    return rows
 
 
 def _contract_reduction(
@@ -355,12 +372,7 @@ def _contract_reduction(
     assert len(removed) >= 4, "a certified contractible set has at least four vertices"
     kept = tuple(v for v in range(norm_red.n) if v not in set(removed))
     k = len(kept)
-    blue = complement(norm_red)
-    rows = [0] * (k + 2)
-    for i, u in enumerate(kept):
-        for j, v in enumerate(kept):
-            if blue.has_edge(u, v):
-                rows[i] |= 1 << j
+    rows = _kept_blue_rows(norm_red, kept) + [0, 0]
     rows[k] |= 1 << (k + 1)
     rows[k + 1] |= 1 << k
     contracted_blue = Graph(k + 2, tuple(rows))
@@ -373,14 +385,10 @@ def _contract_triple(norm_red: Graph, triple: tuple[int, int, int]) -> tuple[Tri
     removed = tuple(sorted(triple))
     kept = tuple(v for v in range(norm_red.n) if v not in set(removed))
     k = len(kept)
-    blue = complement(norm_red)
     triple_mask = sum(1 << x for x in removed)
-    rows = [0] * (k + 1)
+    rows = _kept_blue_rows(norm_red, kept) + [0]
     for i, u in enumerate(kept):
-        for j, v in enumerate(kept):
-            if blue.has_edge(u, v):
-                rows[i] |= 1 << j
-        if blue.adj[u] & triple_mask:
+        if triple_mask & ~norm_red.adj[u]:
             rows[i] |= 1 << k
             rows[k] |= 1 << i
     contracted_blue = Graph(k + 1, tuple(rows))
@@ -541,7 +549,7 @@ def _choose_move(current: Graph) -> Move:
     _check_precondition(current)
     norm, deleted = normalize_to_threshold(current)
     blue = complement(norm)
-    base = _base_case_with_family(blue)
+    base = _base_case_with_family(blue, norm)
     if base is not None:
         orientation, family = base
         return deleted, BaseCaseStep(family, tuple(orientation.dir.arcs()))

@@ -41,9 +41,8 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise ValueError("expected one adjacency row per vertex")
-        full = (1 << self.n) - 1
         for u, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:
                 raise ValueError("adjacency row mentions vertices outside 0..n-1")
             if row >> u & 1:
                 raise ValueError(f"vertex {u} is adjacent to itself")
@@ -124,9 +123,8 @@ class Digraph:
     def __post_init__(self) -> None:
         if self.n < 0 or len(self.out) != self.n:
             raise ValueError("expected one out-row per vertex")
-        full = (1 << self.n) - 1
         for u, row in enumerate(self.out):
-            if row & ~full:
+            if row >> self.n:
                 raise ValueError("out-row mentions vertices outside 0..n-1")
             if row >> u & 1:
                 raise ValueError(f"self-arc at vertex {u}")

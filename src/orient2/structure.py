@@ -8,13 +8,14 @@ function of the blue graph.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Iterator, Sequence
 
-from .certs import GoodOrientationCert, split_cert
+from .certs import GoodOrientationCert, split_cert, split_sizes_ok
 from .graphs import Graph, bits, complement, components, reach
 
 
@@ -136,23 +137,35 @@ def find_violating_triple(b: Graph) -> TripleWitness | None:
     N_i collects the outside vertices with exactly i neighbors in the
     triple.  Returns None when every independent triple satisfies
     |N2| <= 1 and N3 empty.
+
+    A vertex of N2 or N3 is a common neighbor of two triple members, so
+    when x1 and x2 share no neighbor, x3 must share one with x1 or x2:
+    ``co[x]`` holds the vertices that share a neighbor with ``x``.
     """
-    for x1, x2, x3 in combinations(range(b.n), 3):
-        if b.has_edge(x1, x2) or b.has_edge(x1, x3) or b.has_edge(x2, x3):
-            continue
-        triple_mask = 1 << x1 | 1 << x2 | 1 << x3
-        n2 = []
-        n3 = []
-        for v in range(b.n):
-            if triple_mask >> v & 1:
-                continue
-            hits = (b.adj[v] & triple_mask).bit_count()
-            if hits == 2:
-                n2.append(v)
-            elif hits == 3:
-                n3.append(v)
-        if len(n2) >= 2 or n3:
-            return TripleWitness(x1, x2, x3, tuple(n2), tuple(n3))
+    adj = b.adj
+    co = []
+    for x in range(b.n):
+        shared = 0
+        for v in bits(adj[x]):
+            shared |= adj[v]
+        co.append(shared & ~(1 << x))
+    full = (1 << b.n) - 1
+    for x1 in range(b.n):
+        a1 = adj[x1]
+        after1 = full & ~a1 >> x1 + 1 << x1 + 1
+        for x2 in bits(after1):
+            a2 = adj[x2]
+            thirds = after1 & ~a2 >> x2 + 1 << x2 + 1
+            if not co[x1] >> x2 & 1:
+                thirds &= co[x1] | co[x2]
+            both = a1 & a2
+            either = a1 ^ a2
+            for x3 in bits(thirds):
+                a3 = adj[x3]
+                n3 = both & a3
+                n2 = both & ~a3 | either & a3
+                if n3 or n2.bit_count() >= 2:
+                    return TripleWitness(x1, x2, x3, tuple(bits(n2)), tuple(bits(n3)))
     return None
 
 
@@ -172,6 +185,73 @@ def _union_excess(b: Graph, vertices: Sequence[int]) -> int:
     return sum(b.adj[v].bit_count() for v in vertices) // 2 - len(vertices)
 
 
+@lru_cache(maxsize=4096)
+def _splittable(sizes: tuple[int, ...]) -> bool:
+    """Whether whole parts of these (sorted) sizes split into two sides that
+    pass `split_sizes_ok`.
+
+    No blue edge crosses such a split, so these sizes are all `split_cert`
+    can fail on before the world is built.
+    """
+    total = sum(sizes)
+    sums = 1  # bit s: some subset of the parts has s vertices
+    for size in sizes:
+        sums |= sums << size
+    return any(sums >> a & 1 and split_sizes_ok(a, total - a) for a in range(1, total // 2 + 1))
+
+
+@lru_cache(maxsize=4096)
+def _tree_shapes(
+    fixed: tuple[int, ...], sizes: tuple[int, ...], count: int, lo: int, hi: int
+) -> frozenset[tuple[int, ...]]:
+    """Non-increasing ``count``-tuples over ``sizes`` (given largest first) whose
+    total lies in [lo, hi] and which are `_splittable` together with the
+    ``fixed`` part sizes, with all of their prefixes."""
+    shapes: set[tuple[int, ...]] = set()
+
+    def extend(prefix: tuple[int, ...], total: int, first: int) -> None:
+        if len(prefix) == count:
+            if total >= lo and _splittable(tuple(sorted(fixed + prefix))):
+                shapes.update(prefix[:i] for i in range(count + 1))
+            return
+        for i in range(first, len(sizes)):
+            if total + sizes[i] <= hi:
+                extend(prefix + (sizes[i],), total + sizes[i], i)
+
+    extend((), 0, 0)
+    return frozenset(shapes)
+
+
+def _shaped_combinations(
+    sizes: Sequence[int], count: int, shapes: frozenset[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """``combinations(range(len(sizes)), count)`` restricted, in the same
+    order, to the index tuples whose sizes form a tuple in ``shapes``.
+
+    ``sizes`` must be non-increasing and ``shapes`` closed under prefixes.
+    When a prefix leaves ``shapes``, every later index of the same size
+    would too, so the walk bisects past all of them at once.
+    """
+    neg = [-size for size in sizes]
+
+    def walk(start: int, chosen: tuple[int, ...], shape: tuple[int, ...]) -> Iterator[tuple]:
+        if len(chosen) == count:
+            yield chosen
+            return
+        stop = len(sizes) - (count - len(chosen)) + 1
+        i = start
+        while i < stop:
+            longer = shape + (sizes[i],)
+            if longer in shapes:
+                yield from walk(i + 1, chosen + (i,), longer)
+                i += 1
+            else:
+                i = bisect_right(neg, neg[i], i)
+
+    if () in shapes:
+        yield from walk(0, (), ())
+
+
 def _validated_plan(
     b: Graph, parts: Sequence[tuple[int, ...]], recipe: str
 ) -> ReductionPlan | None:
@@ -179,6 +259,8 @@ def _validated_plan(
     if len(w) == b.n:
         return None  # a contractible set must be a proper subset
     if _union_excess(b, w) < -1:
+        return None
+    if not _splittable(tuple(sorted(len(part) for part in parts))):
         return None
     world = complement(b.induced(w))
     local = {v: i for i, v in enumerate(w)}
@@ -189,19 +271,26 @@ def _validated_plan(
     return None
 
 
+# tree sizes that fit recipe 3's small forest (at most six vertices), largest first
+_SMALL_FOREST_SIZES = (6, 5, 4, 3, 2, 1)
+
+
 def find_reduction(b: Graph) -> ReductionPlan | None:
     """Search the fixed recipe list for a contractible union of components.
 
     Candidates are unions of whole blue components; each is validated by
     building a non-trivial certificate for the complement restricted to it
     and checking that the blue excess stays at least -1.  The first
-    validated candidate wins, so results are deterministic.
+    validated candidate wins, so results are deterministic.  Candidates
+    whose part sizes admit no certifiable split are skipped unbuilt.
     """
     comps = components(b)
     non_trees = [comp for comp in comps if _union_excess(b, comp) >= 0]
     trees = [comp for comp in comps if _union_excess(b, comp) == -1]
     trees_big_first = sorted(trees, key=lambda c: (-len(c), c[0]))
-    covered = list(accumulate(len(c) for c in trees_big_first))
+    tree_sizes = [len(c) for c in trees_big_first]
+    distinct_sizes = tuple(sorted(set(tree_sizes), reverse=True))
+    covered = list(accumulate(tree_sizes))
 
     # recipe 1: one non-tree component plus the fewest largest trees covering t vertices
     for comp in non_trees:
@@ -223,8 +312,10 @@ def find_reduction(b: Graph) -> ReductionPlan | None:
         if plan is not None:
             return plan
         for count in (1, 2):
-            for combo in combinations(trees_big_first, count):
-                plan = _validated_plan(b, [ca, cb, *combo], "two-non-trees+trees")
+            shapes = _tree_shapes((len(ca), len(cb)), distinct_sizes, count, 0, b.n)
+            for combo in _shaped_combinations(tree_sizes, count, shapes):
+                parts = [ca, cb, *(trees_big_first[i] for i in combo)]
+                plan = _validated_plan(b, parts, "two-non-trees+trees")
                 if plan is not None:
                     return plan
 
@@ -238,11 +329,10 @@ def find_reduction(b: Graph) -> ReductionPlan | None:
         lo = min(4, len(comp))
         ex1 = _union_excess(b, comp)
         for count in range(1, min(len(trees), ex1 + 1) + 1):
-            for combo in combinations(trees_big_first, count):
-                total = sum(len(c) for c in combo)
-                if not lo <= total <= 6:
-                    continue
-                plan = _validated_plan(b, [comp, *combo], "non-tree+small-forest")
+            shapes = _tree_shapes((len(comp),), _SMALL_FOREST_SIZES, count, lo, 6)
+            for combo in _shaped_combinations(tree_sizes, count, shapes):
+                parts = [comp, *(trees_big_first[i] for i in combo)]
+                plan = _validated_plan(b, parts, "non-tree+small-forest")
                 if plan is not None:
                     return plan
 

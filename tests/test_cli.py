@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 
@@ -67,6 +69,18 @@ class TestOrient:
         code, out, _ = run_cli(capsys, monkeypatch, ["orient"], text)
         assert code == 0
         assert diameter(parse_digraph6(out.strip())) <= 2
+
+    def test_order_80_line(self, capsys, monkeypatch):
+        # past the single-byte graph6 order: long headers in and out
+        rng = random.Random(80)
+        g = complement(Graph.from_edges(80, rng.sample(list(combinations(range(80), 2)), 75)))
+        line = emit_graph6(g)
+        assert line.startswith("~")
+        code, out, err = run_cli(capsys, monkeypatch, ["orient"], line + "\n")
+        assert code == 0 and not err
+        d = parse_digraph6(out.strip())
+        Orientation(g, d)  # the arcs orient exactly the input edges
+        assert diameter(d) <= 2
 
 
 class TestDiameter:

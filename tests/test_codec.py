@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import complete_graph, petersen
 from orient2.codec import (
     GraphFormatError,
+    _decode_order,
+    _encode_order,
     emit_digraph6,
     emit_graph6,
     emit_orientation,
@@ -58,7 +62,35 @@ class TestGraph6:
 
     def test_too_many_vertices_rejected(self):
         with pytest.raises(GraphFormatError):
-            emit_graph6(Graph.from_edges(63, []))
+            emit_graph6(Graph.from_edges(258048, []))
+
+    def test_long_order_header(self):
+        # B. McKay, formats.txt: N(12345) = ~B?x
+        assert _encode_order(12345) == "~B?x"
+        assert _decode_order("~B?x") == (12345, "")
+        assert emit_graph6(Graph.from_edges(62, []))[0] == chr(62 + 63)
+        assert emit_graph6(Graph.from_edges(63, [])).startswith("~??~")
+
+    @pytest.mark.parametrize("n", [62, 63, 100])
+    def test_roundtrip_across_the_long_header(self, n):
+        rng = random.Random(n)
+        g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+        text = emit_graph6(g)
+        assert text.startswith("~") == (n > 62)
+        assert parse_graph6(text) == g
+        arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges()]
+        d = Digraph.from_arcs(n, arcs)
+        assert parse_digraph6(emit_digraph6(d)) == d
+
+    @pytest.mark.parametrize("text", ["~", "~B", "~B?", "~B\x19x", "~~??????"])
+    def test_bad_long_header_rejected(self, text):
+        with pytest.raises(GraphFormatError):
+            parse_graph6(text)
+
+    def test_lying_header_rejected_by_length(self):
+        # a 12345-vertex header over a one-byte payload fails the length check
+        with pytest.raises(GraphFormatError, match="expected"):
+            parse_graph6("~B?x?")
 
     def test_empty_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -106,3 +138,8 @@ class TestEdgeList:
     def test_non_integer(self):
         with pytest.raises(GraphFormatError):
             parse_edgelist("3 x\n0 1\n")
+
+    def test_order_limit_matches_graph6(self):
+        assert parse_edgelist("63 1\n0 62\n").edges() == [(0, 62)]
+        with pytest.raises(GraphFormatError, match="258047"):
+            parse_edgelist("258048 0\n")

@@ -6,6 +6,7 @@ shapes that only appear past the acceptance range.
 """
 
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -111,3 +112,23 @@ class TestConstructorAgreesWithOracle:
                 o, _ = orient_diameter_two(red)
                 assert diameter(o.dir) <= 2
                 assert exists_orientation_diameter2(red).status is SearchStatus.YES
+
+
+def threshold_instance(n: int) -> Graph:
+    """Seeded threshold instance: the complement of a random blue graph with n - 5 edges."""
+    rng = random.Random(f"threshold:{n}")
+    return complement(Graph.from_edges(n, rng.sample(list(combinations(range(n), 2)), n - 5)))
+
+
+class TestScale:
+    def test_orders_past_the_single_byte_codec(self):
+        # each instance takes well under a second; a search that walks every
+        # combination of tree components takes minutes at n = 100
+        start = time.perf_counter()
+        for n in (64, 80, 100):
+            red = threshold_instance(n)
+            o, trace = orient_diameter_two(red)
+            assert o.base == red and diameter(o.dir) <= 2
+            assert trace.fallback_count() == 0
+            assert replay_trace(red, trace) == o
+        assert time.perf_counter() - start < 30

@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, dumbbell, path_graph, paths_union, short_dumbbell
-from orient2.graphs import Graph, components
+from orient2.graphs import Graph, complement, components
 from orient2.structure import (
     ComponentClass,
     ComponentKind,
+    TripleWitness,
+    _candidate_splits,
+    _shaped_combinations,
+    _splittable,
+    _tree_shapes,
     classify_component,
     excess,
     find_reduction,
     find_violating_triple,
 )
-from orient2.certs import verify_cert
+from orient2.certs import matchjoin_cert, split_cert, verify_cert, window_cert, window_sizes_ok
 
 PLAN_SHA256 = "a00174acb001e9bb78a1a1bd3e237e8635e46879920f705f6aaa54ec46c8570f"
 
@@ -250,6 +255,153 @@ class TestViolatingTriples:
         else:
             assert got is not None
             assert (got.x1, got.x2, got.x3) == expected[0]
+
+
+def reference_triple(b: Graph):
+    """The C(n,3) scan over every outside vertex, the reference for `find_violating_triple`."""
+    for x1, x2, x3 in combinations(range(b.n), 3):
+        if b.has_edge(x1, x2) or b.has_edge(x1, x3) or b.has_edge(x2, x3):
+            continue
+        triple_mask = 1 << x1 | 1 << x2 | 1 << x3
+        n2 = []
+        n3 = []
+        for v in range(b.n):
+            if triple_mask >> v & 1:
+                continue
+            hits = (b.adj[v] & triple_mask).bit_count()
+            if hits == 2:
+                n2.append(v)
+            elif hits == 3:
+                n3.append(v)
+        if len(n2) >= 2 or n3:
+            return TripleWitness(x1, x2, x3, tuple(n2), tuple(n3))
+    return None
+
+
+class TestTripleAgainstReference:
+    def test_random_graphs(self):
+        rng = random.Random(19)
+        found = 0
+        for _ in range(3000):
+            n = rng.randint(3, 22)
+            p = rng.random() ** 2  # mostly sparse, like blue graphs, but every density occurs
+            b = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            expected = reference_triple(b)
+            assert find_violating_triple(b) == expected
+            found += expected is not None
+        assert 500 < found < 2500  # both outcomes are well represented
+
+    def test_pair_without_common_neighbor_then_shared_third(self):
+        # 0 and 1 share no neighbor; 2 shares neighbor 5 with 0 and neighbor 6 with 1
+        b = Graph.from_edges(8, [(0, 5), (2, 5), (1, 6), (2, 6), (3, 4)])
+        assert find_violating_triple(b) == reference_triple(b)
+        assert find_violating_triple(b) == TripleWitness(0, 1, 2, (5, 6), ())
+
+    def test_common_neighbor_pair_with_far_third(self):
+        # 0 and 1 share 2 and 3; the third vertex 4 shares nothing with either
+        b = Graph.from_edges(6, [(0, 2), (1, 2), (0, 3), (1, 3)])
+        assert find_violating_triple(b) == TripleWitness(0, 1, 4, (2, 3), ())
+
+
+def filtered_combinations(sizes, count, keep):
+    return [
+        combo
+        for combo in combinations(range(len(sizes)), count)
+        if keep(tuple(sizes[i] for i in combo))
+    ]
+
+
+class TestShapedCombinations:
+    def test_matches_filtered_combinations(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            pool = (1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 9)
+            sizes = sorted((rng.choice(pool) for _ in range(rng.randint(0, 14))), reverse=True)
+            fixed = tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 2)))
+            count = rng.randint(1, 4)
+            lo, hi = sorted((rng.randint(0, 8), rng.randint(1, 12)))
+            distinct = tuple(sorted(set(sizes), reverse=True))
+            shapes = _tree_shapes(fixed, distinct, count, lo, hi)
+
+            def keep(shape):
+                return lo <= sum(shape) <= hi and _splittable(tuple(sorted(fixed + shape)))
+
+            expected = filtered_combinations(sizes, count, keep)
+            assert list(_shaped_combinations(sizes, count, shapes)) == expected
+
+    def test_recipe_three_bounds(self):
+        # the small-forest window [lo, 6] with a component of five vertices
+        sizes = [7, 6, 4, 3, 3, 2, 2, 1, 1, 1]
+        for count in (1, 2, 3):
+            shapes = _tree_shapes((5,), (6, 5, 4, 3, 2, 1), count, 4, 6)
+
+            def keep(shape):
+                return 4 <= sum(shape) <= 6 and _splittable(tuple(sorted((5,) + shape)))
+
+            got = list(_shaped_combinations(sizes, count, shapes))
+            assert got == filtered_combinations(sizes, count, keep)
+            assert got  # each count has feasible forests here
+
+    def test_no_shape_yields_nothing(self):
+        assert list(_shaped_combinations([1, 1, 1], 2, frozenset())) == []
+
+
+def integer_partitions(total, largest=None):
+    largest = total if largest is None else largest
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in integer_partitions(total - first, first):
+            yield (first,) + rest
+
+
+def seeded_world(rng, sizes):
+    """Complement of a disjoint union of random connected blue parts with these orders."""
+    edges = []
+    parts = []
+    start = 0
+    for size in sizes:
+        part = tuple(range(start, start + size))
+        order = list(part)
+        rng.shuffle(order)
+        edges += [(order[i], order[rng.randrange(i)]) for i in range(1, size)]  # spanning tree
+        edges += [e for e in combinations(part, 2) if rng.random() < 0.3]
+        parts.append(part)
+        start += size
+    return complement(Graph.from_edges(start, set(map(tuple, map(sorted, edges))))), parts
+
+
+class TestSizePrefilter:
+    def test_rejected_sizes_never_certify(self):
+        rng = random.Random(29)
+        rejected = accepted = 0
+        for total in range(2, 13):
+            for sizes in integer_partitions(total):
+                if len(sizes) < 2:
+                    continue
+                world, parts = seeded_world(rng, sizes)
+                splittable = _splittable(tuple(sorted(sizes)))
+                rejected += not splittable
+                accepted += splittable
+                for side_a, side_b in _candidate_splits(parts):
+                    cert = split_cert(world, side_a, side_b)
+                    a, b = sorted((len(side_a), len(side_b)))
+                    if not splittable:
+                        # the constructions' own size checks agree with the predicate
+                        assert cert is None
+                        for xs, ys in ((side_a, side_b), (side_b, side_a)):
+                            window = window_cert(world, xs, ys)
+                            assert window is None or not window.nontrivial
+                            assert matchjoin_cert(world, xs, ys) is None
+                    elif a >= 2 and window_sizes_ok(a, b):
+                        # no blue edge crosses a whole-part split, so the window always certifies
+                        assert cert is not None and verify_cert(cert)
+        assert (rejected, accepted) == (41, 218)  # of the 259 tuples with at least two parts
+
+    def test_single_part_is_rejected(self):
+        assert not _splittable((6,))
+        assert _splittable((2, 2)) and _splittable((3, 6)) and not _splittable((3, 7))
 
 
 class TestFindReduction:
