@@ -29,8 +29,6 @@ from .codec import (
 from .construct import (
     ConstructionTrace,
     InternalVerificationError,
-    base_case_orient,
-    normalize_to_threshold,
     orient_diameter_two,
     replay_trace,
     threshold_size,
@@ -95,7 +93,6 @@ __all__ = [
     "TripleWitness",
     "VerificationReport",
     "backend_name",
-    "base_case_orient",
     "classify_component",
     "combine",
     "complement",
@@ -114,7 +111,6 @@ __all__ = [
     "find_violating_triple",
     "is_bridgeless",
     "naive_oriented_diameter",
-    "normalize_to_threshold",
     "orient_bipartite_blue_matchjoin",
     "orient_complete_bipartite",
     "orient_diameter_two",

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Callable
 
-from . import _backend
 from ._basecase_table import TABLE
 from .certs import (
     CombineCase,
@@ -40,6 +39,7 @@ from .certs import (
 from .codec import parse_digraph6
 from .graphs import (
     Arc,
+    Digraph,
     Edge,
     Graph,
     Orientation,
@@ -147,34 +147,6 @@ class TripleFrame:
     red_before: Graph
     removed: tuple[int, ...]
     kept: tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# normalization
-
-
-def normalize_to_threshold(g: Graph) -> tuple[Graph, tuple[Edge, ...]]:
-    """Trim to exactly the threshold size by deleting lexicographically
-    smallest edges; the deleted edges are restored with arbitrary direction
-    afterwards, which never increases any distance."""
-    target = threshold_size(g.n)
-    if g.m < target:
-        raise ValueError(f"graph has {g.m} edges, needs at least {target}")
-    surplus = g.m - target
-    deleted = tuple(g.edges()[:surplus])
-    trimmed = g
-    for u, v in deleted:
-        trimmed = trimmed.without_edge(u, v)
-    return trimmed, deleted
-
-
-def _check_precondition(g: Graph) -> None:
-    if g.n < 5:
-        raise ValueError(f"need at least 5 vertices, got {g.n}")
-    if g.m < threshold_size(g.n):
-        raise ValueError(
-            f"graph of order {g.n} has {g.m} edges; {threshold_size(g.n)} are required"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +293,15 @@ def _quadruple_search(red: Graph, comps: list[tuple[int, ...]]) -> Orientation |
     return None
 
 
-def _base_case_with_family(blue: Graph, red: Graph) -> tuple[Orientation, str] | None:
-    """Orientation of ``red`` and its family name when its complement ``blue``
-    is one of the directly orientable component families."""
+def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
+    """Orientation of the complement of ``blue`` and its family name when
+    ``blue`` is one of the directly orientable component families."""
     comps = components(blue)
     classes = [classify_component(blue, c) for c in comps]
     family = _family_signature(classes)
     if family is None:
         return None
+    red = complement(blue)
     if all(cls.kind is ComponentKind.PATH for cls in classes):
         served = _serve_table(blue, red, comps)
         if served is not None:
@@ -339,61 +312,66 @@ def _base_case_with_family(blue: Graph, red: Graph) -> tuple[Orientation, str] |
     return None
 
 
-def base_case_orient(b: Graph) -> Orientation | None:
-    """Orientation of the complement of ``b`` when ``b`` is one of the
-    directly orientable component families; None otherwise."""
-    result = _base_case_with_family(b, complement(b))
-    return result[0] if result is not None else None
-
-
 # ---------------------------------------------------------------------------
 # contraction / expansion
 
 
-def _kept_blue_rows(red: Graph, kept: tuple[int, ...]) -> list[int]:
-    """Blue (missing-edge) rows of ``red`` restricted to ``kept``, relabelled by position."""
-    full = (1 << red.n) - 1
-    index = {v: j for j, v in enumerate(kept)}
-    rows = []
-    for u in kept:
-        row = 0
-        for v in bits(full & ~red.adj[u] & ~(1 << u)):
-            j = index.get(v)
-            if j is not None:
-                row |= 1 << j
-        rows.append(row)
-    return rows
+def _spread(mask: int, gaps: tuple[int, ...]) -> int:
+    """Relabel ``mask`` from positions in the sorted labels outside ``gaps``
+    to those labels, by inserting a zero bit at each label of ``gaps``."""
+    for gap in gaps:
+        mask = (mask & ((1 << gap) - 1)) | (mask >> gap << (gap + 1))
+    return mask
 
 
 def _contract_reduction(
-    norm_red: Graph, w: tuple[int, ...], cert: GoodOrientationCert
+    norm: Graph, norm_blue: Graph, w: tuple[int, ...], cert: GoodOrientationCert
 ) -> tuple[ReductionFrame, Graph]:
+    """Contract ``w`` to two super-vertices; returns the frame and the contracted blue graph."""
     removed = tuple(sorted(w))
     assert len(removed) >= 4, "a certified contractible set has at least four vertices"
-    kept = tuple(v for v in range(norm_red.n) if v not in set(removed))
+    kept = tuple(v for v in range(norm.n) if v not in set(removed))
     k = len(kept)
-    rows = _kept_blue_rows(norm_red, kept) + [0, 0]
-    rows[k] |= 1 << (k + 1)
-    rows[k + 1] |= 1 << k
+    rows = list(norm_blue.induced(kept).adj) + [1 << (k + 1), 1 << k]
     contracted_blue = Graph(k + 2, tuple(rows))
     assert contracted_blue.m <= contracted_blue.n - 5
     assert contracted_blue.n > 5
-    return ReductionFrame(norm_red, removed, kept, cert), complement(contracted_blue)
+    return ReductionFrame(norm, removed, kept, cert), contracted_blue
 
 
-def _contract_triple(norm_red: Graph, triple: tuple[int, int, int]) -> tuple[TripleFrame, Graph]:
+def _contract_triple(
+    norm: Graph, norm_blue: Graph, triple: tuple[int, int, int]
+) -> tuple[TripleFrame, Graph]:
+    """Identify ``triple`` into one vertex; returns the frame and the contracted blue graph."""
     removed = tuple(sorted(triple))
-    kept = tuple(v for v in range(norm_red.n) if v not in set(removed))
+    kept = tuple(v for v in range(norm.n) if v not in set(removed))
     k = len(kept)
     triple_mask = sum(1 << x for x in removed)
-    rows = _kept_blue_rows(norm_red, kept) + [0]
+    rows = list(norm_blue.induced(kept).adj) + [0]
     for i, u in enumerate(kept):
-        if triple_mask & ~norm_red.adj[u]:
+        if norm_blue.adj[u] & triple_mask:
             rows[i] |= 1 << k
             rows[k] |= 1 << i
     contracted_blue = Graph(k + 1, tuple(rows))
     assert contracted_blue.m <= contracted_blue.n - 5
-    return TripleFrame(norm_red, removed, kept), complement(contracted_blue)
+    return TripleFrame(norm, removed, kept), contracted_blue
+
+
+def _lift_kept(
+    o_star: Orientation, kept: tuple[int, ...], removed: tuple[int, ...], targets: tuple[int, ...]
+) -> list[int]:
+    """Out-rows over the uncontracted labels that hold the kept vertices'
+    arcs: a kept-kept arc is relabelled, and an arc to the contracted vertex
+    ``len(kept) + i`` becomes arcs to every vertex of the mask ``targets[i]``."""
+    k = len(kept)
+    rows = [0] * (k + len(removed))
+    for label, row in zip(kept, o_star.dir.out):
+        lifted = _spread(row & ((1 << k) - 1), removed)
+        for i, mask in enumerate(targets):
+            if row >> (k + i) & 1:
+                lifted |= mask
+        rows[label] = lifted
+    return rows
 
 
 def expand_reduction(o_star: Orientation, frame: ReductionFrame) -> Orientation:
@@ -405,24 +383,18 @@ def expand_reduction(o_star: Orientation, frame: ReductionFrame) -> Orientation:
     if diameter(o_star.dir) > 2:
         raise ValueError("contracted orientation must have diameter at most 2")
     kept, removed, cert = frame.kept, frame.removed, frame.cert
-    first_g = [removed[i] for i in cert.classes.first]
-    second_g = [removed[i] for i in cert.classes.second]
     k = len(kept)
-    arcs: list[Arc] = []
-    for a, b in o_star.dir.arcs():
-        if a < k and b < k:
-            arcs.append((kept[a], kept[b]))
-    for idx, gx in enumerate(kept):
-        for super_label, cls in ((k, first_g), (k + 1, second_g)):
-            if o_star.dir.has_arc(idx, super_label):
-                arcs.extend((gx, w) for w in cls)
-            elif o_star.dir.has_arc(super_label, idx):
-                arcs.extend((w, gx) for w in cls)
-            else:  # pragma: no cover - the contracted graph always has these edges
-                raise AssertionError("missing super-vertex edge in contracted orientation")
-    for a, b in cert.orientation.dir.arcs():
-        arcs.append((removed[a], removed[b]))
-    result = Orientation.from_arcs(frame.red_before, arcs)
+    classes = tuple(
+        sum(1 << removed[i] for i in cls) for cls in (cert.classes.first, cert.classes.second)
+    )
+    rows = _lift_kept(o_star, kept, removed, classes)
+    for i, cls in enumerate(classes):
+        super_out = _spread(o_star.dir.out[k + i], removed)
+        for x in bits(cls):
+            rows[x] |= super_out
+    for a, row in enumerate(cert.orientation.dir.out):
+        rows[removed[a]] |= _spread(row, kept)
+    result = Orientation(frame.red_before, Digraph(frame.red_before.n, tuple(rows)))
     if diameter(result.dir) > 2:
         raise InternalVerificationError("expanded orientation failed its diameter check")
     return result
@@ -436,25 +408,18 @@ def expand_triple_contraction(o_star: Orientation, frame: TripleFrame) -> Orient
     remnants are oriented low label to high label."""
     if diameter(o_star.dir) > 2:
         raise ValueError("contracted orientation must have diameter at most 2")
-    kept, removed = frame.kept, frame.removed
+    kept, removed, red = frame.kept, frame.removed, frame.red_before
     x1, x2, x3 = removed
-    red = frame.red_before
-    k = len(kept)
-    merged = k  # the contracted vertex
-    arcs: list[Arc] = [(x1, x2), (x2, x3), (x3, x1)]
-    for a, b in o_star.dir.arcs():
-        if a < k and b < k:
-            arcs.append((kept[a], kept[b]))
-    for idx, gu in enumerate(kept):
-        if o_star.dir.has_arc(idx, merged):
-            arcs.extend((gu, x) for x in removed)
-        elif o_star.dir.has_arc(merged, idx):
-            arcs.extend((x, gu) for x in removed)
-        else:
-            for x in removed:
-                if red.has_edge(gu, x):
-                    arcs.append((gu, x) if gu < x else (x, gu))
-    result = Orientation.from_arcs(red, arcs)
+    triple = (1 << x1) | (1 << x2) | (1 << x3)
+    rows = _lift_kept(o_star, kept, removed, (triple,))
+    merged_out = _spread(o_star.dir.out[len(kept)], removed)
+    whole = red.adj[x1] & red.adj[x2] & red.adj[x3]
+    for x, nxt in ((x1, x2), (x2, x3), (x3, x1)):
+        remnants = red.adj[x] & ~triple & ~whole
+        rows[x] |= merged_out | (1 << nxt) | (remnants >> (x + 1) << (x + 1))
+        for u in bits(remnants & ((1 << x) - 1)):
+            rows[u] |= 1 << x
+    result = Orientation(red, Digraph(red.n, tuple(rows)))
     if diameter(result.dir) > 2:
         raise InternalVerificationError("expanded orientation failed its diameter check")
     return result
@@ -464,27 +429,45 @@ def expand_triple_contraction(o_star: Orientation, frame: TripleFrame) -> Orient
 # the driver
 
 
-def _restore_padding(base: Graph, o_norm: Orientation, deleted: tuple[Edge, ...]) -> Orientation:
+def _delete_red_pairs(blue: Graph, deleted: tuple[Edge, ...]) -> Graph:
+    """``blue`` with each deleted red edge added as a blue edge.
+
+    Raises ValueError naming the first pair that is not an edge of the
+    complement of ``blue`` once the pairs before it are deleted."""
     if not deleted:
-        return o_norm if o_norm.base == base else Orientation(base, o_norm.dir)
-    arcs = o_norm.dir.arcs() + [(u, v) for u, v in deleted]
-    return Orientation.from_arcs(base, arcs)
+        return blue
+    rows = list(blue.adj)
+    for u, v in deleted:
+        if not (0 <= u < blue.n and 0 <= v < blue.n) or u == v or rows[u] >> v & 1:
+            raise ValueError(f"pad pair {(u, v)} is not an edge of the level's graph")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(blue.n, tuple(rows))
+
+
+def _restore_padding(o: Orientation, deleted: tuple[Edge, ...]) -> Orientation:
+    """Put each deleted edge ``(u, v)`` back as the arc u -> v; adding arcs
+    never lengthens a shortest path."""
+    if not deleted:
+        return o
+    adj = list(o.base.adj)
+    out = list(o.dir.out)
+    for u, v in deleted:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        out[u] |= 1 << v
+    return Orientation(Graph(o.base.n, tuple(adj)), Digraph(o.dir.n, tuple(out)))
 
 
 def _oracle_fallback(norm: Graph) -> Orientation:
-    from .oracle import default_budget  # deferred: oracle imports this module
+    from .oracle import _solve_bounded, default_budget  # deferred: oracle imports this module
 
-    budget = default_budget()
-    status, dirs, _ = _backend.solve_bounded_diameter(
-        norm.n, _backend.ordered_edges(norm), 2, budget.max_nodes, budget.time_limit
-    )
-    if status != _backend.STATUS_YES or dirs is None:
+    _, orientation, _ = _solve_bounded(norm, 2, default_budget())
+    if orientation is None:
         raise InternalVerificationError(
             "exhaustive fallback found no diameter-2 orientation above the threshold"
         )
-    edges = _backend.ordered_edges(norm)
-    arcs = [(q, p) if d else (p, q) for (p, q), d in zip(edges, dirs)]
-    return Orientation.from_arcs(norm, arcs)
+    return orientation
 
 
 Move = tuple[tuple[Edge, ...], TraceStep]  # (padding deleted at a level, its non-pad step)
@@ -493,26 +476,24 @@ Move = tuple[tuple[Edge, ...], TraceStep]  # (padding deleted at a level, its no
 def _execute(
     g: Graph, next_step: Callable[[Graph], Move]
 ) -> tuple[Orientation, ConstructionTrace]:
-    """Descend through the moves ``next_step`` hands out level by level, then
-    lift the innermost orientation back through every padding and contraction.
+    """Descend on the complement through the moves ``next_step`` hands out
+    for each level's blue graph, then lift the innermost orientation back
+    through every contraction and padding.
 
     Contractions and the innermost orientation are built from the steps'
     contents alone, so the driver runs exactly the trace it records."""
     steps: list[TraceStep] = []
-    levels: list[tuple[Graph, tuple[Edge, ...]]] = []
-    frames: list[ReductionFrame | TripleFrame] = []
-    current = g
+    levels: list[tuple[tuple[Edge, ...], ReductionFrame | TripleFrame]] = []
+    blue = complement(g)
     while True:
-        deleted, move = next_step(current)
-        levels.append((current, deleted))
+        deleted, move = next_step(blue)
         if deleted:
             steps.append(PadStep(deleted))
         steps.append(move)
-        norm = current
-        for u, v in deleted:
-            norm = norm.without_edge(u, v)
+        norm_blue = _delete_red_pairs(blue, deleted)
+        norm = complement(norm_blue)
         if isinstance(move, (BaseCaseStep, FallbackStep)):
-            o = Orientation.from_arcs(norm, move.arcs)
+            o = _restore_padding(Orientation.from_arcs(norm, move.arcs), deleted)
             break
         if isinstance(move, ReduceStep):
             w = tuple(sorted(move.w))
@@ -523,46 +504,58 @@ def _execute(
                 classes=Partition2(move.cert_first, move.cert_second),
                 nontrivial=True,
             )
-            frame, current = _contract_reduction(norm, w, cert)
+            frame, blue = _contract_reduction(norm, norm_blue, w, cert)
         elif isinstance(move, TripleStep):
-            frame, current = _contract_triple(norm, (move.x1, move.x2, move.x3))
+            frame, blue = _contract_triple(norm, norm_blue, (move.x1, move.x2, move.x3))
         else:
             raise ValueError(f"unexpected trace step {move!r}")
-        frames.append(frame)
+        levels.append((deleted, frame))
 
-    for level_input, deleted in reversed(levels):
-        o = _restore_padding(level_input, o, deleted)
-        if frames:
-            frame = frames.pop()
-            if isinstance(frame, ReductionFrame):
-                o = expand_reduction(o, frame)
-            else:
-                o = expand_triple_contraction(o, frame)
+    for deleted, frame in reversed(levels):
+        if isinstance(frame, ReductionFrame):
+            o = expand_reduction(o, frame)
+        else:
+            o = expand_triple_contraction(o, frame)
+        o = _restore_padding(o, deleted)
     if o.base != g or diameter(o.dir) > 2:
         raise InternalVerificationError("final orientation failed its diameter check")
     return o, ConstructionTrace(tuple(steps))
 
 
-def _choose_move(current: Graph) -> Move:
-    """The constructor's decision at one level: trim to the threshold, then the
-    first of base case, reduction, violating triple and exhaustive fallback."""
-    _check_precondition(current)
-    norm, deleted = normalize_to_threshold(current)
-    blue = complement(norm)
-    base = _base_case_with_family(blue, norm)
+def _first_red_pairs(blue: Graph, count: int) -> tuple[Edge, ...]:
+    """The first ``count`` pairs u < v with no blue edge, in lexicographic order."""
+    full = (1 << blue.n) - 1
+    pairs = ((u, v) for u in range(blue.n) for v in bits(full & ~blue.adj[u] >> (u + 1) << (u + 1)))
+    return tuple(islice(pairs, count))
+
+
+def _choose_move(blue: Graph) -> Move:
+    """The constructor's decision at one level, read from its blue graph: trim
+    the red graph to the threshold by deleting its lexicographically first
+    edges, then take the first of base case, reduction, violating triple and
+    exhaustive fallback."""
+    n = blue.n
+    if n < 5:
+        raise ValueError(f"need at least 5 vertices, got {n}")
+    red_m = comb(n, 2) - blue.m
+    if red_m < threshold_size(n):
+        raise ValueError(f"graph of order {n} has {red_m} edges; {threshold_size(n)} are required")
+    deleted = _first_red_pairs(blue, red_m - threshold_size(n))
+    norm_blue = _delete_red_pairs(blue, deleted)
+    base = _base_case_with_family(norm_blue)
     if base is not None:
         orientation, family = base
         return deleted, BaseCaseStep(family, tuple(orientation.dir.arcs()))
-    plan = find_reduction(blue)
+    plan = find_reduction(norm_blue)
     if plan is not None:
         cert = plan.cert
         arcs = tuple(cert.orientation.dir.arcs())
         step = ReduceStep(plan.w, plan.recipe, arcs, cert.classes.first, cert.classes.second)
         return deleted, step
-    witness = find_violating_triple(blue)
+    witness = find_violating_triple(norm_blue)
     if witness is not None:
         return deleted, TripleStep(witness.x1, witness.x2, witness.x3)
-    orientation = _oracle_fallback(norm)
+    orientation = _oracle_fallback(complement(norm_blue))
     reason = "no base case, contractible set, or triple applied"
     return deleted, FallbackStep(reason, tuple(orientation.dir.arcs()))
 
@@ -577,10 +570,10 @@ def replay_trace(g: Graph, trace: ConstructionTrace) -> Orientation:
     """Re-apply recorded steps mechanically; reproduces the driver's output.
 
     Raises ValueError when the trace ends before a base-case or fallback
-    step, or continues after one."""
+    step, continues after one, or pads with a pair that is not an edge."""
     steps = iter(trace.steps)
 
-    def recorded(current: Graph) -> Move:
+    def recorded(blue: Graph) -> Move:
         step = next(steps, None)
         deleted: tuple[Edge, ...] = ()
         if isinstance(step, PadStep):

@@ -103,15 +103,6 @@ class Graph:
                     rows[i] |= 1 << index[w]
         return Graph(len(vs), tuple(rows))
 
-    def relabel(self, perm: Iterable[int]) -> "Graph":
-        """Relabel so that old vertex ``u`` becomes ``perm[u]``."""
-        p = list(perm)
-        rows = [0] * self.n
-        for u in range(self.n):
-            for v in bits(self.adj[u]):
-                rows[p[u]] |= 1 << p[v]
-        return Graph(self.n, tuple(rows))
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -140,23 +131,11 @@ class Digraph:
             rows[u] |= 1 << v
         return Digraph(n, tuple(rows))
 
-    @property
-    def num_arcs(self) -> int:
-        return sum(row.bit_count() for row in self.out)
-
     def arcs(self) -> list[Arc]:
         return [(u, v) for u in range(self.n) for v in bits(self.out[u])]
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.out[u] >> v & 1)
-
-    def relabel(self, perm: Iterable[int]) -> "Digraph":
-        p = list(perm)
-        rows = [0] * self.n
-        for u in range(self.n):
-            for v in bits(self.out[u]):
-                rows[p[u]] |= 1 << p[v]
-        return Digraph(self.n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -169,28 +148,23 @@ class Orientation:
     def __post_init__(self) -> None:
         if self.base.n != self.dir.n:
             raise ValueError("orientation and base graph have different vertex counts")
-        for u in range(self.base.n):
-            covered = self.dir.out[u] | tuple_in_row(self.dir.out, u)
-            if covered != self.base.adj[u]:
+        into = [0] * self.dir.n
+        for u, row in enumerate(self.dir.out):
+            for v in bits(row):
+                into[v] |= 1 << u
+        for u, (out, edges) in enumerate(zip(self.dir.out, self.base.adj)):
+            covered = out | into[u]
+            if covered != edges:
                 raise ValueError(
                     "arcs do not orient the base graph exactly "
-                    f"(vertex {u}: edges {self.base.adj[u]:b}, arcs {covered:b})"
+                    f"(vertex {u}: edges {edges:b}, arcs {covered:b})"
                 )
-            if self.dir.out[u] & tuple_in_row(self.dir.out, u):
+            if out & into[u]:
                 raise ValueError(f"edge at vertex {u} oriented both ways")
 
     @staticmethod
     def from_arcs(base: Graph, arcs: Iterable[Arc]) -> "Orientation":
         return Orientation(base, Digraph.from_arcs(base.n, arcs))
-
-
-def tuple_in_row(out: tuple[int, ...], u: int) -> int:
-    """In-neighbor bitmask of ``u`` given out-rows."""
-    mask = 0
-    for v, row in enumerate(out):
-        if row >> u & 1:
-            mask |= 1 << v
-    return mask
 
 
 def complement(g: Graph) -> Graph:

@@ -53,6 +53,11 @@ def paths_union(sizes: list[int], n: int | None = None) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    """``g`` with old vertex ``u`` renamed ``perm[u]``."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def random_connected(rng: random.Random, n: int, p: float) -> Graph:
     """Rejection-sample a connected G(n, p)."""
     from orient2.graphs import is_connected

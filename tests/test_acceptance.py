@@ -106,7 +106,7 @@ class TestAcceptance:
             outcome = exists_orientation_diameter2(red)
             ok = ok and outcome.status is SearchStatus.YES
             ok = ok and emit_digraph6(outcome.orientation.dir) == TABLE[key]
-            served = _base_case_with_family(blue, red)
+            served = _base_case_with_family(blue)
             ok = ok and served is not None
             orientation, family = served
             ok = ok and family.startswith("table:") and diameter(orientation.dir) <= 2

@@ -1,17 +1,23 @@
+import random
+from itertools import combinations
+
 import pytest
 
-from conftest import complete_graph, cycle_graph, dumbbell, paths_union, short_dumbbell
+from conftest import complete_graph, cycle_graph, dumbbell, paths_union, relabel, short_dumbbell
+from orient2 import construct
 from orient2._basecase_table import TABLE
 from orient2.construct import (
     BaseCaseStep,
     ConstructionTrace,
+    FallbackStep,
     PadStep,
     ReduceStep,
     TripleStep,
+    _base_case_with_family,
     _contract_reduction,
-    base_case_orient,
+    _contract_triple,
     expand_reduction,
-    normalize_to_threshold,
+    expand_triple_contraction,
     orient_diameter_two,
     replay_trace,
     threshold_size,
@@ -33,26 +39,42 @@ def singletons(k: int) -> list[Graph]:
     return [Graph.from_edges(1, [])] * k
 
 
+def random_blue(rng: random.Random, n: int, m: int) -> Graph:
+    return Graph.from_edges(n, rng.sample(list(combinations(range(n), 2)), m))
+
+
 class TestNormalize:
     def test_identity_at_threshold(self):
         g = complete_graph(5)
         assert g.m == threshold_size(5)
-        trimmed, deleted = normalize_to_threshold(g)
-        assert trimmed == g and deleted == ()
+        _, trace = orient_diameter_two(g)
+        assert not any(isinstance(s, PadStep) for s in trace.steps)
 
     def test_k6_deletes_first_edge(self):
-        trimmed, deleted = normalize_to_threshold(complete_graph(6))
-        assert deleted == ((0, 1),)
-        assert trimmed.m == threshold_size(6)
+        _, trace = orient_diameter_two(complete_graph(6))
+        assert trace.steps[0] == PadStep(((0, 1),))
 
     def test_k8_deletes_three(self):
-        _, deleted = normalize_to_threshold(complete_graph(8))
-        assert deleted == ((0, 1), (0, 2), (0, 3))
+        _, trace = orient_diameter_two(complete_graph(8))
+        assert trace.steps[0] == PadStep(((0, 1), (0, 2), (0, 3)))
 
     def test_below_threshold_rejected(self):
         g = complete_graph(6).without_edge(0, 1).without_edge(0, 2)
-        with pytest.raises(ValueError):
-            normalize_to_threshold(g)
+        with pytest.raises(ValueError, match="order 6 has 13 edges; 14 are required"):
+            orient_diameter_two(g)
+        with pytest.raises(ValueError, match="need at least 5 vertices, got 4"):
+            orient_diameter_two(complete_graph(4))
+
+    def test_padding_deletes_the_lexicographically_first_edges(self):
+        rng = random.Random(606)
+        for _ in range(200):
+            n = rng.randint(6, 40)
+            surplus = rng.randint(0, min(3, n - 5))
+            g = complement(random_blue(rng, n, n - 5 - surplus))
+            _, trace = orient_diameter_two(g)
+            reference = tuple(g.edges()[: g.m - threshold_size(g.n)])
+            first = trace.steps[0]
+            assert (first.deleted if isinstance(first, PadStep) else ()) == reference
 
 
 class TestBaseCases:
@@ -65,16 +87,16 @@ class TestBaseCases:
     )
     def test_table_families(self, sizes):
         blue = paths_union(sizes)
-        o = base_case_orient(blue)
-        assert o is not None and diameter(o.dir) <= 2
+        o, _ = _base_case_with_family(blue)
+        assert diameter(o.dir) <= 2
         assert o.base == complement(blue)
 
     def test_table_serves_relabeled_instances(self):
         blue = paths_union([3, 1, 1, 1, 1])
         perm = [3, 6, 0, 5, 2, 4, 1]
-        shuffled = blue.relabel(perm)
-        o = base_case_orient(shuffled)
-        assert o is not None and diameter(o.dir) <= 2 and o.base == complement(shuffled)
+        shuffled = relabel(blue, perm)
+        o, _ = _base_case_with_family(shuffled)
+        assert diameter(o.dir) <= 2 and o.base == complement(shuffled)
 
     @pytest.mark.parametrize(
         "sizes",
@@ -84,20 +106,20 @@ class TestBaseCases:
     )
     def test_partition_families(self, sizes):
         blue = paths_union(sizes)
-        o = base_case_orient(blue)
-        assert o is not None and diameter(o.dir) <= 2
+        o, _ = _base_case_with_family(blue)
+        assert diameter(o.dir) <= 2
 
     @pytest.mark.parametrize("core", ["K4", "D42", "D41"])
     def test_core_plus_seven_singletons(self, core):
         q = {"K4": complete_graph(4), "D42": dumbbell(2, 4), "D41": dumbbell(1, 4)}[core]
         blue = disjoint_union(q, *singletons(7))
-        o = base_case_orient(blue)
-        assert o is not None and diameter(o.dir) <= 2
+        o, _ = _base_case_with_family(blue)
+        assert diameter(o.dir) <= 2
 
     def test_d34_plus_eight_singletons(self):
         blue = disjoint_union(dumbbell(3, 4), *singletons(8))
-        o = base_case_orient(blue)
-        assert o is not None and diameter(o.dir) <= 2
+        o, _ = _base_case_with_family(blue)
+        assert diameter(o.dir) <= 2
 
     @pytest.mark.parametrize("core", ["D33", "S33"])
     @pytest.mark.parametrize("tail", ["6P1", "P2+5P1"])
@@ -105,8 +127,8 @@ class TestBaseCases:
         q = dumbbell(3, 3) if core == "D33" else short_dumbbell(3, 3)
         rest = singletons(6) if tail == "6P1" else [paths_union([2])] + singletons(5)
         blue = disjoint_union(q, *rest)
-        o = base_case_orient(blue)
-        assert o is not None and diameter(o.dir) <= 2
+        o, _ = _base_case_with_family(blue)
+        assert diameter(o.dir) <= 2
 
     @pytest.mark.parametrize("core", ["D32", "C5", "D31", "K3"])
     @pytest.mark.parametrize("twos", [0, 2, 5])
@@ -119,13 +141,13 @@ class TestBaseCases:
         }[core]
         rest = [paths_union([2])] * twos + singletons(5 - twos)
         blue = disjoint_union(q, *rest)
-        o = base_case_orient(blue)
-        assert o is not None and diameter(o.dir) <= 2
+        o, _ = _base_case_with_family(blue)
+        assert diameter(o.dir) <= 2
 
     def test_non_family_absent(self):
-        assert base_case_orient(disjoint_union(complete_graph(5), *singletons(5))) is None
-        assert base_case_orient(paths_union([5, 1, 1, 1, 1])) is None
-        assert base_case_orient(paths_union([1, 1, 1, 1])) is None
+        assert _base_case_with_family(disjoint_union(complete_graph(5), *singletons(5))) is None
+        assert _base_case_with_family(paths_union([5, 1, 1, 1, 1])) is None
+        assert _base_case_with_family(paths_union([1, 1, 1, 1])) is None
 
 
 class TestExpansion:
@@ -135,8 +157,8 @@ class TestExpansion:
         assert red.m == threshold_size(red.n)
         plan = find_reduction(blue)
         assert plan is not None
-        frame, contracted = _contract_reduction(red, plan.w, plan.cert)
-        return red, frame, contracted
+        frame, contracted_blue = _contract_reduction(red, blue, plan.w, plan.cert)
+        return red, frame, complement(contracted_blue)
 
     def test_contracted_instance_stays_above_threshold(self):
         _, frame, contracted = self._reduction_setup()
@@ -152,6 +174,19 @@ class TestExpansion:
             if a < k and b < k:
                 assert expanded.dir.has_arc(frame.kept[a], frame.kept[b])
 
+    def test_classes_copy_their_super_vertex_directions(self):
+        red, frame, contracted = self._reduction_setup()
+        o_star, _ = orient_diameter_two(contracted)
+        expanded = expand_reduction(o_star, frame)
+        k = len(frame.kept)
+        classes = (frame.cert.classes.first, frame.cert.classes.second)
+        for a, u in enumerate(frame.kept):
+            for super_label, cls in zip((k, k + 1), classes):
+                for i in cls:
+                    x = frame.removed[i]
+                    assert expanded.dir.has_arc(u, x) == o_star.dir.has_arc(a, super_label)
+                    assert expanded.dir.has_arc(x, u) == o_star.dir.has_arc(super_label, a)
+
     def test_rejects_bad_inner_orientation(self):
         red, frame, contracted = self._reduction_setup()
         # point every edge at vertex 0 toward 0: out-degree 0 makes it infinite
@@ -160,6 +195,65 @@ class TestExpansion:
         assert diameter(bad.dir) > 2
         with pytest.raises(ValueError):
             expand_reduction(bad, frame)
+
+
+class TestTripleContraction:
+    """Seed 3 at n = 12: the first move identifies the triple (1, 4, 8), and
+    the kept vertices 3, 5 and 7 keep some but not all of their edges to it."""
+
+    def _setup(self):
+        blue = random_blue(random.Random(3), 12, 7)
+        red = complement(blue)
+        _, trace = orient_diameter_two(red)
+        step = trace.steps[0]
+        assert isinstance(step, TripleStep)
+        frame, contracted_blue = _contract_triple(red, blue, (step.x1, step.x2, step.x3))
+        return blue, red, frame, contracted_blue
+
+    def test_merged_vertex_joins_the_kept_vertices_blue_into_the_triple(self):
+        blue, red, frame, contracted_blue = self._setup()
+        kept, k = frame.kept, len(frame.kept)
+        triple = sum(1 << x for x in frame.removed)
+        assert frame.removed == (1, 4, 8)
+        assert contracted_blue.n == k + 1
+        assert contracted_blue.induced(range(k)) == blue.induced(kept)
+        joined = [kept[i] for i in contracted_blue.neighbors(k)]
+        assert joined == [u for u in kept if blue.adj[u] & triple] == [3, 5, 7]
+
+    def test_expansion_lifts_kept_arcs_cycle_and_remnants(self):
+        blue, red, frame, contracted_blue = self._setup()
+        o_star, _ = orient_diameter_two(complement(contracted_blue))
+        expanded = expand_triple_contraction(o_star, frame)
+        assert expanded.base == red and diameter(expanded.dir) <= 2
+        kept, k = frame.kept, len(frame.kept)
+        x1, x2, x3 = frame.removed
+        assert all(expanded.dir.has_arc(a, b) for a, b in ((x1, x2), (x2, x3), (x3, x1)))
+        for a, b in o_star.dir.arcs():
+            if a < k and b < k:
+                assert expanded.dir.has_arc(kept[a], kept[b])
+        remnants = 0
+        for a, u in enumerate(kept):
+            for x in frame.removed:
+                if not red.has_edge(u, x):
+                    continue
+                if contracted_blue.has_edge(a, k):
+                    remnants += 1
+                    assert expanded.dir.has_arc(min(u, x), max(u, x))
+                else:
+                    assert expanded.dir.has_arc(u, x) == o_star.dir.has_arc(a, k)
+        assert remnants == 4  # 3-1, 3-8, 5-1 and 7-8: both label orders occur
+
+
+class TestFallback:
+    def test_oracle_fallback_orients_and_replays(self, monkeypatch):
+        g = complement(random_blue(random.Random(8), 8, 3))
+        for name in ("_base_case_with_family", "find_reduction", "find_violating_triple"):
+            monkeypatch.setattr(construct, name, lambda blue: None)
+        o, trace = orient_diameter_two(g)
+        assert o.base == g and diameter(o.dir) <= 2
+        assert isinstance(trace.steps[-1], FallbackStep)
+        assert trace.fallback_count() == 1
+        assert replay_trace(g, trace) == o
 
 
 class TestDriver:
@@ -276,8 +370,20 @@ class TestReplay:
             (lambda steps: steps[:-1], "ends before"),
             (lambda steps: steps + steps[-1:], "1 steps after"),
             (lambda steps: steps[:1] + steps, "unexpected trace step"),
+            (lambda steps: (PadStep(((0, 99),)),) + steps[1:], r"pad pair \(0, 99\)"),
+            (lambda steps: (PadStep(((2, 2),)),) + steps[1:], r"pad pair \(2, 2\)"),
+            (lambda steps: (PadStep(((0, 1), (1, 0))),) + steps[1:], r"pad pair \(1, 0\)"),
         ],
-        ids=["empty", "pad-only", "cut-before-base-case", "step-after-base-case", "pad-twice"],
+        ids=[
+            "empty",
+            "pad-only",
+            "cut-before-base-case",
+            "step-after-base-case",
+            "pad-twice",
+            "pad-out-of-range",
+            "pad-self-pair",
+            "pad-deleted-twice",
+        ],
     )
     def test_malformed_trace_rejected(self, cut, match):
         g = complete_graph(9)
