@@ -13,8 +13,6 @@ from .certs import (
     GoodOrientationCert,
     Partition2,
     combine,
-    orient_bipartite_blue_matchjoin,
-    orient_complete_bipartite,
     verify_cert,
 )
 from .codec import (
@@ -111,8 +109,6 @@ __all__ = [
     "find_violating_triple",
     "is_bridgeless",
     "naive_oriented_diameter",
-    "orient_bipartite_blue_matchjoin",
-    "orient_complete_bipartite",
     "orient_diameter_two",
     "parse_digraph6",
     "parse_graph",

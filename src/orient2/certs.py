@@ -6,14 +6,18 @@ directed distance at most 2.  A certificate is *non-trivial* when in
 addition every vertex has both an in-neighbor and an out-neighbor in the
 opposite class.  Two explicit constructions produce such certificates:
 
-* the rotating-window orientation of a spanning complete bipartite graph
-  (`orient_complete_bipartite` and the overlay `window_cert`), and
-* the clique-pair-with-matching orientation (`orient_bipartite_blue_matchjoin`
-  and the overlay `matchjoin_cert`), which tolerates a structured set of
-  missing edges on the larger side.
+* `window_cert`, the rotating-window orientation of a world that spans
+  the complete bipartite graph on the two classes, and
+* `matchjoin_cert`, the clique-pair-with-matching orientation, which
+  tolerates a structured set of missing edges on the larger side.
 
-`combine` glues a certified subset to a small remainder with no missing
-edges in between, producing a full diameter-2 orientation.
+`split_cert` tries both on one split.  `combine` glues a certified subset
+to a small remainder with no missing edges in between, producing a full
+diameter-2 orientation.
+
+Each construction writes the arcs it fixes into out-rows (``rows[u]`` is
+the bitmask of u's out-neighbors) and orients every other edge of its
+world from the lower label to the higher one.
 """
 
 from __future__ import annotations
@@ -22,15 +26,18 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import (
-    Arc,
+    Digraph,
+    Edge,
     Graph,
     Orientation,
+    _spread,
     bits,
     complement,
     diameter,
+    in_rows,
 )
 
 
@@ -64,61 +71,52 @@ def matchjoin_graph(a: int, k: int) -> Graph:
     return Graph.from_edges(a + k, edges)
 
 
-def _reach2_rows(o: Orientation) -> list[int]:
-    rows = []
-    for u in range(o.base.n):
-        r = o.dir.out[u]
-        acc = r
-        for v in bits(r):
-            acc |= o.dir.out[v]
-        rows.append(acc | 1 << u)
-    return rows
+def _mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _cross_gap(g: Graph, us: Iterable[int], vs: int) -> Edge | None:
+    """The first pair (u, v), u from ``us`` in order and v lowest first from
+    the mask ``vs``, that is not an edge of ``g``; None when there is none."""
+    for u in us:
+        gap = vs & ~g.adj[u]
+        if gap:
+            return u, (gap & -gap).bit_length() - 1
+    return None
+
+
+def _orient_rest(world: Graph, rows: list[int]) -> Orientation:
+    """The orientation of ``world`` with the arcs of the out-rows ``rows``
+    and every other edge oriented from its lower label to its higher one."""
+    into = in_rows(rows)
+    for u, row in enumerate(rows):
+        free = world.adj[u] & ~row & ~into[u]
+        rows[u] = row | free >> (u + 1) << (u + 1)
+    return Orientation(world, Digraph(world.n, tuple(rows)))
 
 
 def verify_cert(c: GoodOrientationCert) -> bool:
     """Check both certificate conditions at the claimed nontriviality level."""
     if c.orientation.base != c.world:
         raise ValueError("certificate orientation is not over its own world")
-    n = c.world.n
-    first = set(c.classes.first)
-    second = set(c.classes.second)
-    if first | second != set(range(n)) or first & second:
+    first, second = _mask(c.classes.first), _mask(c.classes.second)
+    if first | second != (1 << c.world.n) - 1 or first & second:
         raise ValueError("partition classes do not partition the certified set")
-    reach2 = _reach2_rows(c.orientation)
-    for cls in (c.classes.first, c.classes.second):
-        cls_mask = 0
-        for v in cls:
-            cls_mask |= 1 << v
-        for v in cls:
-            if cls_mask & ~reach2[v]:
-                return False
-    if c.nontrivial:
-        masks = {}
-        for name, cls in (("first", first), ("second", second)):
-            mask = 0
-            for v in cls:
-                mask |= 1 << v
-            masks[name] = mask
-        inn = [0] * n
-        for u in range(n):
-            for v in bits(c.orientation.dir.out[u]):
-                inn[v] |= 1 << u
-        for v in first:
-            if not (c.orientation.dir.out[v] & masks["second"]) or not (inn[v] & masks["second"]):
-                return False
-        for v in second:
-            if not (c.orientation.dir.out[v] & masks["first"]) or not (inn[v] & masks["first"]):
-                return False
+    out = c.orientation.dir.out
+    into = in_rows(out)
+    for v, row in enumerate(out):
+        own, other = (first, second) if first >> v & 1 else (second, first)
+        reach2 = row | 1 << v
+        for w in bits(row):
+            reach2 |= out[w]
+        if own & ~reach2:
+            return False
+        if c.nontrivial and not (row & other and into[v] & other):
+            return False
     return True
-
-
-def _tie_break_fill(world: Graph, arcs: dict[frozenset[int], Arc]) -> list[Arc]:
-    """Complete a partial arc map to all edges, orienting leftovers low -> high."""
-    done = []
-    for u, v in world.edges():
-        key = frozenset((u, v))
-        done.append(arcs.get(key, (u, v)))
-    return done
 
 
 def _window_injection(a: int, b: int) -> list[frozenset[int]]:
@@ -139,23 +137,6 @@ def _window_injection(a: int, b: int) -> list[frozenset[int]]:
     return (windows + extra)[:b]
 
 
-def _window_arcs(xs: Sequence[int], ys: Sequence[int]) -> dict[frozenset[int], Arc]:
-    """Rotating-window arcs between class xs (size a) and class ys (size b >= a)."""
-    a, b = len(xs), len(ys)
-    arcs: dict[frozenset[int], Arc] = {}
-    if (a, b) == (1, 1):
-        arcs[frozenset((xs[0], ys[0]))] = (xs[0], ys[0])
-        return arcs
-    windows = _window_injection(a, b)
-    for i in range(b):
-        for j in range(a):
-            if j in windows[i]:
-                arcs[frozenset((ys[i], xs[j]))] = (ys[i], xs[j])
-            else:
-                arcs[frozenset((ys[i], xs[j]))] = (xs[j], ys[i])
-    return arcs
-
-
 def window_sizes_ok(a: int, b: int) -> bool:
     if (a, b) == (1, 1):
         return True
@@ -174,44 +155,34 @@ def split_sizes_ok(a: int, b: int) -> bool:
 def window_cert(world: Graph, side_x: Sequence[int], side_y: Sequence[int]) -> GoodOrientationCert | None:
     """Certificate for a world that spans the complete bipartite graph on the two sides.
 
-    ``side_x`` plays the windowed role and must be the smaller side.  World
-    edges inside a class are oriented by the global tie-break; they can only
-    shorten distances.  Returns None when the size bounds fail or a cross
-    pair is missing.
+    ``side_x`` plays the windowed role and must be the smaller side: the
+    i-th vertex of ``side_y`` points at the ``side_x`` vertices of the i-th
+    window and every other ``side_x`` vertex points at it.  World edges
+    inside a class are oriented low label to high; they can only shorten
+    distances.  Returns None when the size bounds fail or a cross pair is
+    missing.
     """
     xs, ys = list(side_x), list(side_y)
     a, b = len(xs), len(ys)
-    if not window_sizes_ok(a, b):
+    if not window_sizes_ok(a, b) or _cross_gap(world, xs, _mask(ys)) is not None:
         return None
-    for x in xs:
-        for y in ys:
-            if not world.has_edge(x, y):
-                return None
-    arcs = _window_arcs(xs, ys)
-    orientation = Orientation.from_arcs(world, _tie_break_fill(world, arcs))
+    rows = [0] * world.n
+    if (a, b) == (1, 1):
+        rows[xs[0]] = 1 << ys[0]
+    else:
+        x_mask = _mask(xs)
+        for y, window in zip(ys, _window_injection(a, b)):
+            to_window = _mask(xs[j] for j in window)
+            rows[y] |= to_window
+            for x in bits(x_mask & ~to_window):
+                rows[x] |= 1 << y
     cert = GoodOrientationCert(
         world=world,
-        orientation=orientation,
+        orientation=_orient_rest(world, rows),
         classes=Partition2(tuple(xs), tuple(ys)),
         nontrivial=(a, b) != (1, 1),
     )
     return cert if verify_cert(cert) else None
-
-
-def orient_complete_bipartite(a: int, b: int) -> GoodOrientationCert:
-    """Certificate for the plain complete bipartite graph on a + b vertices.
-
-    Classes are 0..a-1 and a..a+b-1.  Valid for (1, 1) (trivially) and for
-    2 <= a <= b <= C(a, a//2).
-    """
-    if not window_sizes_ok(a, b):
-        raise ValueError(f"no rotating-window orientation for sides ({a}, {b})")
-    xs = list(range(a))
-    ys = list(range(a, a + b))
-    world = Graph.from_edges(a + b, [(x, y) for x in xs for y in ys])
-    cert = window_cert(world, xs, ys)
-    assert cert is not None
-    return cert
 
 
 def _embed_into_matchjoin(pattern_blue: Graph, a: int, k: int) -> list[int] | None:
@@ -275,12 +246,8 @@ def matchjoin_cert(world: Graph, side_x: Sequence[int], side_y: Sequence[int]) -
     """
     xs, ys = list(side_x), list(side_y)
     a, b = len(xs), len(ys)
-    if not 3 <= a <= b <= 2 * a:
+    if not 3 <= a <= b <= 2 * a or _cross_gap(world, xs, _mask(ys)) is not None:
         return None
-    for x in xs:
-        for y in ys:
-            if not world.has_edge(x, y):
-                return None
     missing_y = complement(world.induced(ys))  # labels follow sorted(ys)
     ys_sorted = sorted(ys)
     placement = _embed_into_matchjoin(missing_y, a, b - a)
@@ -290,64 +257,25 @@ def matchjoin_cert(world: Graph, side_x: Sequence[int], side_y: Sequence[int]) -
     at_pos = [-1] * b
     for local, pos in enumerate(placement):
         at_pos[pos] = ys_sorted[local]
-    k = b - a
-    arcs: dict[frozenset[int], Arc] = {}
-
-    def put(u: int, v: int) -> None:
-        arcs[frozenset((u, v))] = (u, v)
-
-    for i in range(a):
-        put(xs[i], at_pos[i])  # x_i -> y at position i
-        for j in range(a):
-            if j != i:
-                put(at_pos[j], xs[i])  # y at position j -> x_i
-    for i in range(k):
-        put(at_pos[a + i], xs[i])
-        for j in range(a):
-            if j != i:
-                put(xs[j], at_pos[a + i])
-    # second-clique positions point at first-clique positions wherever the
-    # actual edge exists; matched pairs fall to the tie-break when present
-    for i in range(k):
-        for j in range(a):
-            if j != i and world.has_edge(at_pos[a + i], at_pos[j]):
-                put(at_pos[a + i], at_pos[j])
-    orientation = Orientation.from_arcs(world, _tie_break_fill(world, arcs))
+    x_mask = _mask(xs)
+    first_clique = _mask(at_pos[:a])
+    rows = [0] * world.n
+    for x, y in zip(xs, at_pos[:a]):
+        rows[x] |= 1 << y
+        rows[y] |= x_mask & ~(1 << x)
+    # second-clique position a + i points at x_i and at the first clique
+    # wherever the world has the edge, except its match (left to the fill)
+    for x, y, match in zip(xs, at_pos[a:], at_pos):
+        rows[y] |= 1 << x | world.adj[y] & first_clique & ~(1 << match)
+        for other in bits(x_mask & ~(1 << x)):
+            rows[other] |= 1 << y
     cert = GoodOrientationCert(
         world=world,
-        orientation=orientation,
+        orientation=_orient_rest(world, rows),
         classes=Partition2(tuple(xs), tuple(ys)),
         nontrivial=True,
     )
     return cert if verify_cert(cert) else None
-
-
-def orient_bipartite_blue_matchjoin(a: int, b: int, blue_y: Graph) -> GoodOrientationCert:
-    """Certificate for the worst-case world with partite sets of sizes a and b.
-
-    The world has no edges inside the x class (0..a-1), every cross pair,
-    and on the y class (a..a+b-1) exactly the pairs that are not edges of
-    ``blue_y`` (vertex i of blue_y sits at a+i).  ``blue_y`` must fit the
-    clique-pair pattern under some relabeling; raises ValueError otherwise.
-    """
-    if not 3 <= a <= b <= 2 * a:
-        raise ValueError(f"partite sizes ({a}, {b}) outside 3 <= a <= b <= 2a")
-    if blue_y.n != b:
-        raise ValueError(f"expected a graph on {b} vertices, got {blue_y.n}")
-    xs = list(range(a))
-    ys = list(range(a, a + b))
-    edges = [(x, y) for x in xs for y in ys]
-    for i in range(b):
-        for j in range(i + 1, b):
-            if not blue_y.has_edge(i, j):
-                edges.append((a + i, a + j))
-    world = Graph.from_edges(a + b, edges)
-    cert = matchjoin_cert(world, xs, ys)
-    if cert is None:
-        raise ValueError(
-            "missing-edge pattern does not fit two cliques plus a matching under any relabeling"
-        )
-    return cert
 
 
 def split_cert(world: Graph, side_a: Sequence[int], side_b: Sequence[int]) -> GoodOrientationCert | None:
@@ -375,8 +303,22 @@ class CombineCase(Enum):
     TWO = "two"
 
 
-def _map_cert_arcs(cert: GoodOrientationCert, vertex_of_local: Sequence[int]) -> list[Arc]:
-    return [(vertex_of_local[u], vertex_of_local[v]) for u, v in cert.orientation.dir.arcs()]
+def _lay_out(
+    rows: list[int], cert: GoodOrientationCert, labels: Sequence[int], others: Sequence[int]
+) -> tuple[int, int]:
+    """Add ``cert``'s arcs to ``rows`` with its vertex i at ``labels[i]``, the
+    i-th label outside the sorted ``others``; returns the certificate's two
+    classes as masks over those labels."""
+    for label, row in zip(labels, cert.orientation.dir.out):
+        rows[label] |= _spread(row, others)
+    first, second = cert.classes.first, cert.classes.second
+    return _spread(_mask(first), others), _spread(_mask(second), others)
+
+
+def _point(rows: list[int], sources: int, targets: int) -> None:
+    """Add an arc from every vertex of the mask ``sources`` to every vertex of ``targets``."""
+    for u in bits(sources):
+        rows[u] |= targets
 
 
 def combine(
@@ -400,42 +342,22 @@ def combine(
         raise ValueError("certificate world does not match the certified subset")
     if not cert_w.nontrivial or not verify_cert(cert_w):
         raise ValueError("certified subset needs a verified non-trivial certificate")
-    for u in w_sorted:
-        for v in z_sorted:
-            if not red.has_edge(u, v):
-                raise ValueError(f"missing edge {u}-{v} between the certified set and the rest")
+    gap = _cross_gap(red, w_sorted, _mask(z_sorted))
+    if gap is not None:
+        raise ValueError(f"missing edge {gap[0]}-{gap[1]} between the certified set and the rest")
 
-    first_w = [w_sorted[i] for i in cert_w.classes.first]
-    second_w = [w_sorted[i] for i in cert_w.classes.second]
-    arcs: dict[frozenset[int], Arc] = {}
-
-    def put(u: int, v: int) -> None:
-        arcs[frozenset((u, v))] = (u, v)
-
-    for u, v in _map_cert_arcs(cert_w, w_sorted):
-        put(u, v)
-
+    rows = [0] * red.n
+    first_w, second_w = _lay_out(rows, cert_w, w_sorted, z_sorted)
     if zcase is CombineCase.NONTRIVIAL_CERT:
         if cert_z is None or not cert_z.nontrivial or not verify_cert(cert_z):
             raise ValueError("this case needs a verified non-trivial certificate for the rest")
         if red.induced(z_sorted) != cert_z.world:
             raise ValueError("rest certificate world does not match the rest of the graph")
-        first_z = [z_sorted[i] for i in cert_z.classes.first]
-        second_z = [z_sorted[i] for i in cert_z.classes.second]
-        for u, v in _map_cert_arcs(cert_z, z_sorted):
-            put(u, v)
-        for u in first_w:
-            for v in first_z:
-                put(u, v)
-        for u in first_z:
-            for v in second_w:
-                put(u, v)
-        for u in second_w:
-            for v in second_z:
-                put(u, v)
-        for u in second_z:
-            for v in first_w:
-                put(u, v)
+        first_z, second_z = _lay_out(rows, cert_z, z_sorted, w_sorted)
+        _point(rows, first_w, first_z)
+        _point(rows, first_z, second_w)
+        _point(rows, second_w, second_z)
+        _point(rows, second_z, first_w)
     elif zcase in (CombineCase.THREE_ISOLATED, CombineCase.TWO):
         if zcase is CombineCase.THREE_ISOLATED:
             if len(z_sorted) != 3:
@@ -444,25 +366,20 @@ def combine(
             for p, q in ((y1, y2), (y2, y3), (y3, y1)):
                 if not red.has_edge(p, q):
                     raise ValueError("three-vertex case requires pairwise edges among the leftovers")
-                put(p, q)
+                rows[p] |= 1 << q
         else:
             if len(z_sorted) != 2:
                 raise ValueError("this case needs exactly two leftover vertices")
         lead = z_sorted[0]
-        rest = z_sorted[1:]
-        for u in first_w:
-            put(u, lead)
-        for v in second_w:
-            put(lead, v)
-        for y in rest:
-            for u in first_w:
-                put(y, u)
-            for v in second_w:
-                put(v, y)
+        rest = _mask(z_sorted[1:])
+        _point(rows, first_w, 1 << lead)
+        rows[lead] |= second_w
+        _point(rows, rest, first_w)
+        _point(rows, second_w, rest)
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown case {zcase}")
 
-    orientation = Orientation.from_arcs(red, _tie_break_fill(red, arcs))
+    orientation = _orient_rest(red, rows)
     if diameter(orientation.dir) > 2:
         raise AssertionError("combined orientation failed its diameter check")
     return orientation

@@ -20,11 +20,9 @@ from .construct import InternalVerificationError, orient_diameter_two, threshold
 from .graphs import INFINITE, Graph, complement, components, diameter
 from .oracle import (
     SearchBudget,
-    SearchStatus,
     default_budget,
     exact_oriented_diameter,
-    exists_orientation_diameter2,
-    extremal_graph,
+    verify_sharpness,
     verify_theorem,
 )
 from .structure import classify_component, excess
@@ -160,14 +158,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sharpness(args: argparse.Namespace) -> int:
-    if not 5 <= args.n <= 9:
-        print("error: --n must be between 5 and 9", file=sys.stderr)
+    try:
+        sharp = verify_sharpness(args.n, _budget(args))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    outcome = exists_orientation_diameter2(extremal_graph(args.n), _budget(args))
-    if outcome.status is SearchStatus.INDETERMINATE:
-        print("indeterminate: search budget exhausted", file=sys.stderr)
+    except RuntimeError as exc:
+        print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    if outcome.status is SearchStatus.NO:
+    if sharp:
         print(f"CONFIRMED: extremal graph of order {args.n} has no diameter-2 orientation")
         return EXIT_OK
     print(f"REFUTED: extremal graph of order {args.n} admits a diameter-2 orientation")

@@ -43,6 +43,7 @@ from .graphs import (
     Edge,
     Graph,
     Orientation,
+    _spread,
     bits,
     complement,
     components,
@@ -316,27 +317,15 @@ def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
 # contraction / expansion
 
 
-def _spread(mask: int, gaps: tuple[int, ...]) -> int:
-    """Relabel ``mask`` from positions in the sorted labels outside ``gaps``
-    to those labels, by inserting a zero bit at each label of ``gaps``."""
-    for gap in gaps:
-        mask = (mask & ((1 << gap) - 1)) | (mask >> gap << (gap + 1))
-    return mask
-
-
 def _contract_reduction(
     norm: Graph, norm_blue: Graph, w: tuple[int, ...], cert: GoodOrientationCert
 ) -> tuple[ReductionFrame, Graph]:
     """Contract ``w`` to two super-vertices; returns the frame and the contracted blue graph."""
     removed = tuple(sorted(w))
-    assert len(removed) >= 4, "a certified contractible set has at least four vertices"
     kept = tuple(v for v in range(norm.n) if v not in set(removed))
     k = len(kept)
     rows = list(norm_blue.induced(kept).adj) + [1 << (k + 1), 1 << k]
-    contracted_blue = Graph(k + 2, tuple(rows))
-    assert contracted_blue.m <= contracted_blue.n - 5
-    assert contracted_blue.n > 5
-    return ReductionFrame(norm, removed, kept, cert), contracted_blue
+    return ReductionFrame(norm, removed, kept, cert), Graph(k + 2, tuple(rows))
 
 
 def _contract_triple(
@@ -352,9 +341,7 @@ def _contract_triple(
         if norm_blue.adj[u] & triple_mask:
             rows[i] |= 1 << k
             rows[k] |= 1 << i
-    contracted_blue = Graph(k + 1, tuple(rows))
-    assert contracted_blue.m <= contracted_blue.n - 5
-    return TripleFrame(norm, removed, kept), contracted_blue
+    return TripleFrame(norm, removed, kept), Graph(k + 1, tuple(rows))
 
 
 def _lift_kept(
@@ -491,6 +478,11 @@ def _execute(
             steps.append(PadStep(deleted))
         steps.append(move)
         norm_blue = _delete_red_pairs(blue, deleted)
+        n, missing = norm_blue.n, norm_blue.m
+        if n < 5 or missing != n - 5:
+            raise ValueError(
+                f"padded level of order {n} misses {missing} edges; n >= 5 and n - 5 are required"
+            )
         norm = complement(norm_blue)
         if isinstance(move, (BaseCaseStep, FallbackStep)):
             o = _restore_padding(Orientation.from_arcs(norm, move.arcs), deleted)

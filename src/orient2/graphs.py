@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Final, Iterable, Iterator
+from typing import Final, Iterable, Iterator, Sequence
 
 INFINITE: Final = math.inf
 
@@ -27,6 +27,23 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _spread(mask: int, gaps: Sequence[int]) -> int:
+    """Relabel ``mask`` from positions in the sorted labels outside ``gaps``
+    to those labels, by inserting a zero bit at each label of the sorted ``gaps``."""
+    for gap in gaps:
+        mask = (mask & ((1 << gap) - 1)) | (mask >> gap << (gap + 1))
+    return mask
+
+
+def in_rows(out: Sequence[int]) -> list[int]:
+    """In-neighbor rows of the digraph whose out-neighbor rows are ``out``."""
+    into = [0] * len(out)
+    for u, row in enumerate(out):
+        for v in bits(row):
+            into[v] |= 1 << u
+    return into
 
 
 @dataclass(frozen=True)
@@ -148,10 +165,7 @@ class Orientation:
     def __post_init__(self) -> None:
         if self.base.n != self.dir.n:
             raise ValueError("orientation and base graph have different vertex counts")
-        into = [0] * self.dir.n
-        for u, row in enumerate(self.dir.out):
-            for v in bits(row):
-                into[v] |= 1 << u
+        into = in_rows(self.dir.out)
         for u, (out, edges) in enumerate(zip(self.dir.out, self.base.adj)):
             covered = out | into[u]
             if covered != edges:

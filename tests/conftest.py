@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from orient2.graphs import Graph
+from orient2.certs import matchjoin_cert, window_cert
+from orient2.graphs import Graph, complement
 
 
 def complete_graph(n: int) -> Graph:
@@ -51,6 +52,23 @@ def paths_union(sizes: list[int], n: int | None = None) -> Graph:
         edges.extend((v, v + 1) for v in range(start, start + size - 1))
         start += size
     return Graph.from_edges(n, edges)
+
+
+def complete_bipartite_cert(a: int, b: int):
+    """`window_cert` on K_{a,b} with the classes 0..a-1 and a..a+b-1; None
+    outside the window's size bounds."""
+    world = Graph.from_edges(a + b, [(x, y) for x in range(a) for y in range(a, a + b)])
+    return window_cert(world, range(a), range(a, a + b))
+
+
+def blue_matchjoin_cert(a: int, b: int, blue_y: Graph):
+    """`matchjoin_cert` on the world with no edge inside the x class 0..a-1,
+    every cross pair, and on the y class a..a+b-1 exactly the pairs that are
+    not edges of ``blue_y`` (its vertex i sits at a + i); None when the sizes
+    are out of range or ``blue_y`` does not fit the clique-pair pattern."""
+    edges = [(x, y) for x in range(a) for y in range(a, a + b)]
+    edges += [(a + i, a + j) for i, j in complement(blue_y).edges()]
+    return matchjoin_cert(Graph.from_edges(a + b, edges), range(a), range(a, a + b))
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:

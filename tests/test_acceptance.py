@@ -11,13 +11,8 @@ from math import comb
 
 import pytest
 
-from conftest import petersen, random_connected
-from orient2.certs import (
-    matchjoin_graph,
-    orient_bipartite_blue_matchjoin,
-    orient_complete_bipartite,
-    verify_cert,
-)
+from conftest import blue_matchjoin_cert, complete_bipartite_cert, petersen, random_connected
+from orient2.certs import matchjoin_graph, verify_cert
 from orient2.construct import _base_case_with_family, _paths_blue
 from orient2.graphs import INFINITE, Graph, complement, diameter, is_bridgeless
 from orient2.oracle import (
@@ -64,10 +59,10 @@ class TestAcceptance:
         ok = True
         for a in range(2, 7):
             for b in range(a, min(comb(a, a // 2), 20) + 1):
-                cert = orient_complete_bipartite(a, b)
+                cert = complete_bipartite_cert(a, b)
                 ok = ok and verify_cert(cert) and cert.nontrivial
                 checked += 1
-        trivial = orient_complete_bipartite(1, 1)
+        trivial = complete_bipartite_cert(1, 1)
         ok = ok and verify_cert(trivial) and not trivial.nontrivial
         report("criterion-3 complete-bipartite certificates", ok, f"{checked}+1 certificates")
         assert ok
@@ -77,7 +72,7 @@ class TestAcceptance:
         ok = True
         pairs = [(a, b) for a in range(3, 7) for b in range(a, 2 * a + 1)]
         for a, b in pairs:
-            cert = orient_bipartite_blue_matchjoin(a, b, matchjoin_graph(a, b - a))
+            cert = blue_matchjoin_cert(a, b, matchjoin_graph(a, b - a))
             ok = ok and verify_cert(cert) and cert.nontrivial
             checked += 1
         rng = random.Random(20260810)
@@ -91,7 +86,7 @@ class TestAcceptance:
             keep = [e for e in edges if rng.random() < 0.55]
             if len(keep) == len(edges):
                 keep = keep[: len(edges) - 1]
-            cert = orient_bipartite_blue_matchjoin(a, b, Graph.from_edges(b, keep))
+            cert = blue_matchjoin_cert(a, b, Graph.from_edges(b, keep))
             ok = ok and verify_cert(cert) and cert.nontrivial
             subs += 1
         report("criterion-4 clique-pair certificates", ok, f"{checked} full + {subs} subgraphs")

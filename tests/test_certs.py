@@ -3,16 +3,22 @@ from math import comb
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, paths_union
+from conftest import (
+    blue_matchjoin_cert,
+    complete_bipartite_cert,
+    complete_graph,
+    cycle_graph,
+    paths_union,
+)
 from orient2.certs import (
     CombineCase,
     GoodOrientationCert,
     Partition2,
+    _embed_into_matchjoin,
+    _window_injection,
     combine,
     matchjoin_cert,
     matchjoin_graph,
-    orient_bipartite_blue_matchjoin,
-    orient_complete_bipartite,
     split_cert,
     verify_cert,
     window_cert,
@@ -61,14 +67,14 @@ class TestVerifyCert:
 
 class TestWindowConstruction:
     def test_2_2_matches_formula(self):
-        cert = orient_complete_bipartite(2, 2)
+        cert = complete_bipartite_cert(2, 2)
         arcs = set(cert.orientation.dir.arcs())
         # classes 0,1 | 2,3; windows pair y_i with x_i
         assert arcs == {(2, 0), (0, 3), (3, 1), (1, 2)}
         assert cert.nontrivial and verify_cert(cert)
 
     def test_3_3_windows(self):
-        cert = orient_complete_bipartite(3, 3)
+        cert = complete_bipartite_cert(3, 3)
         d = cert.orientation.dir
         for i in range(3):
             assert d.has_arc(3 + i, i)
@@ -78,17 +84,17 @@ class TestWindowConstruction:
         assert verify_cert(cert)
 
     def test_1_1_good_but_trivial(self):
-        cert = orient_complete_bipartite(1, 1)
+        cert = complete_bipartite_cert(1, 1)
         assert verify_cert(cert) and not cert.nontrivial
 
     @pytest.mark.parametrize("a", range(2, 7))
     def test_full_range_nontrivial(self, a):
         for b in range(a, min(comb(a, a // 2), 20) + 1):
-            cert = orient_complete_bipartite(a, b)
+            cert = complete_bipartite_cert(a, b)
             assert verify_cert(cert) and cert.nontrivial
 
     def test_out_degree_is_half_window(self):
-        cert = orient_complete_bipartite(5, 9)
+        cert = complete_bipartite_cert(5, 9)
         xs = set(cert.classes.first)
         for y in cert.classes.second:
             outs = sum(1 for x in xs if cert.orientation.dir.has_arc(y, x))
@@ -96,12 +102,9 @@ class TestWindowConstruction:
             assert (outs, ins) == (2, 3)
 
     def test_size_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            orient_complete_bipartite(2, 3)
-        with pytest.raises(ValueError):
-            orient_complete_bipartite(4, 7)
-        with pytest.raises(ValueError):
-            orient_complete_bipartite(1, 2)
+        assert complete_bipartite_cert(2, 3) is None
+        assert complete_bipartite_cert(4, 7) is None
+        assert complete_bipartite_cert(1, 2) is None
 
     def test_overlay_tolerates_extra_edges(self):
         # same classes, but the world also has edges inside each class
@@ -121,27 +124,26 @@ class TestMatchJoin:
     @pytest.mark.parametrize("a", range(3, 7))
     def test_full_patterns(self, a):
         for b in range(a, 2 * a + 1):
-            cert = orient_bipartite_blue_matchjoin(a, b, matchjoin_graph(a, b - a))
+            cert = blue_matchjoin_cert(a, b, matchjoin_graph(a, b - a))
             assert verify_cert(cert) and cert.nontrivial
 
     def test_k3_exact(self):
-        cert = orient_bipartite_blue_matchjoin(3, 3, complete_graph(3))
+        cert = blue_matchjoin_cert(3, 3, complete_graph(3))
         assert verify_cert(cert) and cert.nontrivial
 
     def test_canonical_3_5_arc_layout(self):
         # identity embedding: x side 0..2, first clique 3..5, second 6..7
-        cert = orient_bipartite_blue_matchjoin(3, 5, matchjoin_graph(3, 2))
+        cert = blue_matchjoin_cert(3, 5, matchjoin_graph(3, 2))
         d = cert.orientation.dir
         for arc in [(0, 3), (1, 4), (2, 5), (4, 0), (5, 0), (6, 0), (7, 1), (1, 6), (2, 7), (6, 4), (7, 3)]:
             assert d.has_arc(*arc), arc
 
     def test_c5_embeds(self):
-        cert = orient_bipartite_blue_matchjoin(3, 5, cycle_graph(5))
+        cert = blue_matchjoin_cert(3, 5, cycle_graph(5))
         assert verify_cert(cert) and cert.nontrivial
 
     def test_k4_does_not_embed(self):
-        with pytest.raises(ValueError):
-            orient_bipartite_blue_matchjoin(3, 4, complete_graph(4))
+        assert blue_matchjoin_cert(3, 4, complete_graph(4)) is None
 
     def test_random_proper_subgraphs(self):
         rng = random.Random(40813)
@@ -155,7 +157,7 @@ class TestMatchJoin:
             keep = [e for e in edges if rng.random() < 0.6]
             if len(keep) == len(edges):
                 keep = keep[:-1]
-            cert = orient_bipartite_blue_matchjoin(a, b, Graph.from_edges(b, keep))
+            cert = blue_matchjoin_cert(a, b, Graph.from_edges(b, keep))
             assert verify_cert(cert) and cert.nontrivial
 
 
@@ -254,3 +256,174 @@ class TestQuadruple:
         assert cert is not None
         with pytest.raises(ValueError):
             combine(red, cert, [0, 1, 3], CombineCase.TWO)
+
+
+# Arc-dict references: the three constructions as first written, one arc
+# per unordered pair, every pair left unset oriented low label to high.
+# The row-based builders must reproduce their out-rows bit for bit.
+
+
+def ref_fill(world, arcs):
+    return Orientation.from_arcs(world, [arcs.get(frozenset(e), e) for e in world.edges()])
+
+
+def ref_window(world, xs, ys):
+    a, b = len(xs), len(ys)
+    if (a, b) == (1, 1):
+        return ref_fill(world, {frozenset((xs[0], ys[0])): (xs[0], ys[0])})
+    arcs = {}
+    windows = _window_injection(a, b)
+    for i in range(b):
+        for j in range(a):
+            arc = (ys[i], xs[j]) if j in windows[i] else (xs[j], ys[i])
+            arcs[frozenset(arc)] = arc
+    return ref_fill(world, arcs)
+
+
+def ref_matchjoin(world, xs, ys):
+    a, b = len(xs), len(ys)
+    ys_sorted = sorted(ys)
+    at_pos = [-1] * b
+    for local, pos in enumerate(_embed_into_matchjoin(complement(world.induced(ys)), a, b - a)):
+        at_pos[pos] = ys_sorted[local]
+    arcs = {}
+
+    def put(u, v):
+        arcs[frozenset((u, v))] = (u, v)
+
+    for i in range(a):
+        put(xs[i], at_pos[i])
+        for j in range(a):
+            if j != i:
+                put(at_pos[j], xs[i])
+    for i in range(b - a):
+        put(at_pos[a + i], xs[i])
+        for j in range(a):
+            if j != i:
+                put(xs[j], at_pos[a + i])
+    for i in range(b - a):
+        for j in range(a):
+            if j != i and world.has_edge(at_pos[a + i], at_pos[j]):
+                put(at_pos[a + i], at_pos[j])
+    return ref_fill(world, arcs)
+
+
+def ref_combine(red, cert_w, z, zcase, cert_z=None):
+    z_sorted = sorted(z)
+    w_sorted = sorted(set(range(red.n)) - set(z))
+    arcs = {}
+
+    def put(u, v):
+        arcs[frozenset((u, v))] = (u, v)
+
+    def lay_out(cert, labels):
+        for u, v in cert.orientation.dir.arcs():
+            put(labels[u], labels[v])
+        return [labels[i] for i in cert.classes.first], [labels[i] for i in cert.classes.second]
+
+    first_w, second_w = lay_out(cert_w, w_sorted)
+    if zcase is CombineCase.NONTRIVIAL_CERT:
+        first_z, second_z = lay_out(cert_z, z_sorted)
+        blocks = ((first_w, first_z), (first_z, second_w), (second_w, second_z), (second_z, first_w))
+        for sources, targets in blocks:
+            for u in sources:
+                for v in targets:
+                    put(u, v)
+    else:
+        if zcase is CombineCase.THREE_ISOLATED:
+            y1, y2, y3 = z_sorted
+            for p, q in ((y1, y2), (y2, y3), (y3, y1)):
+                put(p, q)
+        lead, rest = z_sorted[0], z_sorted[1:]
+        for u in first_w:
+            put(u, lead)
+        for v in second_w:
+            put(lead, v)
+        for y in rest:
+            for u in first_w:
+                put(y, u)
+            for v in second_w:
+                put(v, y)
+    return ref_fill(red, arcs)
+
+
+def shuffled_two_class_world(rng, a, b, inner, blue_y=None):
+    """A world on a + b shuffled labels with every cross pair, each pair
+    inside the x class with probability ``inner``, and on the y class the
+    non-edges of ``blue_y`` (or each pair with probability ``inner``)."""
+    perm = rng.sample(range(a + b), a + b)
+    xs, ys = perm[:a], perm[a:]
+    edges = [(x, y) for x in xs for y in ys]
+    edges += [(xs[i], xs[j]) for i in range(a) for j in range(i + 1, a) if rng.random() < inner]
+    if blue_y is None:
+        edges += [(ys[i], ys[j]) for i in range(b) for j in range(i + 1, b) if rng.random() < inner]
+    else:
+        edges += [(ys[i], ys[j]) for i, j in complement(blue_y).edges()]
+    return Graph.from_edges(a + b, edges), xs, ys
+
+
+def seeded_combine_input(rng, zcase):
+    """A red graph, a certificate for its certified set w, the leftover set z
+    and, for NONTRIVIAL_CERT, a certificate for z; w and z interleave."""
+
+    def certified_part():
+        while True:
+            a = rng.randint(2, 4)
+            world, xs, ys = shuffled_two_class_world(rng, a, rng.randint(a, 2 * a), 0.8)
+            cert = split_cert(world, xs, ys)
+            if cert is not None:
+                return world, cert
+
+    w_world, cert_w = certified_part()
+    if zcase is CombineCase.NONTRIVIAL_CERT:
+        z_world, cert_z = certified_part()
+    else:
+        cert_z = None
+        size = 3 if zcase is CombineCase.THREE_ISOLATED else 2
+        joined = size == 3 or rng.random() < 0.5
+        z_world = complete_graph(size) if joined else Graph.from_edges(2, [])
+    nw, n = w_world.n, w_world.n + z_world.n
+    labels = rng.sample(range(n), n)
+    w_labels, z_labels = sorted(labels[:nw]), sorted(labels[nw:])
+    edges = [(w_labels[u], w_labels[v]) for u, v in w_world.edges()]
+    edges += [(z_labels[u], z_labels[v]) for u, v in z_world.edges()]
+    edges += [(u, v) for u in w_labels for v in z_labels]
+    return Graph.from_edges(n, edges), cert_w, z_labels, cert_z
+
+
+class TestAgainstArcDictReference:
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_window_sizes(self, a):
+        rng = random.Random(7100 + a)
+        sizes = [1] if a == 1 else range(a, min(comb(a, a // 2), 20) + 1)
+        for b in sizes:
+            cert = complete_bipartite_cert(a, b)
+            expected = ref_window(cert.world, range(a), range(a, a + b))
+            assert cert.orientation.dir.out == expected.dir.out, (a, b)
+            world, xs, ys = shuffled_two_class_world(rng, a, b, 0.5)
+            cert = window_cert(world, xs, ys)
+            assert cert.orientation.dir.out == ref_window(world, xs, ys).dir.out, (a, b)
+
+    def test_clique_pair_sizes(self):
+        rng = random.Random(7200)
+        pairs = [(a, b) for a in range(3, 7) for b in range(a, 2 * a + 1)]
+        for a, b in pairs:
+            cert = blue_matchjoin_cert(a, b, matchjoin_graph(a, b - a))
+            expected = ref_matchjoin(cert.world, range(a), range(a, a + b))
+            assert cert.orientation.dir.out == expected.dir.out, (a, b)
+        for _ in range(200):
+            a, b = pairs[rng.randrange(len(pairs))]
+            full = matchjoin_graph(a, b - a).edges()
+            pattern = Graph.from_edges(b, [e for e in full if rng.random() < 0.6])
+            world, xs, ys = shuffled_two_class_world(rng, a, b, 0.5, pattern)
+            cert = matchjoin_cert(world, xs, ys)
+            assert cert is not None
+            assert cert.orientation.dir.out == ref_matchjoin(world, xs, ys).dir.out, (a, b)
+
+    @pytest.mark.parametrize("zcase", list(CombineCase))
+    def test_combine_cases(self, zcase):
+        rng = random.Random(7300 + list(CombineCase).index(zcase))
+        for _ in range(40):
+            red, cert_w, z, cert_z = seeded_combine_input(rng, zcase)
+            o = combine(red, cert_w, z, zcase, cert_z)
+            assert o.dir.out == ref_combine(red, cert_w, z, zcase, cert_z).dir.out

@@ -172,6 +172,10 @@ class TestSharpness:
         code, _, _ = run_cli(capsys, monkeypatch, ["sharpness", "--n", "10"])
         assert code == 2
 
+    def test_budget_exhausted_indeterminate(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, monkeypatch, ["sharpness", "--n", "6", "--budget", "1"])
+        assert code == 1 and not out and err.startswith("indeterminate:")
+
 
 class TestClassify:
     def test_dumbbell_complement(self, capsys, monkeypatch):

@@ -1,8 +1,13 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import orient2
 from conftest import complete_graph, cycle_graph, dumbbell, paths_union, relabel, short_dumbbell
 from orient2 import construct
 from orient2._basecase_table import TABLE
@@ -373,6 +378,7 @@ class TestReplay:
             (lambda steps: (PadStep(((0, 99),)),) + steps[1:], r"pad pair \(0, 99\)"),
             (lambda steps: (PadStep(((2, 2),)),) + steps[1:], r"pad pair \(2, 2\)"),
             (lambda steps: (PadStep(((0, 1), (1, 0))),) + steps[1:], r"pad pair \(1, 0\)"),
+            (lambda steps: (PadStep(steps[0].deleted + ((0, 5), (0, 6))),) + steps[1:], "misses 6 edges"),
         ],
         ids=[
             "empty",
@@ -383,6 +389,7 @@ class TestReplay:
             "pad-out-of-range",
             "pad-self-pair",
             "pad-deleted-twice",
+            "pad-too-many",
         ],
     )
     def test_malformed_trace_rejected(self, cut, match):
@@ -390,3 +397,28 @@ class TestReplay:
         _, trace = orient_diameter_two(g)  # pad, contract-triple, base-case
         with pytest.raises(ValueError, match=match):
             replay_trace(g, ConstructionTrace(cut(trace.steps)))
+
+    def test_pad_too_many_rejected_under_optimize(self):
+        # the order check must not be an assert, which python -O strips
+        script = (
+            "from orient2.construct import ConstructionTrace, PadStep, orient_diameter_two, replay_trace\n"
+            "from orient2.graphs import Graph\n"
+            "g = Graph.from_edges(9, [(u, v) for u in range(9) for v in range(u + 1, 9)])\n"
+            "steps = orient_diameter_two(g)[1].steps\n"
+            "bad = (PadStep(steps[0].deleted + ((0, 5), (0, 6))),) + steps[1:]\n"
+            "try:\n"
+            "    replay_trace(g, ConstructionTrace(bad))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(pathlib.Path(orient2.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "misses 6 edges" in done.stdout
