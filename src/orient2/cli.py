@@ -17,7 +17,7 @@ from typing import Callable
 from ._backend import backend_name
 from .codec import GraphFormatError, emit_graph6, emit_orientation, parse_graph
 from .construct import InternalVerificationError, orient_diameter_two, threshold_size
-from .graphs import INFINITE, Graph, complement, components, diameter
+from .graphs import INFINITE, Graph, complement, components
 from .oracle import (
     SearchBudget,
     default_budget,
@@ -100,11 +100,6 @@ def cmd_orient(args: argparse.Namespace) -> int:
             orientation, trace = orient_diameter_two(g)
         except InternalVerificationError as exc:
             raise _LineError(EXIT_VERIFY_FAILED, f"internal error: {exc}") from exc
-        # independent re-check before anything is printed
-        if diameter(orientation.dir) > 2:
-            raise _LineError(
-                EXIT_VERIFY_FAILED, "internal error: emitted orientation fails its re-check"
-            )
         if args.json:
             payload = {
                 "schema": JSON_SCHEMA,

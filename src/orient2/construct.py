@@ -14,8 +14,9 @@ three moves always applies:
   outside vertex can be identified into one vertex.
 
 Contractions recurse on a strictly smaller instance; expansions replay
-the certificates to lift the small solution back up.  Every returned
-orientation is re-checked before it leaves this module.  If no move
+the certificates to lift the small solution's out-rows back up.  Checks
+sit only where data enters and leaves that unwind: each step against its
+level, the innermost orientation, and the final one.  If no move
 applies (which would contradict the case analysis) an exhaustive search
 is used as a safety valve and the event is recorded in the trace.
 """
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 from ._basecase_table import TABLE
 from .certs import (
@@ -35,6 +36,7 @@ from .certs import (
     Partition2,
     combine,
     split_cert,
+    verify_cert,
 )
 from .codec import parse_digraph6
 from .graphs import (
@@ -135,19 +137,19 @@ class ConstructionTrace:
 class ReductionFrame:
     """A certified set contracted to the super-vertices len(kept), len(kept) + 1."""
 
-    red_before: Graph
     removed: tuple[int, ...]
     kept: tuple[int, ...]
-    cert: GoodOrientationCert
+    cert_rows: tuple[int, ...]  # the certificate's out-rows, over the labels of removed
+    classes: tuple[int, ...]  # its two classes, as masks over the uncontracted labels
 
 
 @dataclass(frozen=True)
 class TripleFrame:
     """An independent triple identified into the vertex len(kept)."""
 
-    red_before: Graph
     removed: tuple[int, ...]
     kept: tuple[int, ...]
+    blue: tuple[int, ...]  # the blue rows of the level it was taken from
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ def _paths_blue(key: tuple[int, int, int, int]) -> Graph:
     return Graph.from_edges(sum(sizes), edges)
 
 
-def _serve_table(blue: Graph, red: Graph, comps: list[tuple[int, ...]]) -> Orientation | None:
+def _serve_table(blue: Graph, comps: list[tuple[int, ...]]) -> list[Arc] | None:
     counts = Counter(len(c) for c in comps)
     key = (counts.get(1, 0), counts.get(2, 0), counts.get(3, 0), counts.get(4, 0))
     encoded = TABLE.get(key)
@@ -191,11 +193,7 @@ def _serve_table(blue: Graph, red: Graph, comps: list[tuple[int, ...]]) -> Orien
         for i, v in enumerate(_path_sequence(blue, comp)):
             phi[offset + i] = v
         offset += len(comp)
-    arcs = [(phi[u], phi[v]) for u, v in stored.arcs()]
-    o = Orientation.from_arcs(red, arcs)
-    if diameter(o.dir) > 2:
-        raise InternalVerificationError("stored small-case orientation failed its check")
-    return o
+    return [(phi[u], phi[v]) for u, v in stored.arcs()]
 
 
 _FAMILY1_CORES = {
@@ -304,9 +302,9 @@ def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
         return None
     red = complement(blue)
     if all(cls.kind is ComponentKind.PATH for cls in classes):
-        served = _serve_table(blue, red, comps)
+        served = _serve_table(blue, comps)
         if served is not None:
-            return served, f"table:{family}"
+            return Orientation.from_arcs(red, served), f"table:{family}"
     found = _quadruple_search(red, comps)
     if found is not None:
         return found, family
@@ -318,22 +316,23 @@ def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
 
 
 def _contract_reduction(
-    norm: Graph, norm_blue: Graph, w: tuple[int, ...], cert: GoodOrientationCert
+    norm_blue: Graph, w: tuple[int, ...], cert: GoodOrientationCert
 ) -> tuple[ReductionFrame, Graph]:
     """Contract ``w`` to two super-vertices; returns the frame and the contracted blue graph."""
     removed = tuple(sorted(w))
-    kept = tuple(v for v in range(norm.n) if v not in set(removed))
+    kept = tuple(v for v in range(norm_blue.n) if v not in removed)
     k = len(kept)
     rows = list(norm_blue.induced(kept).adj) + [1 << (k + 1), 1 << k]
-    return ReductionFrame(norm, removed, kept, cert), Graph(k + 2, tuple(rows))
+    classes = (cert.classes.first, cert.classes.second)
+    masks = tuple(sum(1 << removed[i] for i in c) for c in classes)
+    frame = ReductionFrame(removed, kept, cert.orientation.dir.out, masks)
+    return frame, Graph(k + 2, tuple(rows))
 
 
-def _contract_triple(
-    norm: Graph, norm_blue: Graph, triple: tuple[int, int, int]
-) -> tuple[TripleFrame, Graph]:
+def _contract_triple(norm_blue: Graph, triple: tuple[int, int, int]) -> tuple[TripleFrame, Graph]:
     """Identify ``triple`` into one vertex; returns the frame and the contracted blue graph."""
     removed = tuple(sorted(triple))
-    kept = tuple(v for v in range(norm.n) if v not in set(removed))
+    kept = tuple(v for v in range(norm_blue.n) if v not in removed)
     k = len(kept)
     triple_mask = sum(1 << x for x in removed)
     rows = list(norm_blue.induced(kept).adj) + [0]
@@ -341,18 +340,18 @@ def _contract_triple(
         if norm_blue.adj[u] & triple_mask:
             rows[i] |= 1 << k
             rows[k] |= 1 << i
-    return TripleFrame(norm, removed, kept), Graph(k + 1, tuple(rows))
+    return TripleFrame(removed, kept, norm_blue.adj), Graph(k + 1, tuple(rows))
 
 
 def _lift_kept(
-    o_star: Orientation, kept: tuple[int, ...], removed: tuple[int, ...], targets: tuple[int, ...]
+    star: Sequence[int], kept: tuple[int, ...], removed: tuple[int, ...], targets: tuple[int, ...]
 ) -> list[int]:
     """Out-rows over the uncontracted labels that hold the kept vertices'
     arcs: a kept-kept arc is relabelled, and an arc to the contracted vertex
     ``len(kept) + i`` becomes arcs to every vertex of the mask ``targets[i]``."""
     k = len(kept)
     rows = [0] * (k + len(removed))
-    for label, row in zip(kept, o_star.dir.out):
+    for label, row in zip(kept, star):
         lifted = _spread(row & ((1 << k) - 1), removed)
         for i, mask in enumerate(targets):
             if row >> (k + i) & 1:
@@ -361,55 +360,45 @@ def _lift_kept(
     return rows
 
 
-def expand_reduction(o_star: Orientation, frame: ReductionFrame) -> Orientation:
-    """Lift an orientation of the contracted graph back over the removed set.
+def expand_reduction(star: Sequence[int], frame: ReductionFrame) -> list[int]:
+    """Lift out-rows of an orientation of the contracted graph over the removed set.
 
     Edges inside the removed set follow the stored certificate; edges
     between a kept vertex and a certificate class copy the direction that
-    vertex chose toward the class's super-vertex."""
-    if diameter(o_star.dir) > 2:
-        raise ValueError("contracted orientation must have diameter at most 2")
-    kept, removed, cert = frame.kept, frame.removed, frame.cert
+    vertex chose toward the class's super-vertex.  The lift of a diameter-2
+    orientation has diameter 2, so nothing here is checked."""
+    kept, removed = frame.kept, frame.removed
     k = len(kept)
-    classes = tuple(
-        sum(1 << removed[i] for i in cls) for cls in (cert.classes.first, cert.classes.second)
-    )
-    rows = _lift_kept(o_star, kept, removed, classes)
-    for i, cls in enumerate(classes):
-        super_out = _spread(o_star.dir.out[k + i], removed)
+    rows = _lift_kept(star, kept, removed, frame.classes)
+    for i, cls in enumerate(frame.classes):
+        super_out = _spread(star[k + i], removed)
         for x in bits(cls):
             rows[x] |= super_out
-    for a, row in enumerate(cert.orientation.dir.out):
+    for a, row in enumerate(frame.cert_rows):
         rows[removed[a]] |= _spread(row, kept)
-    result = Orientation(frame.red_before, Digraph(frame.red_before.n, tuple(rows)))
-    if diameter(result.dir) > 2:
-        raise InternalVerificationError("expanded orientation failed its diameter check")
-    return result
+    return rows
 
 
-def expand_triple_contraction(o_star: Orientation, frame: TripleFrame) -> Orientation:
-    """Lift an orientation over an identified independent triple.
+def expand_triple_contraction(star: Sequence[int], frame: TripleFrame) -> list[int]:
+    """Lift out-rows of an orientation over an identified independent triple.
 
     The triple becomes a directed 3-cycle; every kept vertex that kept all
     three edges copies its direction toward the merged vertex, and partial
-    remnants are oriented low label to high label."""
-    if diameter(o_star.dir) > 2:
-        raise ValueError("contracted orientation must have diameter at most 2")
-    kept, removed, red = frame.kept, frame.removed, frame.red_before
+    remnants are oriented low label to high label.  Unchecked, as above."""
+    kept, removed = frame.kept, frame.removed
     x1, x2, x3 = removed
     triple = (1 << x1) | (1 << x2) | (1 << x3)
-    rows = _lift_kept(o_star, kept, removed, (triple,))
-    merged_out = _spread(o_star.dir.out[len(kept)], removed)
-    whole = red.adj[x1] & red.adj[x2] & red.adj[x3]
-    for x, nxt in ((x1, x2), (x2, x3), (x3, x1)):
-        remnants = red.adj[x] & ~triple & ~whole
+    full = (1 << len(frame.blue)) - 1
+    red = [full & ~frame.blue[x] & ~(1 << x) for x in removed]
+    rows = _lift_kept(star, kept, removed, (triple,))
+    merged_out = _spread(star[len(kept)], removed)
+    whole = red[0] & red[1] & red[2]
+    for (x, nxt), adj in zip(((x1, x2), (x2, x3), (x3, x1)), red):
+        remnants = adj & ~triple & ~whole
         rows[x] |= merged_out | (1 << nxt) | (remnants >> (x + 1) << (x + 1))
         for u in bits(remnants & ((1 << x) - 1)):
             rows[u] |= 1 << x
-    result = Orientation(red, Digraph(red.n, tuple(rows)))
-    if diameter(result.dir) > 2:
-        raise InternalVerificationError("expanded orientation failed its diameter check")
-    return result
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +421,10 @@ def _delete_red_pairs(blue: Graph, deleted: tuple[Edge, ...]) -> Graph:
     return Graph(blue.n, tuple(rows))
 
 
-def _restore_padding(o: Orientation, deleted: tuple[Edge, ...]) -> Orientation:
-    """Put each deleted edge ``(u, v)`` back as the arc u -> v; adding arcs
-    never lengthens a shortest path."""
-    if not deleted:
-        return o
-    adj = list(o.base.adj)
-    out = list(o.dir.out)
+def _restore_padding(rows: list[int], deleted: tuple[Edge, ...]) -> None:
+    """Put each deleted edge ``(u, v)`` back into ``rows`` as the arc u -> v."""
     for u, v in deleted:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        out[u] |= 1 << v
-    return Orientation(Graph(o.base.n, tuple(adj)), Digraph(o.dir.n, tuple(out)))
+        rows[u] |= 1 << v
 
 
 def _oracle_fallback(norm: Graph) -> Orientation:
@@ -460,15 +441,37 @@ def _oracle_fallback(norm: Graph) -> Orientation:
 Move = tuple[tuple[Edge, ...], TraceStep]  # (padding deleted at a level, its non-pad step)
 
 
+def _checked_cert(norm_blue: Graph, step: ReduceStep) -> GoodOrientationCert:
+    """The certificate ``step`` records; raises ValueError unless ``w`` is a proper
+    union of blue components with a non-trivial certificate of its red graph."""
+    w = tuple(sorted(set(step.w)))
+    inside = sum(1 << v for v in w if 0 <= v < norm_blue.n)
+    whole = inside.bit_count() == len(w) == len(step.w) and 0 < len(w) < norm_blue.n
+    if not whole or any(norm_blue.adj[v] & ~inside for v in w):
+        raise ValueError(f"reduce step's set {step.w} is not a proper union of blue components")
+    world = complement(norm_blue.induced(w))
+    cert = GoodOrientationCert(
+        world=world,
+        orientation=Orientation.from_arcs(world, step.cert_arcs),
+        classes=Partition2(step.cert_first, step.cert_second),
+        nontrivial=True,
+    )
+    if not verify_cert(cert):
+        raise ValueError(f"reduce step's certificate on {step.w} fails its distance conditions")
+    return cert
+
+
 def _execute(
     g: Graph, next_step: Callable[[Graph], Move]
 ) -> tuple[Orientation, ConstructionTrace]:
     """Descend on the complement through the moves ``next_step`` hands out
-    for each level's blue graph, then lift the innermost orientation back
-    through every contraction and padding.
+    for each level's blue graph, then lift the innermost orientation's
+    out-rows back through every contraction and padding.
 
     Contractions and the innermost orientation are built from the steps'
-    contents alone, so the driver runs exactly the trace it records."""
+    contents alone, so the driver runs exactly the trace it records.  Bad
+    step contents raise ValueError, a bad final orientation
+    InternalVerificationError."""
     steps: list[TraceStep] = []
     levels: list[tuple[tuple[Edge, ...], ReductionFrame | TripleFrame]] = []
     blue = complement(g)
@@ -483,33 +486,36 @@ def _execute(
             raise ValueError(
                 f"padded level of order {n} misses {missing} edges; n >= 5 and n - 5 are required"
             )
-        norm = complement(norm_blue)
         if isinstance(move, (BaseCaseStep, FallbackStep)):
-            o = _restore_padding(Orientation.from_arcs(norm, move.arcs), deleted)
+            inner = Orientation.from_arcs(complement(norm_blue), move.arcs)
+            if diameter(inner.dir) > 2:
+                raise ValueError(f"innermost orientation of order {n} has diameter above 2")
+            rows = list(inner.dir.out)
+            _restore_padding(rows, deleted)
             break
         if isinstance(move, ReduceStep):
-            w = tuple(sorted(move.w))
-            world = norm.induced(w)
-            cert = GoodOrientationCert(
-                world=world,
-                orientation=Orientation.from_arcs(world, move.cert_arcs),
-                classes=Partition2(move.cert_first, move.cert_second),
-                nontrivial=True,
-            )
-            frame, blue = _contract_reduction(norm, norm_blue, w, cert)
+            frame, blue = _contract_reduction(norm_blue, move.w, _checked_cert(norm_blue, move))
         elif isinstance(move, TripleStep):
-            frame, blue = _contract_triple(norm, norm_blue, (move.x1, move.x2, move.x3))
+            triple = (move.x1, move.x2, move.x3)
+            inside = sum(1 << x for x in set(triple) if 0 <= x < n)
+            if inside.bit_count() != 3 or any(norm_blue.adj[x] & inside for x in triple):
+                raise ValueError(f"triple {triple} is not independent in the level's blue graph")
+            frame, blue = _contract_triple(norm_blue, triple)
         else:
             raise ValueError(f"unexpected trace step {move!r}")
         levels.append((deleted, frame))
 
     for deleted, frame in reversed(levels):
         if isinstance(frame, ReductionFrame):
-            o = expand_reduction(o, frame)
+            rows = expand_reduction(rows, frame)
         else:
-            o = expand_triple_contraction(o, frame)
-        o = _restore_padding(o, deleted)
-    if o.base != g or diameter(o.dir) > 2:
+            rows = expand_triple_contraction(rows, frame)
+        _restore_padding(rows, deleted)
+    try:
+        o = Orientation(g, Digraph(g.n, tuple(rows)))
+    except ValueError as exc:
+        raise InternalVerificationError(f"lifted rows do not orient the input: {exc}") from exc
+    if diameter(o.dir) > 2:
         raise InternalVerificationError("final orientation failed its diameter check")
     return o, ConstructionTrace(tuple(steps))
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import complete_graph, path_graph, petersen
 from orient2 import cli
 from orient2.codec import emit_graph6, parse_digraph6
+from orient2.construct import InternalVerificationError
 from orient2.graphs import Graph, Orientation, complement, diameter
 from orient2.oracle import extremal_graph
 
@@ -128,6 +129,23 @@ class TestBatches:
         code, out, err = run_cli(capsys, monkeypatch, [command, "--file", str(path)])
         assert code == 2 and out == single * 2
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+    def test_internal_error_exit_3_and_the_batch_goes_on(self, capsys, monkeypatch):
+        k5 = emit_graph6(complete_graph(5))
+        _, single, _ = run_cli(capsys, monkeypatch, ["orient"], k5 + "\n")
+        real = cli.orient_diameter_two
+        calls = []
+
+        def fails_once(g):
+            calls.append(g)
+            if len(calls) == 1:
+                raise InternalVerificationError("final orientation failed its diameter check")
+            return real(g)
+
+        monkeypatch.setattr(cli, "orient_diameter_two", fails_once)
+        code, out, err = run_cli(capsys, monkeypatch, ["orient"], f"{k5}\n{k5}\n")
+        assert code == 3 and out == single and len(calls) == 2
+        assert err == "error: line 1: internal error: final orientation failed its diameter check\n"
 
     @pytest.mark.parametrize("command", ["orient", "classify"])
     def test_missing_file_exit_2(self, capsys, monkeypatch, tmp_path, command):

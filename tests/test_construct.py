@@ -1,8 +1,10 @@
+import dataclasses
 import os
 import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -27,7 +29,7 @@ from orient2.construct import (
     replay_trace,
     threshold_size,
 )
-from orient2.graphs import Graph, Orientation, complement, diameter
+from orient2.graphs import Digraph, Graph, Orientation, bits, complement, diameter
 from orient2.structure import find_reduction
 
 
@@ -48,6 +50,30 @@ def random_blue(rng: random.Random, n: int, m: int) -> Graph:
     return Graph.from_edges(n, rng.sample(list(combinations(range(n), 2)), m))
 
 
+def without_edges(g: Graph, *dropped: tuple[int, int]) -> Graph:
+    return Graph.from_edges(g.n, [e for e in g.edges() if e not in dropped])
+
+
+def sink_at_zero(arcs):
+    """``arcs`` with every arc out of vertex 0 reversed: 0 reaches nothing."""
+    return tuple((v, u) if u == 0 else (u, v) for u, v in arcs)
+
+
+def edit_first(steps, kind, **changes):
+    """``steps`` with the first step of type ``kind`` given the field values ``changes``."""
+    i = next(i for i, step in enumerate(steps) if isinstance(step, kind))
+    return steps[:i] + (dataclasses.replace(steps[i], **changes),) + steps[i + 1 :]
+
+
+def sinking_base_case(steps):
+    return edit_first(steps, BaseCaseStep, arcs=sink_at_zero(steps[-1].arcs))
+
+
+def reduction_instance() -> Graph:
+    """K3 + P3 + four singletons in the complement: one reduce step on w = 0..5, then a base case."""
+    return complement(disjoint_union(complete_graph(3), paths_union([3]), *singletons(4)))
+
+
 class TestNormalize:
     def test_identity_at_threshold(self):
         g = complete_graph(5)
@@ -64,7 +90,7 @@ class TestNormalize:
         assert trace.steps[0] == PadStep(((0, 1), (0, 2), (0, 3)))
 
     def test_below_threshold_rejected(self):
-        g = complete_graph(6).without_edge(0, 1).without_edge(0, 2)
+        g = without_edges(complete_graph(6), (0, 1), (0, 2))
         with pytest.raises(ValueError, match="order 6 has 13 edges; 14 are required"):
             orient_diameter_two(g)
         with pytest.raises(ValueError, match="need at least 5 vertices, got 4"):
@@ -162,7 +188,7 @@ class TestExpansion:
         assert red.m == threshold_size(red.n)
         plan = find_reduction(blue)
         assert plan is not None
-        frame, contracted_blue = _contract_reduction(red, blue, plan.w, plan.cert)
+        frame, contracted_blue = _contract_reduction(blue, plan.w, plan.cert)
         return red, frame, complement(contracted_blue)
 
     def test_contracted_instance_stays_above_threshold(self):
@@ -172,7 +198,7 @@ class TestExpansion:
     def test_expansion_preserves_outside_arcs(self):
         red, frame, contracted = self._reduction_setup()
         o_star, _ = orient_diameter_two(contracted)
-        expanded = expand_reduction(o_star, frame)
+        expanded = Orientation(red, Digraph(red.n, tuple(expand_reduction(o_star.dir.out, frame))))
         assert diameter(expanded.dir) <= 2
         k = len(frame.kept)
         for a, b in o_star.dir.arcs():
@@ -182,24 +208,14 @@ class TestExpansion:
     def test_classes_copy_their_super_vertex_directions(self):
         red, frame, contracted = self._reduction_setup()
         o_star, _ = orient_diameter_two(contracted)
-        expanded = expand_reduction(o_star, frame)
+        rows = expand_reduction(o_star.dir.out, frame)
         k = len(frame.kept)
-        classes = (frame.cert.classes.first, frame.cert.classes.second)
+        assert sorted(bits(frame.classes[0] | frame.classes[1])) == list(frame.removed)
         for a, u in enumerate(frame.kept):
-            for super_label, cls in zip((k, k + 1), classes):
-                for i in cls:
-                    x = frame.removed[i]
-                    assert expanded.dir.has_arc(u, x) == o_star.dir.has_arc(a, super_label)
-                    assert expanded.dir.has_arc(x, u) == o_star.dir.has_arc(super_label, a)
-
-    def test_rejects_bad_inner_orientation(self):
-        red, frame, contracted = self._reduction_setup()
-        # point every edge at vertex 0 toward 0: out-degree 0 makes it infinite
-        arcs = [(v, u) if u == 0 else (u, v) for u, v in contracted.edges()]
-        bad = Orientation.from_arcs(contracted, arcs)
-        assert diameter(bad.dir) > 2
-        with pytest.raises(ValueError):
-            expand_reduction(bad, frame)
+            for super_label, cls in zip((k, k + 1), frame.classes):
+                for x in bits(cls):
+                    assert bool(rows[u] >> x & 1) == o_star.dir.has_arc(a, super_label)
+                    assert bool(rows[x] >> u & 1) == o_star.dir.has_arc(super_label, a)
 
 
 class TestTripleContraction:
@@ -212,7 +228,7 @@ class TestTripleContraction:
         _, trace = orient_diameter_two(red)
         step = trace.steps[0]
         assert isinstance(step, TripleStep)
-        frame, contracted_blue = _contract_triple(red, blue, (step.x1, step.x2, step.x3))
+        frame, contracted_blue = _contract_triple(blue, (step.x1, step.x2, step.x3))
         return blue, red, frame, contracted_blue
 
     def test_merged_vertex_joins_the_kept_vertices_blue_into_the_triple(self):
@@ -228,8 +244,9 @@ class TestTripleContraction:
     def test_expansion_lifts_kept_arcs_cycle_and_remnants(self):
         blue, red, frame, contracted_blue = self._setup()
         o_star, _ = orient_diameter_two(complement(contracted_blue))
-        expanded = expand_triple_contraction(o_star, frame)
-        assert expanded.base == red and diameter(expanded.dir) <= 2
+        rows = expand_triple_contraction(o_star.dir.out, frame)
+        expanded = Orientation(red, Digraph(red.n, tuple(rows)))
+        assert diameter(expanded.dir) <= 2
         kept, k = frame.kept, len(frame.kept)
         x1, x2, x3 = frame.removed
         assert all(expanded.dir.has_arc(a, b) for a, b in ((x1, x2), (x2, x3), (x3, x1)))
@@ -272,7 +289,7 @@ class TestDriver:
             orient_diameter_two(complete_graph(4))
 
     def test_precondition_sparse(self):
-        g = complete_graph(6).without_edge(0, 1).without_edge(2, 3)
+        g = without_edges(complete_graph(6), (0, 1), (2, 3))
         with pytest.raises(ValueError):
             orient_diameter_two(g)
 
@@ -368,17 +385,52 @@ class TestReplay:
         assert replay_trace(g, trace) == o
 
     @pytest.mark.parametrize(
-        "cut, match",
+        "graph, cut, match",
         [
-            (lambda steps: (), "ends before"),
-            (lambda steps: steps[:1], "ends before"),
-            (lambda steps: steps[:-1], "ends before"),
-            (lambda steps: steps + steps[-1:], "1 steps after"),
-            (lambda steps: steps[:1] + steps, "unexpected trace step"),
-            (lambda steps: (PadStep(((0, 99),)),) + steps[1:], r"pad pair \(0, 99\)"),
-            (lambda steps: (PadStep(((2, 2),)),) + steps[1:], r"pad pair \(2, 2\)"),
-            (lambda steps: (PadStep(((0, 1), (1, 0))),) + steps[1:], r"pad pair \(1, 0\)"),
-            (lambda steps: (PadStep(steps[0].deleted + ((0, 5), (0, 6))),) + steps[1:], "misses 6 edges"),
+            (complete_graph(9), lambda steps: (), "ends before"),
+            (complete_graph(9), lambda steps: steps[:1], "ends before"),
+            (complete_graph(9), lambda steps: steps[:-1], "ends before"),
+            (complete_graph(9), lambda steps: steps + steps[-1:], "1 steps after"),
+            (complete_graph(9), lambda steps: steps[:1] + steps, "unexpected trace step"),
+            (complete_graph(9), lambda steps: (PadStep(((0, 99),)),) + steps[1:], r"pad pair \(0, 99\)"),
+            (complete_graph(9), lambda steps: (PadStep(((2, 2),)),) + steps[1:], r"pad pair \(2, 2\)"),
+            (
+                complete_graph(9),
+                lambda steps: (PadStep(((0, 1), (1, 0))),) + steps[1:],
+                r"pad pair \(1, 0\)",
+            ),
+            (
+                complete_graph(9),
+                lambda steps: (PadStep(steps[0].deleted + ((0, 5), (0, 6))),) + steps[1:],
+                "misses 6 edges",
+            ),
+            (complete_graph(9), sinking_base_case, "innermost orientation of order 7 has diameter above 2"),
+            (complete_graph(5), sinking_base_case, "innermost orientation of order 5 has diameter above 2"),
+            (
+                complete_graph(9),
+                lambda steps: edit_first(steps, TripleStep, x1=0, x2=1, x3=2),
+                r"triple \(0, 1, 2\) is not independent",
+            ),
+            (
+                complete_graph(9),
+                lambda steps: edit_first(steps, TripleStep, x3=99),
+                r"triple \(1, 2, 99\) is not independent",
+            ),
+            (
+                reduction_instance(),
+                lambda steps: edit_first(steps, ReduceStep, cert_arcs=steps[0].cert_arcs[1:]),
+                "do not orient the base graph exactly",
+            ),
+            (
+                reduction_instance(),
+                lambda steps: edit_first(steps, ReduceStep, w=(0, 1, 2, 3, 4)),
+                r"set \(0, 1, 2, 3, 4\) is not a proper union of blue components",
+            ),
+            (
+                reduction_instance(),
+                lambda steps: edit_first(steps, ReduceStep, cert_first=(0, 1, 2, 3, 4), cert_second=(5,)),
+                "fails its distance conditions",
+            ),
         ],
         ids=[
             "empty",
@@ -390,13 +442,20 @@ class TestReplay:
             "pad-self-pair",
             "pad-deleted-twice",
             "pad-too-many",
+            "base-case-diameter",
+            "single-step-base-case-diameter",
+            "triple-not-independent",
+            "triple-out-of-range",
+            "reduce-cert-misses-an-edge",
+            "reduce-not-a-union-of-components",
+            "reduce-cert-classes-fail",
         ],
     )
-    def test_malformed_trace_rejected(self, cut, match):
-        g = complete_graph(9)
-        _, trace = orient_diameter_two(g)  # pad, contract-triple, base-case
+    def test_malformed_trace_rejected(self, graph, cut, match):
+        """K9's trace is pad, contract-triple, base-case; K5's a single base case."""
+        _, trace = orient_diameter_two(graph)
         with pytest.raises(ValueError, match=match):
-            replay_trace(g, ConstructionTrace(cut(trace.steps)))
+            replay_trace(graph, ConstructionTrace(cut(trace.steps)))
 
     def test_pad_too_many_rejected_under_optimize(self):
         # the order check must not be an assert, which python -O strips
@@ -422,3 +481,32 @@ class TestReplay:
         )
         assert done.returncode == 0, done.stderr
         assert "misses 6 edges" in done.stdout
+
+
+class TestCostGuard:
+    """The unwind lifts rows: only the innermost orientation and the output
+    are checked, and no level between them gets its red graph built."""
+
+    def test_only_the_innermost_level_and_the_output_are_checked(self, monkeypatch):
+        g = complement(random_blue(random.Random(3), 40, 35))
+        diameters: list[int] = []
+        complements: list[int] = []
+
+        def counted(fn, orders):
+            def wrapper(graph):
+                orders.append(graph.n)
+                return fn(graph)
+
+            return wrapper
+
+        monkeypatch.setattr(construct, "diameter", counted(diameter, diameters))
+        monkeypatch.setattr(construct, "complement", counted(complement, complements))
+        o, trace = orient_diameter_two(g)
+        assert o.base == g
+        moves = [s for s in trace.steps if not isinstance(s, PadStep)]
+        worlds = [len(s.w) for s in moves if isinstance(s, ReduceStep)]
+        assert len(moves) - 1 >= 5 and worlds  # seed 3: five triples, then a reduce step on 26
+        inner = g.n - 2 * (len(moves) - 1 - len(worlds)) - sum(len_w - 2 for len_w in worlds)
+        assert diameters == [inner, g.n]
+        between = Counter(k for k in complements if inner < k < g.n)
+        assert not between - Counter(worlds)

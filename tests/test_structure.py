@@ -143,7 +143,7 @@ def _ref_is_path(sub: Graph) -> bool:
 def _ref_dumbbell_params(sub: Graph):
     """Remove one edge at a time; (k, l) when it leaves two cliques, one per endpoint."""
     for u, v in sub.edges():
-        parts = components(sub.without_edge(u, v))
+        parts = components(Graph.from_edges(sub.n, [e for e in sub.edges() if e != (u, v)]))
         if len(parts) != 2 or (u in parts[0]) == (v in parts[0]):
             continue
         if all(_ref_is_clique(sub, part) for part in parts):
