@@ -11,8 +11,11 @@ sound.  On top of the pruning the kernel runs failed-direction
 propagation: any undirected edge that is infeasible one way is committed
 the other way before branching.
 
-`naive_min_diameter` is the deliberately dumb cross-check: enumerate all
-2^m orientations and take the smallest diameter.
+`naive_min_diameter` is the deliberately dumb cross-check: it visits all
+2^m orientations and takes the smallest diameter.  The walk runs in
+reflected Gray-code order, so each step reverses one edge in place, and
+an orientation gets the full diameter only when it could beat the best
+found so far.  It shares no code, pruning or symmetry with `solve`.
 
 The compiled kernel in ``_speedups.pyx`` mirrors these semantics exactly,
 including node counting, so the two backends are interchangeable.
@@ -27,6 +30,7 @@ STATUS_YES = 1
 STATUS_BUDGET = 2
 
 _TICK_INTERVAL = 2048
+_NAIVE_MAX_EDGES = 40
 
 
 class _BudgetExceeded(Exception):
@@ -205,21 +209,52 @@ def solve(
 
 
 def naive_min_diameter(n: int, edges: list[tuple[int, int]]) -> int:
-    """Smallest diameter over all 2^m orientations; -1 when every one is infinite."""
+    """Smallest diameter over all 2^m orientations; -1 when every one is infinite.
+
+    Orientation k of the walk is the reflected Gray code ``k ^ (k >> 1)``
+    (bit i set: edge i points edges[i][1] -> edges[i][0]), so step k
+    reverses the single edge ``ctz(k)`` in place.  Once a finite ``best``
+    is known, an orientation gets the full diameter only if every source
+    reaches all vertices within ``best - 1`` steps; the test stops at the
+    first source that does not.
+    """
     m = len(edges)
+    if m > _NAIVE_MAX_EDGES:
+        raise ValueError(f"brute-force enumeration limited to {_NAIVE_MAX_EDGES} edges")
     if n <= 1:
         return 0
-    best = -1
-    for mask in range(1 << m):
-        out = [0] * n
-        for i, (p, q) in enumerate(edges):
-            if mask >> i & 1:
-                out[q] |= 1 << p
+    full = (1 << n) - 1
+    out = [0] * n
+    for p, q in edges:
+        out[p] |= 1 << q
+    flips = [(p, 1 << q, q, 1 << p) for p, q in edges]
+    best = _diameter_rows(n, out)
+    hops = range(best - 1)
+    sources = range(n)
+    for k in range(1, 1 << m):
+        p, pbit, q, qbit = flips[(k & -k).bit_length() - 1]
+        out[p] ^= pbit
+        out[q] ^= qbit
+        if best >= 0:
+            for src in sources:
+                seen = 1 << src
+                frontier = seen
+                for _ in hops:
+                    nxt = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        nxt |= out[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = nxt & ~seen
+                    seen |= frontier
+                if seen != full:
+                    break
             else:
-                out[p] |= 1 << q
-        worst = _diameter_rows(n, out)
-        if worst >= 0 and (best < 0 or worst < best):
-            best = worst
+                best = _diameter_rows(n, out)
+                hops = range(best - 1)
+        else:
+            best = _diameter_rows(n, out)
+            hops = range(best - 1)
     return best
 
 

@@ -214,6 +214,11 @@ _FAMILY4_CORES = {
 }
 
 
+# What `_family_signature` accepts has 5 paths, or one core and 5 (family 4),
+# 6 (family 3), 7 (family 1) or 8 (family 2) paths: 5 to 9 components.
+_FAMILY_COMPONENT_COUNTS = range(5, 10)
+
+
 def _family_signature(classes: list[ComponentClass]) -> str | None:
     """Structural id when the component multiset is directly orientable, else None."""
     paths = Counter()
@@ -296,6 +301,8 @@ def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
     """Orientation of the complement of ``blue`` and its family name when
     ``blue`` is one of the directly orientable component families."""
     comps = components(blue)
+    if len(comps) not in _FAMILY_COMPONENT_COUNTS:
+        return None
     classes = [classify_component(blue, c) for c in comps]
     family = _family_signature(classes)
     if family is None:

@@ -30,7 +30,7 @@ from orient2.construct import (
     threshold_size,
 )
 from orient2.graphs import Digraph, Graph, Orientation, bits, complement, diameter
-from orient2.structure import find_reduction
+from orient2.structure import classify_component, find_reduction
 
 
 def disjoint_union(*parts: Graph) -> Graph:
@@ -179,6 +179,20 @@ class TestBaseCases:
         assert _base_case_with_family(disjoint_union(complete_graph(5), *singletons(5))) is None
         assert _base_case_with_family(paths_union([5, 1, 1, 1, 1])) is None
         assert _base_case_with_family(paths_union([1, 1, 1, 1])) is None
+
+    def test_component_count_outside_every_family_skips_classification(self, monkeypatch):
+        classified = []
+
+        def counted(blue, comp):
+            classified.append(comp)
+            return classify_component(blue, comp)
+
+        monkeypatch.setattr(construct, "classify_component", counted)
+        assert _base_case_with_family(paths_union([2] * 6 + [1] * 6)) is None
+        assert classified == []
+        o, family = _base_case_with_family(disjoint_union(cycle_graph(5), *singletons(5)))
+        assert diameter(o.dir) <= 2 and "FIVE_CYCLE" in family
+        assert len(classified) == 6
 
 
 class TestExpansion:

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, petersen, random_connected, relabel
+from orient2 import _pysearch
 from orient2.codec import emit_graph6
 from orient2.graphs import INFINITE, Graph, complement, diameter
 from orient2.oracle import (
@@ -73,6 +74,129 @@ class TestExactDiameter:
             if g.m > 12:
                 continue
             assert exact_oriented_diameter(g) == naive_oriented_diameter(g)
+
+
+def _rebuilt_orientations(n: int, edges: list[tuple[int, int]]):
+    """Out-rows of orientation ``mask`` for every mask, each rebuilt from the
+    edge list: bit i set points edges[i][1] -> edges[i][0]."""
+    for mask in range(1 << len(edges)):
+        out = [0] * n
+        for i, (p, q) in enumerate(edges):
+            if mask >> i & 1:
+                out[q] |= 1 << p
+            else:
+                out[p] |= 1 << q
+        yield mask, out
+
+
+def _reference_min_diameter(n: int, edges: list[tuple[int, int]]) -> int:
+    """The brute force the Gray-code walk replaced: every orientation rebuilt
+    and measured in full."""
+    if n <= 1:
+        return 0
+    best = -1
+    for _, out in _rebuilt_orientations(n, edges):
+        worst = _pysearch._diameter_rows(n, out)
+        if worst >= 0 and (best < 0 or worst < best):
+            best = worst
+    return best
+
+
+def _kernel_corpus() -> list[tuple[int, list[tuple[int, int]]]]:
+    """Seeded graphs on 1..7 vertices with at most 13 edges, every density,
+    edges in random order and direction, plus named small cases."""
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(320):
+        n = rng.randint(1, 7)
+        pairs = list(combinations(range(n), 2))
+        edges = rng.sample(pairs, rng.randint(0, min(13, len(pairs))))
+        cases.append((n, [(q, p) if rng.random() < 0.5 else (p, q) for p, q in edges]))
+    named = [
+        Graph.from_edges(1, []),
+        Graph.from_edges(4, []),
+        Graph.from_edges(2, [(0, 1)]),
+        cycle_graph(3),
+        complete_graph(4),
+        complete_graph(5),
+        path_graph(5),
+        Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]),
+    ]
+    return cases + [(g.n, g.edges()) for g in named]
+
+
+def _recorded_full_diameters(monkeypatch, n: int, edges: list[tuple[int, int]]) -> tuple[int, list]:
+    """The kernel's answer and the out-rows it measured in full, in order."""
+    measured = []
+
+    def recording(n: int, out: list[int]) -> int:
+        measured.append(tuple(out))
+        return full_diameter(n, out)
+
+    full_diameter = _pysearch._diameter_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(_pysearch, "_diameter_rows", recording)
+        best = _pysearch.naive_min_diameter(n, edges)
+    return best, measured
+
+
+class TestNaiveKernel:
+    """The pure kernel's Gray-code walk against the rebuild-every-orientation
+    brute force."""
+
+    def test_matches_rebuild_reference(self):
+        results = []
+        for n, edges in _kernel_corpus():
+            got = _pysearch.naive_min_diameter(n, edges)
+            assert got == _reference_min_diameter(n, edges), (n, edges)
+            results.append(got)
+        assert {-1, 0, 2, 3, 4} <= set(results)
+
+    def test_named_small_cases(self):
+        assert _pysearch.naive_min_diameter(2, [(0, 1)]) == -1
+        assert _pysearch.naive_min_diameter(3, []) == -1
+        assert _pysearch.naive_min_diameter(1, []) == 0
+        assert naive_oriented_diameter(cycle_graph(3)) == 2
+        assert naive_oriented_diameter(complete_graph(4)) == 3
+        assert naive_oriented_diameter(complete_graph(5)) == 2
+        assert naive_oriented_diameter(path_graph(4)) == INFINITE
+
+    def test_walk_visits_every_orientation_once(self, monkeypatch):
+        # with no finite best every orientation is measured in full
+        bridged = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+        disconnected = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+        for g in (path_graph(6), bridged, disconnected):
+            edges = g.edges()
+            best, measured = _recorded_full_diameters(monkeypatch, g.n, edges)
+            assert best == -1
+            assert sorted(measured) == sorted(tuple(out) for _, out in _rebuilt_orientations(g.n, edges))
+
+    def test_full_diameter_only_when_it_could_beat_the_best(self, monkeypatch):
+        checked = 0
+        for n, edges in _kernel_corpus()[:120]:
+            if n <= 1:
+                continue
+            rows = dict(_rebuilt_orientations(n, edges))
+            expected = []
+            best = -1
+            for k in range(1 << len(edges)):
+                out = rows[k ^ k >> 1]
+                d = _pysearch._diameter_rows(n, out)
+                if best < 0 or 0 <= d < best:
+                    expected.append(tuple(out))
+                    best = d
+            got, measured = _recorded_full_diameters(monkeypatch, n, edges)
+            assert got == best and measured == expected, (n, edges)
+            checked += best > 0
+        assert checked >= 20
+
+    def test_edge_limit(self):
+        k10 = complete_graph(10)
+        with pytest.raises(ValueError, match="limited to 40 edges"):
+            _pysearch.naive_min_diameter(10, k10.edges())
+        with pytest.raises(ValueError, match="limited to 40 edges"):
+            naive_oriented_diameter(k10)
 
 
 class TestEnumeration:
