@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, permutations, product
 from operator import attrgetter
+from typing import Iterator
 
 from . import _backend
 from .codec import emit_graph6
@@ -175,9 +176,43 @@ def _refined_cells(neighbours: list[tuple[int, ...]]) -> list[list[int]]:
     return grouped
 
 
+def _twin_classes(cell: list[int], adj: tuple[int, ...]) -> list[list[int]]:
+    """``cell`` split into classes of twins: vertices with equal open
+    neighbourhoods, or else equal closed ones.
+
+    Swapping two twins is an automorphism, so vertex orders that differ
+    only inside a class give equal rows.  Twins always share a refined
+    cell, and no vertex has twins of both kinds.
+    """
+    by_open: dict[int, list[int]] = {}
+    for u in cell:
+        by_open.setdefault(adj[u], []).append(u)
+    classes = []
+    by_closed: dict[int, list[int]] = {}
+    for cls in by_open.values():
+        if len(cls) > 1:
+            classes.append(cls)
+        else:
+            by_closed.setdefault(adj[cls[0]] | 1 << cls[0], []).append(cls[0])
+    return classes + list(by_closed.values())
+
+
+def _orders_up_to_twins(classes: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """One vertex order of the union of ``classes`` per arrangement of the
+    classes' labels; each class contributes its vertices in listed order."""
+    if all(len(cls) == 1 for cls in classes):
+        yield from permutations([cls[0] for cls in classes])
+        return
+    for i, cls in enumerate(classes):
+        rest = classes[:i] + ([cls[1:]] if len(cls) > 1 else []) + classes[i + 1 :]
+        for tail in _orders_up_to_twins(rest):
+            yield (cls[0], *tail)
+
+
 def _canonical_component_rows(sub: Graph) -> tuple[int, ...]:
     """Minimum adjacency-row tuple over the vertex orders that lay out the
-    refined cells in colour order and permute inside each cell."""
+    refined cells in colour order and permute inside each cell, taking
+    one order per arrangement of each cell's twin classes."""
     if sub.n > _CANONICAL_COMPONENT_LIMIT:
         raise ValueError(
             f"component with {sub.n} vertices exceeds the canonical labeling limit"
@@ -190,8 +225,8 @@ def _canonical_component_rows(sub: Graph) -> tuple[int, ...]:
             bit[u] = 1 << i
         return tuple([sum([bit[w] for w in neighbours[u]]) for u in order])
 
-    cells = _refined_cells(neighbours)
-    return min(rows(list(chain(*orders))) for orders in product(*map(permutations, cells)))
+    cells = [_orders_up_to_twins(_twin_classes(cell, sub.adj)) for cell in _refined_cells(neighbours)]
+    return min(rows(list(chain(*orders))) for orders in product(*cells))
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -221,34 +256,68 @@ def canonical_form(g: Graph) -> Graph:
     return Graph.from_edges(offset, edges)
 
 
+def _connected_catalogue(n: int, max_edges: int) -> list[list[Graph]]:
+    """Canonical forms of the connected graphs on at most ``n`` vertices,
+    at index e those with e edges, for e = 0..max_edges, each level sorted
+    by (size, rows).
+
+    Level e grows from level e - 1 by adding a missing edge or a pendant
+    vertex, deduplicated through `canonical_form`.  That reaches every
+    class: deleting a cycle edge of a connected graph, or a leaf edge of a
+    tree, leaves a connected graph with one edge fewer.
+    """
+    levels = [[Graph(1, (0,))]]
+    for _ in range(max_edges):
+        grown = set()
+        for g in levels[-1]:
+            edges = g.edges()
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    if not g.has_edge(u, v):
+                        grown.add(canonical_form(g.with_edge(u, v)))
+                if g.n < n:
+                    grown.add(canonical_form(Graph.from_edges(g.n + 1, edges + [(u, g.n)])))
+        levels.append(sorted(grown, key=attrgetter("n", "adj")))
+    return levels
+
+
 def enumerate_blue(n: int, max_edges: int):
     """Yield one canonical representative of every isomorphism class of
     graphs on ``n`` vertices with at most ``max_edges`` edges.
 
-    Classes are grown level by level, adding one edge at a time and
-    deduplicating through `canonical_form`.  Emission order: by edge
-    count, then by the adjacency rows of the representative.
+    A class is a multiset of connected components.  The components come
+    from `_connected_catalogue`; each multiset is taken in (size, rows)
+    order and laid out after the isolated vertices, which is the layout
+    of `canonical_form`, so every graph yielded is its own canonical
+    form.  Emission order: by edge count, then by the adjacency rows of
+    the representative.
     """
     if n > 13:
         raise ValueError("enumeration is limited to n <= 13")
-    if max_edges > n:
-        raise ValueError("enumeration is limited to max_edges <= n")
+    if not 0 <= max_edges <= n:
+        raise ValueError("enumeration is limited to 0 <= max_edges <= n")
     largest = min(n, max_edges + 1)
     if largest > _CANONICAL_COMPONENT_LIMIT:
         raise ValueError(
             f"components of up to {largest} vertices exceed the "
             f"canonical labeling limit of {_CANONICAL_COMPONENT_LIMIT}"
         )
-    level = {canonical_form(Graph.from_edges(n, []))}
-    yield from sorted(level, key=attrgetter("adj"))
-    for _ in range(max_edges):
-        level = {
-            canonical_form(g.with_edge(u, v))
-            for g in level
-            for u in range(n)
-            for v in range(u + 1, n)
-            if not g.has_edge(u, v)
-        }
+    catalogue = _connected_catalogue(n, max_edges)
+    pieces = sorted((g.n, g.adj, m) for m in range(1, max_edges + 1) for g in catalogue[m])
+    levels: list[list[Graph]] = [[] for _ in range(max_edges + 1)]
+
+    def lay_out(start: int, size: int, m: int, rows: tuple[int, ...]) -> None:
+        isolated = n - size
+        levels[m].append(Graph(n, (0,) * isolated + tuple([row << isolated for row in rows])))
+        for i in range(start, len(pieces)):
+            piece_size, piece_rows, piece_m = pieces[i]
+            if size + piece_size > n:
+                break
+            if m + piece_m <= max_edges:
+                lay_out(i, size + piece_size, m + piece_m, rows + tuple([row << size for row in piece_rows]))
+
+    lay_out(0, 0, 0, ())
+    for level in levels:
         yield from sorted(level, key=attrgetter("adj"))
 
 

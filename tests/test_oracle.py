@@ -1,15 +1,21 @@
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
+from operator import attrgetter
 
 import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, petersen, random_connected, relabel
 from orient2 import _pysearch
 from orient2.codec import emit_graph6
-from orient2.graphs import INFINITE, Graph, complement, diameter
+from orient2.graphs import INFINITE, Graph, complement, diameter, is_connected
 from orient2.oracle import (
     SearchBudget,
     SearchStatus,
+    _canonical_component_rows,
+    _connected_catalogue,
+    _orders_up_to_twins,
+    _refined_cells,
+    _twin_classes,
     canonical_form,
     enumerate_blue,
     exact_oriented_diameter,
@@ -199,6 +205,23 @@ class TestNaiveKernel:
             naive_oriented_diameter(k10)
 
 
+def _grown_level_by_level(n: int, max_edges: int):
+    """The enumerator the component catalogue replaced: each edge-count
+    level adds every missing edge to every graph of the level below and
+    deduplicates through `canonical_form`."""
+    level = {canonical_form(Graph.from_edges(n, []))}
+    yield from sorted(level, key=attrgetter("adj"))
+    for _ in range(max_edges):
+        level = {
+            canonical_form(g.with_edge(u, v))
+            for g in level
+            for u in range(n)
+            for v in range(u + 1, n)
+            if not g.has_edge(u, v)
+        }
+        yield from sorted(level, key=attrgetter("adj"))
+
+
 class TestEnumeration:
     def test_edgeless_only(self):
         assert len(list(enumerate_blue(5, 0))) == 1
@@ -235,6 +258,19 @@ class TestEnumeration:
         mine = [g for g in enumerate_blue(n, k) if g.m == k]
         assert len(mine) == reps
 
+    @pytest.mark.parametrize("n", range(5, 12))
+    def test_matches_level_by_level_reference(self, n):
+        # the reference's levels do not depend on max_edges, so one run per n
+        # gives its output for every k as a prefix
+        reference = list(_grown_level_by_level(n, n - 5))
+        for k in range(n - 4):
+            assert list(enumerate_blue(n, k)) == [g for g in reference if g.m <= k], (n, k)
+
+    def test_every_graph_is_its_own_canonical_form(self):
+        for n in (5, 8, 11):
+            for g in enumerate_blue(n, n - 5):
+                assert canonical_form(g) == g
+
     def test_canonical_form_iso_invariant(self):
         rng = random.Random(7)
         g = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
@@ -248,6 +284,10 @@ class TestEnumeration:
             list(enumerate_blue(14, 2))
         with pytest.raises(ValueError):
             list(enumerate_blue(6, 7))
+
+    def test_negative_max_edges_rejected(self):
+        with pytest.raises(ValueError, match="0 <= max_edges"):
+            next(enumerate_blue(6, -1))
 
     def test_component_limit_checked_before_first_yield(self):
         # 11-vertex components could appear; nothing is yielded before the error
@@ -268,6 +308,31 @@ class TestEnumeration:
         for g in enumerate_blue(n, n - 5):
             per_level[g.m] += 1
         assert per_level == counts
+
+
+class TestConnectedCatalogue:
+    def test_counts_match_oeis_a002905(self):
+        # connected graphs with e edges, e = 0..8
+        levels = _connected_catalogue(9, 8)
+        assert [len(level) for level in levels] == [1, 1, 1, 3, 5, 12, 30, 79, 227]
+
+    def test_levels_are_canonical_connected_and_sorted(self):
+        for m, level in enumerate(_connected_catalogue(6, 6)):
+            assert level == sorted(level, key=attrgetter("n", "adj"))
+            for g in level:
+                assert g.m == m and g.n <= 6 and is_connected(g) and canonical_form(g) == g
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_matches_networkx_atlas(self, n):
+        nx = pytest.importorskip("networkx")
+        # the atlas holds every graph on at most 7 vertices, and every
+        # connected graph with at most 6 edges has at most 7 vertices
+        forms: dict[int, set] = {m: set() for m in range(7)}
+        for h in nx.graph_atlas_g():
+            if 0 < h.number_of_nodes() <= n and h.number_of_edges() <= 6 and nx.is_connected(h):
+                g = Graph.from_edges(h.number_of_nodes(), h.edges())
+                forms[g.m].add(canonical_form(g))
+        assert [set(level) for level in _connected_catalogue(n, 6)] == [forms[m] for m in range(7)]
 
 
 def _brute_force_form(g: Graph) -> tuple[int, ...]:
@@ -332,6 +397,71 @@ class TestCanonicalLabelling:
 
     def test_k33_and_prism_differ(self):
         assert canonical_form(_k33()) != canonical_form(_prism())
+
+
+def _every_cell_order_rows(sub: Graph) -> tuple[int, ...]:
+    """`_canonical_component_rows` before the twin shortcut: the minimum
+    over every order of every refined cell."""
+    neighbours = [sub.neighbors(u) for u in range(sub.n)]
+    bit = [0] * sub.n
+
+    def rows(order: list[int]) -> tuple[int, ...]:
+        for i, u in enumerate(order):
+            bit[u] = 1 << i
+        return tuple([sum([bit[w] for w in neighbours[u]]) for u in order])
+
+    cells = _refined_cells(neighbours)
+    return min(rows(list(chain(*orders))) for orders in product(*map(permutations, cells)))
+
+
+def _star(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def _k24() -> Graph:
+    return Graph.from_edges(6, [(u, v) for u in range(2) for v in range(2, 6)])
+
+
+def _k4_leaf() -> Graph:
+    return Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+
+
+class TestTwinShortcut:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            _star(6),
+            _k24(),
+            cycle_graph(6),
+            Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),
+            _k4_leaf(),
+        ],
+        ids=["K1,6", "K2,4", "C6", "spider-2-2-2", "K4+leaf"],
+    )
+    def test_forms_equal_every_order_minimum(self, g):
+        rng = random.Random(g.n)
+        for h in (g, _shuffled(g, rng), _shuffled(g, rng)):
+            assert _canonical_component_rows(h) == _every_cell_order_rows(h)
+
+    def test_classes_of_false_and_true_twins(self):
+        assert sorted(map(sorted, _twin_classes([0, 1, 2], _k4_leaf().adj))) == [[0, 1, 2]]
+        assert sorted(map(sorted, _twin_classes(list(range(6)), _k24().adj))) == [[0, 1], [2, 3, 4, 5]]
+        assert sorted(map(sorted, _twin_classes(list(range(6)), cycle_graph(6).adj))) == [[u] for u in range(6)]
+
+    def test_one_order_per_arrangement_of_the_classes(self):
+        orders = list(_orders_up_to_twins([[0, 1], [2], [3, 4, 5]]))
+        # 6! / (2! 3!) arrangements, each class in its listed order
+        assert len(orders) == len(set(orders)) == 60
+        assert all(o.index(0) < o.index(1) and o.index(3) < o.index(4) < o.index(5) for o in orders)
+
+    def test_k19_takes_one_leaf_order_and_is_relabelling_invariant(self):
+        star = _star(9)
+        assert len(list(_orders_up_to_twins(_twin_classes(list(range(1, 10)), star.adj)))) == 1
+        form = canonical_form(star)
+        assert form.adj == (1 << 9,) * 9 + ((1 << 9) - 1,)
+        rng = random.Random(9)
+        for _ in range(4):
+            assert canonical_form(_shuffled(star, rng)) == form
 
 
 class TestExtremalFamily:
