@@ -11,14 +11,29 @@ sound.  On top of the pruning the kernel runs failed-direction
 propagation: any undirected edge that is infeasible one way is committed
 the other way before branching.
 
+Each propagation test asks whether the current, feasible state stays
+feasible once one potential arc a->b is gone, and reads the answer off a
+reach table of that state: for every vertex v and step k, the sources
+that reach v within k potential steps, and those that reach two or more
+of v's potential in-neighbours within k steps.  The table is built on
+the first test after a commit or an undo and dropped by the next one.  A
+source u loses a distance only when a is k < d steps away, b is not
+within k steps, and a is b's only potential in-neighbour within k steps;
+three bitmask operations per k find every such u.  At k = d - 1 the arc
+was b's last way in, so the test fails at once; any other such source
+gets one breadth-first search with the arc cut.  Tests only read the
+state; it changes only when an edge is forced or branched on.
+
 `naive_min_diameter` is the deliberately dumb cross-check: it visits all
 2^m orientations and takes the smallest diameter.  The walk runs in
 reflected Gray-code order, so each step reverses one edge in place, and
 an orientation gets the full diameter only when it could beat the best
 found so far.  It shares no code, pruning or symmetry with `solve`.
 
-The compiled kernel in ``_speedups.pyx`` mirrors these semantics exactly,
-including node counting, so the two backends are interchangeable.
+The compiled kernel in ``_speedups.pyx`` tests the same predicate by
+setting the edge and searching from every source near it, so the two
+backends force the same edges, return the same witnesses and count the
+same nodes; they are interchangeable.
 """
 
 from __future__ import annotations
@@ -53,15 +68,18 @@ def solve(
     m = len(edges)
     full = (1 << n) - 1
     out = [0] * n  # committed out-arcs
-    inn = [0] * n  # committed in-arcs
     und = [0] * n  # endpoints of still-undirected incident edges
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for p, q in edges:
         und[p] |= 1 << q
         und[q] |= 1 << p
+        nbrs[p].append(q)
+        nbrs[q].append(p)
     assigned = [-1] * m
     trail: list[int] = []
     nodes = 0
     deadline = time.monotonic() + time_limit if time_limit is not None else None
+    table: tuple[list[list[int]], list[list[int]], list[int]] | None = None
 
     def tick() -> None:
         nonlocal nodes
@@ -72,90 +90,102 @@ def solve(
             if time.monotonic() > deadline:
                 raise _BudgetExceeded
 
-    def reach_ok(src: int) -> bool:
-        # can src reach every vertex within d steps of potential arcs?
-        r = 1 << src
-        for _ in range(d):
-            nxt = r
-            mask = r
-            while mask:
-                low = mask & -mask
-                v = low.bit_length() - 1
-                mask ^= low
-                nxt |= out[v] | und[v]
-            if nxt == r:
-                break
-            r = nxt
-            if r == full:
-                return True
-        return r == full
+    def reach_table() -> tuple[list[list[int]], list[list[int]], list[int]]:
+        # reach[k][v]: the sources within k potential steps of v, k = 0..d.
+        # shared[k][v]: the sources within k steps of two or more potential
+        # in-neighbours of v, k = 0..d-1.  pout[v]: v's potential out-row.
+        nonlocal table
+        if table is None:
+            # v's potential in-neighbours: every neighbour but its committed out-arcs
+            pin = [[c for c in nbrs[v] if not out[v] >> c & 1] for v in range(n)]
+            level = [1 << v for v in range(n)]
+            reach = [level]
+            shared = []
+            for _ in range(d):
+                nxt = []
+                two = []
+                for v in range(n):
+                    once = twice = 0
+                    for c in pin[v]:
+                        x = level[c]
+                        twice |= once & x
+                        once |= x
+                    nxt.append(level[v] | once)
+                    two.append(twice)
+                level = nxt
+                reach.append(level)
+                shared.append(two)
+            table = (reach, shared, [out[v] | und[v] for v in range(n)])
+        return table
 
-    def feasible_all() -> bool:
-        return all(reach_ok(u) for u in range(n))
-
-    def feasible_around(head: int) -> bool:
-        # Only sources within d-1 potential reverse steps of `head` can have
-        # lost reachability when the potential arc head->tail disappeared.
-        r = 1 << head
-        for _ in range(d - 1):
-            nxt = r
-            mask = r
-            while mask:
-                low = mask & -mask
-                v = low.bit_length() - 1
-                mask ^= low
-                nxt |= inn[v] | und[v]
-            if nxt == r:
-                break
-            r = nxt
-        mask = r
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
-            if not reach_ok(u):
+    def removable(a: int, b: int) -> bool:
+        # Does the current, feasible state stay feasible without the
+        # potential arc a->b?  The module docstring gives the test.
+        reach, shared, pout = reach_table()
+        last = d - 1
+        if reach[last][a] & ~reach[last][b] & ~shared[last][b]:
+            return False
+        abit = 1 << a
+        hit = abit  # k = 0: a itself always loses its direct arc
+        for k in range(1, last):
+            hit |= reach[k][a] & ~reach[k][b] & ~shared[k][b]
+        cut = pout[a] & ~(1 << b)
+        while hit:
+            seen = frontier = hit & -hit
+            hit ^= seen
+            for _ in range(d):
+                nxt = 0
+                if frontier & abit:
+                    nxt = cut
+                    frontier ^= abit
+                while frontier:
+                    bit = frontier & -frontier
+                    nxt |= pout[bit.bit_length() - 1]
+                    frontier ^= bit
+                frontier = nxt & ~seen
+                if not frontier:
+                    break
+                seen |= frontier
+            if seen != full:
                 return False
         return True
 
-    def set_arc(i: int, direction: int) -> int:
+    def set_arc(i: int, direction: int) -> None:
+        nonlocal table
         p, q = edges[i]
         if direction:
             p, q = q, p
         out[p] |= 1 << q
-        inn[q] |= 1 << p
         und[p] &= ~(1 << q)
         und[q] &= ~(1 << p)
         assigned[i] = direction
-        return q  # head of the removed reverse potential arc
-
-    def unset_arc(i: int) -> None:
-        p, q = edges[i]
-        if assigned[i]:
-            p, q = q, p
-        out[p] &= ~(1 << q)
-        inn[q] &= ~(1 << p)
-        und[p] |= 1 << q
-        und[q] |= 1 << p
-        assigned[i] = -1
+        trail.append(i)
+        table = None
 
     def undo_to(mark: int) -> None:
+        nonlocal table
         while len(trail) > mark:
-            unset_arc(trail.pop())
+            i = trail.pop()
+            p, q = edges[i]
+            if assigned[i]:
+                p, q = q, p
+            out[p] &= ~(1 << q)
+            und[p] |= 1 << q
+            und[q] |= 1 << p
+            assigned[i] = -1
+            table = None
 
     def propagate() -> bool:
-        # assumes the current state passed its feasibility check
+        # assumes the current state is feasible
         while True:
             forced = -1
             forced_dir = 0
             for i in range(m):
                 if assigned[i] >= 0:
                     continue
-                head0 = set_arc(i, 0)
-                ok0 = feasible_around(head0)
-                unset_arc(i)
-                head1 = set_arc(i, 1)
-                ok1 = feasible_around(head1)
-                unset_arc(i)
+                p, q = edges[i]
+                ok0 = removable(q, p)  # p->q drops the potential arc q->p
+                ok1 = removable(p, q)
                 if not ok0 and not ok1:
                     return False
                 if ok0 != ok1:
@@ -165,7 +195,6 @@ def solve(
             if forced < 0:
                 return True
             set_arc(forced, forced_dir)
-            trail.append(forced)
             tick()
 
     def search() -> bool:
@@ -180,28 +209,28 @@ def solve(
                 break
         if branch < 0:
             return True
+        # propagate() left both directions of every open edge feasible
         for direction in (0, 1):
             submark = len(trail)
-            head = set_arc(branch, direction)
-            trail.append(branch)
+            set_arc(branch, direction)
             tick()
-            if feasible_around(head) and search():
+            if search():
                 return True
             undo_to(submark)
         undo_to(mark)
         return False
 
     try:
-        if not feasible_all():
+        if any(row != full for row in reach_table()[0][d]):
             return (STATUS_NO, None, nodes)
         if m == 0:
             return (STATUS_YES, [], nodes)
         # Reversing every arc preserves the diameter, so the first edge's
         # direction can be fixed without losing any solutions.
-        head = set_arc(0, 0)
-        trail.append(0)
+        ok = removable(edges[0][1], edges[0][0])
+        set_arc(0, 0)
         tick()
-        if feasible_around(head) and search():
+        if ok and search():
             return (STATUS_YES, list(assigned), nodes)
         return (STATUS_NO, None, nodes)
     except _BudgetExceeded:

@@ -128,7 +128,7 @@ def exact_oriented_diameter(
         return INFINITE
     lower = max(2, int(undirected_diameter(g)))
     remaining = budget.max_nodes
-    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
+    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     for d in range(lower, g.n):
         time_left = None if deadline is None else max(0.0, deadline - time.monotonic())
         level_budget = SearchBudget(max_nodes=remaining, time_limit=time_left)

@@ -1,13 +1,22 @@
 import random
+import time
 from itertools import chain, combinations, permutations, product
 from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, path_graph, petersen, random_connected, relabel
-from orient2 import _pysearch
+from orient2 import _backend, _pysearch
 from orient2.codec import emit_graph6
-from orient2.graphs import INFINITE, Graph, complement, diameter, is_connected
+from orient2.graphs import (
+    INFINITE,
+    Graph,
+    complement,
+    diameter,
+    is_connected,
+    undirected_diameter,
+)
 from orient2.oracle import (
     SearchBudget,
     SearchStatus,
@@ -80,6 +89,80 @@ class TestExactDiameter:
             if g.m > 12:
                 continue
             assert exact_oriented_diameter(g) == naive_oriented_diameter(g)
+
+
+class TestTimeLimit:
+    @pytest.mark.skipif(_backend.BACKEND != "python", reason="the compiled kernel has its own tick interval")
+    def test_zero_time_limit_gives_no_answer(self, monkeypatch):
+        # every tick reads the clock, so a zero-second limit stops the first search
+        monkeypatch.setattr(_pysearch, "_TICK_INTERVAL", 1)
+        budget = SearchBudget(time_limit=0.0)
+        for g in (complete_graph(5), extremal_graph(8)):
+            assert exists_orientation_diameter2(g, budget).status is SearchStatus.INDETERMINATE
+        for g in (cycle_graph(5), complete_graph(4), petersen()):
+            assert exact_oriented_diameter(g, budget) is None
+
+    def test_ample_time_limit_answers(self):
+        budget = SearchBudget(time_limit=600.0)
+        assert exists_orientation_diameter2(extremal_graph(8), budget).status is SearchStatus.NO
+        assert exact_oriented_diameter(petersen(), budget) == 6
+
+
+class TestOneBelowThreshold:
+    """Every graph with one edge fewer than the threshold, C(n,2) - n + 4
+    edges, decided exactly: only the extremal graph has no diameter-2
+    orientation."""
+
+    @pytest.mark.parametrize("n, count, nodes", [(6, 2, 49), (7, 5, 174), (8, 11, 464), (9, 25, 1493)])
+    def test_census(self, n, count, nodes):
+        instances = [complement(b) for b in enumerate_blue(n, n - 4) if b.m == n - 4]
+        outcomes = [exists_orientation_diameter2(g) for g in instances]
+        assert len(instances) == count
+        no = [canonical_form(g) for g, out in zip(instances, outcomes) if out.status is SearchStatus.NO]
+        assert no == [canonical_form(extremal_graph(n))]
+        assert sum(out.status is SearchStatus.YES for out in outcomes) == count - 1
+        assert sum(out.nodes for out in outcomes) == nodes
+
+
+@st.composite
+def _graphs(draw, max_edges=45):
+    """Graphs on 6..10 vertices with n to ``max_edges`` edges."""
+    n = draw(st.integers(min_value=6, max_value=10))
+    pairs = list(combinations(range(n), 2))
+    m = draw(st.integers(min_value=n, max_value=min(max_edges, len(pairs))))
+    return Graph.from_edges(n, sorted(draw(st.permutations(pairs))[:m]))
+
+
+def _connected_bridgeless(g: Graph) -> bool:
+    """Connected, and still connected without any single edge."""
+    if not is_connected(g):
+        return False
+    edges = g.edges()
+    return all(is_connected(Graph.from_edges(g.n, edges[:i] + edges[i + 1 :])) for i in range(len(edges)))
+
+
+class TestExactProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_graphs())
+    def test_finite_iff_connected_and_bridgeless(self, g):
+        # Robbins (1939): a graph has a strong orientation iff it is
+        # connected and bridgeless
+        assert (exact_oriented_diameter(g) != INFINITE) == _connected_bridgeless(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_graphs())
+    def test_at_most_chvatal_thomassen_bound(self, g):
+        # Chvatal and Thomassen (JCTB 1978): a bridgeless graph of diameter d
+        # has an orientation of diameter at most 2d^2 + 2d
+        value = exact_oriented_diameter(g)
+        if value != INFINITE:
+            d = undirected_diameter(g)
+            assert d <= value <= 2 * d * d + 2 * d
+
+    @settings(max_examples=40, deadline=None)
+    @given(_graphs(max_edges=14))
+    def test_matches_naive(self, g):
+        assert exact_oriented_diameter(g) == naive_oriented_diameter(g)
 
 
 def _rebuilt_orientations(n: int, edges: list[tuple[int, int]]):
@@ -203,6 +286,196 @@ class TestNaiveKernel:
             _pysearch.naive_min_diameter(10, k10.edges())
         with pytest.raises(ValueError, match="limited to 40 edges"):
             naive_oriented_diameter(k10)
+
+
+def _reference_solve(
+    n: int,
+    edges: list[tuple[int, int]],
+    d: int,
+    max_nodes: int,
+    time_limit: float | None = None,
+) -> tuple[int, list[int] | None, int]:
+    """The search the reach table replaced: each propagation test sets the
+    edge, searches from every source within d - 1 reverse steps of the head
+    of the dropped arc, and unsets the edge."""
+    m = len(edges)
+    full = (1 << n) - 1
+    out = [0] * n
+    inn = [0] * n
+    und = [0] * n
+    for p, q in edges:
+        und[p] |= 1 << q
+        und[q] |= 1 << p
+    assigned = [-1] * m
+    trail: list[int] = []
+    nodes = 0
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
+
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise _pysearch._BudgetExceeded
+        if deadline is not None and nodes % _pysearch._TICK_INTERVAL == 0:
+            if time.monotonic() > deadline:
+                raise _pysearch._BudgetExceeded
+
+    def reach_ok(src: int) -> bool:
+        r = 1 << src
+        for _ in range(d):
+            nxt = r
+            mask = r
+            while mask:
+                low = mask & -mask
+                v = low.bit_length() - 1
+                mask ^= low
+                nxt |= out[v] | und[v]
+            if nxt == r:
+                break
+            r = nxt
+            if r == full:
+                return True
+        return r == full
+
+    def feasible_around(head: int) -> bool:
+        r = 1 << head
+        for _ in range(d - 1):
+            nxt = r
+            mask = r
+            while mask:
+                low = mask & -mask
+                v = low.bit_length() - 1
+                mask ^= low
+                nxt |= inn[v] | und[v]
+            if nxt == r:
+                break
+            r = nxt
+        mask = r
+        while mask:
+            low = mask & -mask
+            u = low.bit_length() - 1
+            mask ^= low
+            if not reach_ok(u):
+                return False
+        return True
+
+    def set_arc(i: int, direction: int) -> int:
+        p, q = edges[i]
+        if direction:
+            p, q = q, p
+        out[p] |= 1 << q
+        inn[q] |= 1 << p
+        und[p] &= ~(1 << q)
+        und[q] &= ~(1 << p)
+        assigned[i] = direction
+        return q
+
+    def unset_arc(i: int) -> None:
+        p, q = edges[i]
+        if assigned[i]:
+            p, q = q, p
+        out[p] &= ~(1 << q)
+        inn[q] &= ~(1 << p)
+        und[p] |= 1 << q
+        und[q] |= 1 << p
+        assigned[i] = -1
+
+    def undo_to(mark: int) -> None:
+        while len(trail) > mark:
+            unset_arc(trail.pop())
+
+    def propagate() -> bool:
+        while True:
+            forced = -1
+            forced_dir = 0
+            for i in range(m):
+                if assigned[i] >= 0:
+                    continue
+                ok0 = feasible_around(set_arc(i, 0))
+                unset_arc(i)
+                ok1 = feasible_around(set_arc(i, 1))
+                unset_arc(i)
+                if not ok0 and not ok1:
+                    return False
+                if ok0 != ok1:
+                    forced = i
+                    forced_dir = 0 if ok0 else 1
+                    break
+            if forced < 0:
+                return True
+            set_arc(forced, forced_dir)
+            trail.append(forced)
+            tick()
+
+    def search() -> bool:
+        mark = len(trail)
+        if not propagate():
+            undo_to(mark)
+            return False
+        branch = next((i for i in range(m) if assigned[i] < 0), -1)
+        if branch < 0:
+            return True
+        for direction in (0, 1):
+            submark = len(trail)
+            head = set_arc(branch, direction)
+            trail.append(branch)
+            tick()
+            if feasible_around(head) and search():
+                return True
+            undo_to(submark)
+        undo_to(mark)
+        return False
+
+    try:
+        if not all(reach_ok(u) for u in range(n)):
+            return (_pysearch.STATUS_NO, None, nodes)
+        if m == 0:
+            return (_pysearch.STATUS_YES, [], nodes)
+        head = set_arc(0, 0)
+        trail.append(0)
+        tick()
+        if feasible_around(head) and search():
+            return (_pysearch.STATUS_YES, list(assigned), nodes)
+        return (_pysearch.STATUS_NO, None, nodes)
+    except _pysearch._BudgetExceeded:
+        return (_pysearch.STATUS_BUDGET, None, nodes)
+
+
+class TestSolveKernel:
+    """The pure kernel's reach-table propagation against the set, search
+    and unset reference: same status, witness and node count."""
+
+    def test_matches_reference(self):
+        rng = random.Random(20181)
+        statuses = set()
+        for _ in range(2000):
+            n = rng.randint(2, 10)
+            p = rng.uniform(0.2, 0.95)
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            if rng.random() < 0.5:
+                edges = _backend.ordered_edges(g)
+            else:
+                edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+                rng.shuffle(edges)
+            d = rng.randint(1, 4)
+            max_nodes = 10**7 if rng.random() < 0.5 else rng.randint(0, 30)
+            got = _pysearch.solve(n, edges, d, max_nodes, None)
+            assert got == _reference_solve(n, edges, d, max_nodes, None), (n, edges, d, max_nodes)
+            statuses.add(got[0])
+        assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
+
+    @pytest.mark.parametrize("n, nodes", [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39)])
+    def test_sharpness_node_counts(self, n, nodes):
+        out = exists_orientation_diameter2(extremal_graph(n))
+        assert (out.status, out.nodes) == (SearchStatus.NO, nodes)
+
+    def test_petersen_level_node_counts(self):
+        g = petersen()
+        edges = _backend.ordered_edges(g)
+        got = [_pysearch.solve(g.n, edges, d, 10**7, None) for d in range(2, 7)]
+        assert [nodes for _, _, nodes in got] == [1, 1, 40, 315, 15]
+        assert [status for status, _, _ in got] == [_pysearch.STATUS_NO] * 4 + [_pysearch.STATUS_YES]
+        assert got[-1] == _reference_solve(g.n, edges, 6, 10**7, None)
 
 
 def _grown_level_by_level(n: int, max_edges: int):
