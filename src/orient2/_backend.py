@@ -1,20 +1,22 @@
 """Kernel backend selection and the shared branching order.
 
-The compiled extension is preferred when importable; ORIENT2_PURE=1
-forces the pure-Python kernel.  Both backends implement identical
-semantics (same pruning, same propagation, same node counting), so the
-choice only affects speed.
+The compiled extension is preferred for the exact search when
+importable; ORIENT2_PURE=1 forces the pure-Python kernel.  Both search
+backends implement identical semantics (same pruning, same propagation,
+same node counting), so the choice only affects speed.  The naive
+cross-check always runs the pure, bitsliced kernel, which is faster than
+the compiled one; both give the same answers.
 """
 
 from __future__ import annotations
 
 import os
 
+from . import _pysearch
 from .graphs import Edge, Graph
 
 if os.environ.get("ORIENT2_PURE") == "1":
-    from . import _pysearch as _impl
-
+    _impl = _pysearch
     BACKEND = "python"
 else:
     try:
@@ -22,8 +24,7 @@ else:
 
         BACKEND = "cython"
     except ImportError:
-        from . import _pysearch as _impl
-
+        _impl = _pysearch
         BACKEND = "python"
 
 STATUS_NO = 0
@@ -59,15 +60,10 @@ def solve_bounded_diameter(
     time_limit: float | None = None,
 ) -> tuple[int, list[int] | None, int]:
     if n > 62 and BACKEND == "cython":  # compiled rows are single machine words
-        from . import _pysearch
-
         return _pysearch.solve(n, edges, d, max_nodes, time_limit)
     return _impl.solve(n, edges, d, max_nodes, time_limit)
 
 
 def naive_min_diameter(n: int, edges: list[Edge]) -> int:
-    if n > 62 and BACKEND == "cython":
-        from . import _pysearch
-
-        return _pysearch.naive_min_diameter(n, edges)
-    return _impl.naive_min_diameter(n, edges)
+    # the bitsliced pure kernel is faster than the compiled one (README)
+    return _pysearch.naive_min_diameter(n, edges)

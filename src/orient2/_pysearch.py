@@ -24,16 +24,18 @@ was b's last way in, so the test fails at once; any other such source
 gets one breadth-first search with the arc cut.  Tests only read the
 state; it changes only when an edge is forced or branched on.
 
-`naive_min_diameter` is the deliberately dumb cross-check: it visits all
-2^m orientations and takes the smallest diameter.  The walk runs in
-reflected Gray-code order, so each step reverses one edge in place, and
-an orientation gets the full diameter only when it could beat the best
-found so far.  It shares no code, pruning or symmetry with `solve`.
+`naive_min_diameter` is the deliberately dumb cross-check: it evaluates
+all 2^m orientations and takes the smallest diameter.  It is bitsliced:
+orientation j is bit lane j of Python ints, 2^14 orientations to a
+block, and one int per vertex pair holds the lanes in which the pair is
+within the current hop count, so one AND-OR step advances a whole block.
+It shares no code, pruning or symmetry with `solve`.
 
 The compiled kernel in ``_speedups.pyx`` tests the same predicate by
 setting the edge and searching from every source near it, so the two
 backends force the same edges, return the same witnesses and count the
-same nodes; they are interchangeable.
+same nodes; they are interchangeable.  Its naive kernel rebuilds every
+orientation and is slower than this one, so `_backend` never calls it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ STATUS_BUDGET = 2
 
 _TICK_INTERVAL = 2048
 _NAIVE_MAX_EDGES = 40
+_NAIVE_LANE_BITS = 14
 
 
 class _BudgetExceeded(Exception):
@@ -240,74 +243,67 @@ def solve(
 def naive_min_diameter(n: int, edges: list[tuple[int, int]]) -> int:
     """Smallest diameter over all 2^m orientations; -1 when every one is infinite.
 
-    Orientation k of the walk is the reflected Gray code ``k ^ (k >> 1)``
-    (bit i set: edge i points edges[i][1] -> edges[i][0]), so step k
-    reverses the single edge ``ctz(k)`` in place.  Once a finite ``best``
-    is known, an orientation gets the full diameter only if every source
-    reaches all vertices within ``best - 1`` steps; the test stops at the
-    first source that does not.
+    Orientation j (bit i set: edge i points edges[i][1] -> edges[i][0])
+    is evaluated as one bit lane of Python ints, ``2^b`` orientations per
+    block: the low ``b`` edges vary with the lane, the others are fixed by
+    the block.  A block's minimum is the first hop at which some lane
+    reaches every vertex pair; hops run to ``best - 1`` once a finite
+    ``best`` is known, and to ``n - 1`` before.
     """
     m = len(edges)
     if m > _NAIVE_MAX_EDGES:
         raise ValueError(f"brute-force enumeration limited to {_NAIVE_MAX_EDGES} edges")
     if n <= 1:
         return 0
-    full = (1 << n) - 1
-    out = [0] * n
-    for p, q in edges:
-        out[p] |= 1 << q
-    flips = [(p, 1 << q, q, 1 << p) for p, q in edges]
-    best = _diameter_rows(n, out)
-    hops = range(best - 1)
-    sources = range(n)
-    for k in range(1, 1 << m):
-        p, pbit, q, qbit = flips[(k & -k).bit_length() - 1]
-        out[p] ^= pbit
-        out[q] ^= qbit
-        if best >= 0:
-            for src in sources:
-                seen = 1 << src
-                frontier = seen
-                for _ in hops:
-                    nxt = 0
-                    while frontier:
-                        low = frontier & -frontier
-                        nxt |= out[low.bit_length() - 1]
-                        frontier ^= low
-                    frontier = nxt & ~seen
-                    seen |= frontier
-                if seen != full:
-                    break
-            else:
-                best = _diameter_rows(n, out)
-                hops = range(best - 1)
-        else:
-            best = _diameter_rows(n, out)
-            hops = range(best - 1)
+    lane_bits = min(m, _NAIVE_LANE_BITS)
+    ones = (1 << (1 << lane_bits)) - 1
+    # Edge i < b points forward in the lanes with bit i clear: runs of 2^i
+    # set and 2^i clear lanes.  ``rep`` marks the start of each 2^(i+1)
+    # run, i.e. ones // (2^(2^(i+1)) - 1), built without a long division.
+    low = [0] * lane_bits
+    rep = 1
+    for i in reversed(range(lane_bits)):
+        low[i] = (rep << (1 << i)) - rep
+        rep |= rep << (1 << i)
+    best = -1
+    for block in range(1 << (m - lane_bits)):
+        high = [0 if block >> i & 1 else ones for i in range(m - lane_bits)]
+        oks = _lane_oks(n, edges, low + high, ones, n - 1 if best < 0 else best - 1)
+        for hop, ok in enumerate(oks, 1):
+            if ok:
+                best = hop
+                break
     return best
 
 
-def _diameter_rows(n: int, out: list[int]) -> int:
-    full = (1 << n) - 1
-    worst = 0
-    for src in range(n):
-        seen = 1 << src
-        frontier = seen
-        steps = 0
-        while seen != full:
-            nxt = 0
-            mask = frontier
-            while mask:
-                low = mask & -mask
-                v = low.bit_length() - 1
-                mask ^= low
-                nxt |= out[v]
-            nxt &= ~seen
-            if not nxt:
-                return -1
-            seen |= nxt
-            frontier = nxt
-            steps += 1
-        if steps > worst:
-            worst = steps
-    return worst
+def _lane_oks(n: int, edges: list[tuple[int, int]], forward: list[int], ones: int, hops: int) -> list[int]:
+    """For h = 1..hops (hops >= 1), the lanes of ``ones`` whose orientation
+    has every vertex pair within h steps; edge i points edges[i][0] -> edges[i][1]
+    in the lanes of ``forward[i]`` and backwards in the others.
+
+    ``row[t]`` holds the lanes in which t is within the current hop count
+    of the source.  Reach only grows with the hop count, so once no lane
+    passes at the last hop none passes at any.
+    """
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (p, q), fwd in zip(edges, forward):
+        into[q].append((p, fwd))
+        into[p].append((q, ones ^ fwd))
+    oks = [ones] * hops
+    for s in range(n):
+        row = [0] * n
+        row[s] = ones
+        for h in range(hops):
+            nxt = []
+            every = ones
+            for t in range(n):
+                got = row[t]
+                for v, arc in into[t]:
+                    got |= row[v] & arc
+                nxt.append(got)
+                every &= got
+            row = nxt
+            oks[h] &= every
+        if not oks[-1]:
+            return [0] * hops
+    return oks

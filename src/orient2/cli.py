@@ -53,9 +53,16 @@ def _input_lines(args: argparse.Namespace) -> list[tuple[int, str]]:
 
 
 def _budget(args: argparse.Namespace) -> SearchBudget:
-    if getattr(args, "budget", None):
+    if getattr(args, "budget", None) is not None:
         return SearchBudget(max_nodes=args.budget)
     return default_budget()
+
+
+def _node_budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 class _LineError(Exception):
@@ -197,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diam = sub.add_parser("diameter", help="exact oriented diameter by exhaustive search")
     p_diam.add_argument("--file", help="read input from a file instead of stdin")
-    p_diam.add_argument("--budget", type=int, help="search-node budget override")
+    p_diam.add_argument("--budget", type=_node_budget, help="search-node budget override")
     p_diam.set_defaults(func=cmd_diameter)
 
     p_verify = sub.add_parser("verify", help="check every threshold instance of one order")
@@ -206,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sharp = sub.add_parser("sharpness", help="confirm the extremal graph is not orientable")
     p_sharp.add_argument("--n", type=int, required=True)
-    p_sharp.add_argument("--budget", type=int, help="search-node budget override")
+    p_sharp.add_argument("--budget", type=_node_budget, help="search-node budget override")
     p_sharp.set_defaults(func=cmd_sharpness)
 
     p_classify = sub.add_parser("classify", help="tabulate complement component classes")

@@ -104,6 +104,20 @@ class TestDiameter:
         )
         assert code == 1 and out.strip() == "indeterminate"
 
+    def test_zero_budget_is_a_budget(self, capsys, monkeypatch):
+        # a zero budget used to fall back to the default and answer 3
+        code, out, _ = run_cli(
+            capsys, monkeypatch, ["diameter", "--budget", "0"], emit_graph6(extremal_graph(7)) + "\n"
+        )
+        assert code == 1 and out.strip() == "indeterminate"
+
+    @pytest.mark.parametrize("command", [["diameter"], ["sharpness", "--n", "7"]])
+    def test_negative_budget_exit_2(self, capsys, monkeypatch, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, monkeypatch, command + ["--budget", "-1"], emit_graph6(petersen()) + "\n")
+        assert exc.value.code == 2
+        assert "--budget: must be at least 0, got -1" in capsys.readouterr().err
+
 
 class TestBatches:
     @pytest.mark.parametrize("command", ["orient", "diameter", "classify"])
@@ -192,6 +206,11 @@ class TestSharpness:
 
     def test_budget_exhausted_indeterminate(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, monkeypatch, ["sharpness", "--n", "6", "--budget", "1"])
+        assert code == 1 and not out and err.startswith("indeterminate:")
+
+    def test_zero_budget_indeterminate(self, capsys, monkeypatch):
+        # a zero budget used to fall back to the default and print CONFIRMED
+        code, out, err = run_cli(capsys, monkeypatch, ["sharpness", "--n", "7", "--budget", "0"])
         assert code == 1 and not out and err.startswith("indeterminate:")
 
 

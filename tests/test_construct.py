@@ -8,6 +8,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orient2
 from conftest import complete_graph, cycle_graph, dumbbell, paths_union, relabel, short_dumbbell
@@ -376,6 +377,25 @@ class TestDriver:
             if len(present) == 3:
                 outs = sum(1 for x in present if o.dir.has_arc(u, x))
                 assert outs in (0, 3)
+
+
+@st.composite
+def _relabelled_threshold_instances(draw):
+    """A threshold instance on 5..16 vertices (the complement of a blue
+    graph with at most n - 5 edges) and a permutation of its vertices."""
+    n = draw(st.integers(min_value=5, max_value=16))
+    blue = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=n - 5, unique=True))
+    return complement(Graph.from_edges(n, blue)), draw(st.permutations(range(n)))
+
+
+class TestRelabelling:
+    @settings(max_examples=60, deadline=None)
+    @given(_relabelled_threshold_instances())
+    def test_relabelled_instance_gets_a_diameter_two_orientation(self, case):
+        g, perm = case
+        h = relabel(g, perm)
+        o, _ = orient_diameter_two(h)
+        assert o.base == h and diameter(o.dir) <= 2
 
 
 class TestReplay:

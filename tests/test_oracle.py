@@ -160,7 +160,7 @@ class TestExactProperties:
             assert d <= value <= 2 * d * d + 2 * d
 
     @settings(max_examples=40, deadline=None)
-    @given(_graphs(max_edges=14))
+    @given(_graphs(max_edges=20))
     def test_matches_naive(self, g):
         assert exact_oriented_diameter(g) == naive_oriented_diameter(g)
 
@@ -178,14 +178,35 @@ def _rebuilt_orientations(n: int, edges: list[tuple[int, int]]):
         yield mask, out
 
 
+def _diameter_rows(n: int, out: list[int]) -> int:
+    """Directed diameter of out-rows by breadth-first search from every
+    source; -1 when some vertex is unreachable."""
+    full = (1 << n) - 1
+    worst = 0
+    for src in range(n):
+        seen = frontier = 1 << src
+        steps = 0
+        while seen != full:
+            nxt = 0
+            for v in range(n):
+                if frontier >> v & 1:
+                    nxt |= out[v]
+            frontier = nxt & ~seen
+            if not frontier:
+                return -1
+            seen |= frontier
+            steps += 1
+        worst = max(worst, steps)
+    return worst
+
+
 def _reference_min_diameter(n: int, edges: list[tuple[int, int]]) -> int:
-    """The brute force the Gray-code walk replaced: every orientation rebuilt
-    and measured in full."""
+    """The plain brute force: every orientation rebuilt and measured in full."""
     if n <= 1:
         return 0
     best = -1
     for _, out in _rebuilt_orientations(n, edges):
-        worst = _pysearch._diameter_rows(n, out)
+        worst = _diameter_rows(n, out)
         if worst >= 0 and (best < 0 or worst < best):
             best = worst
     return best
@@ -215,23 +236,8 @@ def _kernel_corpus() -> list[tuple[int, list[tuple[int, int]]]]:
     return cases + [(g.n, g.edges()) for g in named]
 
 
-def _recorded_full_diameters(monkeypatch, n: int, edges: list[tuple[int, int]]) -> tuple[int, list]:
-    """The kernel's answer and the out-rows it measured in full, in order."""
-    measured = []
-
-    def recording(n: int, out: list[int]) -> int:
-        measured.append(tuple(out))
-        return full_diameter(n, out)
-
-    full_diameter = _pysearch._diameter_rows
-    with monkeypatch.context() as patch:
-        patch.setattr(_pysearch, "_diameter_rows", recording)
-        best = _pysearch.naive_min_diameter(n, edges)
-    return best, measured
-
-
 class TestNaiveKernel:
-    """The pure kernel's Gray-code walk against the rebuild-every-orientation
+    """The pure kernel's bitsliced blocks against the rebuild-every-orientation
     brute force."""
 
     def test_matches_rebuild_reference(self):
@@ -251,34 +257,44 @@ class TestNaiveKernel:
         assert naive_oriented_diameter(complete_graph(5)) == 2
         assert naive_oriented_diameter(path_graph(4)) == INFINITE
 
-    def test_walk_visits_every_orientation_once(self, monkeypatch):
-        # with no finite best every orientation is measured in full
-        bridged = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
-        disconnected = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
-        for g in (path_graph(6), bridged, disconnected):
-            edges = g.edges()
-            best, measured = _recorded_full_diameters(monkeypatch, g.n, edges)
-            assert best == -1
-            assert sorted(measured) == sorted(tuple(out) for _, out in _rebuilt_orientations(g.n, edges))
-
-    def test_full_diameter_only_when_it_could_beat_the_best(self, monkeypatch):
+    def test_lane_ok_masks_match_per_orientation_diameters(self):
+        # one block holding every orientation: lane j is orientation j
         checked = 0
-        for n, edges in _kernel_corpus()[:120]:
+        for n, edges in _kernel_corpus():
             if n <= 1:
                 continue
-            rows = dict(_rebuilt_orientations(n, edges))
-            expected = []
-            best = -1
-            for k in range(1 << len(edges)):
-                out = rows[k ^ k >> 1]
-                d = _pysearch._diameter_rows(n, out)
-                if best < 0 or 0 <= d < best:
-                    expected.append(tuple(out))
-                    best = d
-            got, measured = _recorded_full_diameters(monkeypatch, n, edges)
-            assert got == best and measured == expected, (n, edges)
-            checked += best > 0
-        assert checked >= 20
+            m = len(edges)
+            ones = (1 << (1 << m)) - 1
+            forward = [sum(1 << j for j in range(1 << m) if not j >> i & 1) for i in range(m)]
+            oks = _pysearch._lane_oks(n, edges, forward, ones, n - 1)
+            diameters = [_diameter_rows(n, out) for _, out in _rebuilt_orientations(n, edges)]
+            for hop, ok in enumerate(oks, 1):
+                assert ok == sum(1 << j for j, d in enumerate(diameters) if 0 <= d <= hop), (n, edges, hop)
+            checked += any(oks)
+        assert checked >= 60
+
+    @pytest.mark.parametrize("lane_bits", [1, 2, 3])
+    def test_many_blocks_match_rebuild_reference(self, monkeypatch, lane_bits):
+        monkeypatch.setattr(_pysearch, "_NAIVE_LANE_BITS", lane_bits)
+        for n, edges in _kernel_corpus():
+            assert _pysearch.naive_min_diameter(n, edges) == _reference_min_diameter(n, edges), (n, edges)
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (Graph.from_edges(3, []), -1),  # m = 0
+            (cycle_graph(3), 2),  # m < lane bits
+            (path_graph(4), -1),
+            (cycle_graph(4), 3),  # m = lane bits
+            (path_graph(5), -1),
+            (cycle_graph(5), 4),  # m > lane bits
+            (complete_graph(4), 3),
+            (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]), -1),
+        ],
+    )
+    def test_edge_counts_around_the_lane_width(self, monkeypatch, g, expected):
+        monkeypatch.setattr(_pysearch, "_NAIVE_LANE_BITS", 4)
+        assert _pysearch.naive_min_diameter(g.n, g.edges()) == expected
 
     def test_edge_limit(self):
         k10 = complete_graph(10)
