@@ -213,27 +213,26 @@ def _embed_into_matchjoin(pattern_blue: Graph, a: int, k: int) -> list[int] | No
                     seen.add(w)
                     queue.append(w)
     placement = [-1] * pattern_blue.n
-    used = [False] * b
 
-    def extend(idx: int) -> bool:
+    def extend(idx: int, free: int) -> bool:
+        """Place ``order[idx:]`` on the positions of the mask ``free``, lowest first."""
         if idx == len(order):
             return True
         v = order[idx]
-        placed_nbrs = [placement[w] for w in pattern_blue.neighbors(v) if placement[w] >= 0]
-        for pos in range(b):
-            if used[pos]:
-                continue
-            if any(not target.has_edge(pos, p) for p in placed_nbrs):
-                continue
-            placement[v] = pos
-            used[pos] = True
-            if extend(idx + 1):
+        options = free
+        for w in bits(pattern_blue.adj[v]):
+            if placement[w] >= 0:
+                options &= target.adj[placement[w]]
+        while options:
+            low = options & -options
+            placement[v] = low.bit_length() - 1
+            if extend(idx + 1, free ^ low):
                 return True
-            placement[v] = -1
-            used[pos] = False
+            options ^= low
+        placement[v] = -1
         return False
 
-    return placement if extend(0) else None
+    return placement if extend(0, (1 << b) - 1) else None
 
 
 def matchjoin_cert(world: Graph, side_x: Sequence[int], side_y: Sequence[int]) -> GoodOrientationCert | None:

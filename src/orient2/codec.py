@@ -9,7 +9,7 @@ holding n as an 18-bit big-endian number (B. McKay, *formats.txt*).
 
 from __future__ import annotations
 
-from .graphs import Digraph, Graph, Orientation
+from .graphs import Digraph, Graph, Orientation, in_rows
 
 GRAPH6_HEADER = ">>graph6<<"
 DIGRAPH6_HEADER = ">>digraph6<<"
@@ -22,35 +22,31 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph6/digraph6/edge-list input."""
 
 
-def _pack_bits(bitlist: list[int]) -> str:
-    chars = []
-    for start in range(0, len(bitlist), 6):
-        group = bitlist[start : start + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = value << 1 | b
-        chars.append(chr(value + 63))
-    return "".join(chars)
+# one graph6 byte per 6-bit group, most significant bit first
+_SEXTETS = {chr(code + 63): format(code, "06b") for code in range(64)}
+_BYTES = {sextet: byte for byte, sextet in _SEXTETS.items()}
 
 
-def _unpack_bits(payload: str, nbits: int) -> list[int]:
+def _pack_bits(bitstring: str) -> str:
+    bitstring += "0" * (-len(bitstring) % 6)
+    return "".join([_BYTES[bitstring[i : i + 6]] for i in range(0, len(bitstring), 6)])
+
+
+def _unpack_bits(payload: str, nbits: int) -> str:
+    """The first ``nbits`` bits of ``payload`` as a string of '0' and '1'."""
     expected_chars = (nbits + 5) // 6
     if len(payload) != expected_chars:
         raise GraphFormatError(
             f"payload holds {len(payload)} bytes, expected {expected_chars} for {nbits} bits"
         )
-    out: list[int] = []
-    for ch in payload:
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise GraphFormatError(f"byte {code!r} outside printable graph6 range 63..126")
-        value = code - 63
-        out.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    tail = out[nbits:]
-    if any(tail):
+    try:
+        bitstring = "".join([_SEXTETS[ch] for ch in payload])
+    except KeyError as exc:
+        code = ord(exc.args[0])
+        raise GraphFormatError(f"byte {code!r} outside printable graph6 range 63..126") from None
+    if "1" in bitstring[nbits:]:
         raise GraphFormatError("nonzero padding bits")
-    return out[:nbits]
+    return bitstring[:nbits]
 
 
 def _encode_order(n: int) -> str:
@@ -81,9 +77,9 @@ def _decode_order(text: str) -> tuple[int, str]:
 
 
 def emit_graph6(g: Graph) -> str:
-    head = _encode_order(g.n)
-    bitlist = [1 if g.has_edge(u, v) else 0 for v in range(1, g.n) for u in range(v)]
-    return head + _pack_bits(bitlist)
+    # column v of the upper triangle is row v's bits 0..v-1, lowest first
+    columns = (format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
+    return _encode_order(g.n) + _pack_bits("".join(columns))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -91,21 +87,16 @@ def parse_graph6(text: str) -> Graph:
     if data.startswith(GRAPH6_HEADER):
         data = data[len(GRAPH6_HEADER) :]
     n, payload = _decode_order(data)
-    bitlist = _unpack_bits(payload, n * (n - 1) // 2)
-    edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bitlist[i]:
-                edges.append((u, v))
-            i += 1
-    return Graph.from_edges(n, edges)
+    bitstring = _unpack_bits(payload, n * (n - 1) // 2)
+    # row v's neighbours below v are column v of the upper triangle, reversed
+    lower = [int("0" + bitstring[v * (v - 1) // 2 : v * (v + 1) // 2][::-1], 2) for v in range(n)]
+    upper = in_rows(lower)
+    return Graph(n, tuple([low | up for low, up in zip(lower, upper)]))
 
 
 def emit_digraph6(d: Digraph) -> str:
-    head = _encode_order(d.n)
-    bitlist = [1 if d.has_arc(u, v) else 0 for u in range(d.n) for v in range(d.n)]
-    return "&" + head + _pack_bits(bitlist)
+    rows = (format(row, f"0{d.n}b")[::-1] for row in d.out)
+    return "&" + _encode_order(d.n) + _pack_bits("".join(rows))
 
 
 def parse_digraph6(text: str) -> Digraph:
@@ -115,17 +106,12 @@ def parse_digraph6(text: str) -> Digraph:
     if not data.startswith("&"):
         raise GraphFormatError("digraph6 input must start with '&'")
     n, payload = _decode_order(data[1:])
-    bitlist = _unpack_bits(payload, n * n)
-    arcs = []
-    i = 0
-    for u in range(n):
-        for v in range(n):
-            if bitlist[i]:
-                if u == v:
-                    raise GraphFormatError(f"self-arc at vertex {u}")
-                arcs.append((u, v))
-            i += 1
-    return Digraph.from_arcs(n, arcs)
+    bitstring = _unpack_bits(payload, n * n)
+    rows = tuple([int(bitstring[u * n : (u + 1) * n][::-1], 2) for u in range(n)])
+    for u, row in enumerate(rows):
+        if row >> u & 1:
+            raise GraphFormatError(f"self-arc at vertex {u}")
+    return Digraph(n, rows)
 
 
 def emit_orientation(o: Orientation) -> str:

@@ -46,6 +46,7 @@ from .graphs import (
     Graph,
     Orientation,
     _spread,
+    _unchecked,
     bits,
     complement,
     components,
@@ -214,9 +215,12 @@ _FAMILY4_CORES = {
 }
 
 
-# What `_family_signature` accepts has 5 paths, or one core and 5 (family 4),
-# 6 (family 3), 7 (family 1) or 8 (family 2) paths: 5 to 9 components.
-_FAMILY_COMPONENT_COUNTS = range(5, 10)
+# What `_family_signature` accepts has 5 paths of at most 4 vertices, or one
+# core and 5 (family 4), 6 (family 3), 7 (family 1) or 8 (family 2) paths of
+# at most 2 vertices: 5 to 9 components.  The largest core is D(3,4), with 7
+# vertices.  So each component count bounds the sizes of the largest and the
+# second largest component.
+_FAMILY_SIZE_BOUNDS = {5: (4, 4), **{count: (7, 2) for count in range(6, 10)}}
 
 
 def _family_signature(classes: list[ComponentClass]) -> str | None:
@@ -301,7 +305,8 @@ def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
     """Orientation of the complement of ``blue`` and its family name when
     ``blue`` is one of the directly orientable component families."""
     comps = components(blue)
-    if len(comps) not in _FAMILY_COMPONENT_COUNTS:
+    bounds = _FAMILY_SIZE_BOUNDS.get(len(comps))
+    if bounds is None or len(comps[-1]) > bounds[0] or len(comps[-2]) > bounds[1]:
         return None
     classes = [classify_component(blue, c) for c in comps]
     family = _family_signature(classes)
@@ -325,21 +330,24 @@ def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
 def _contract_reduction(
     norm_blue: Graph, w: tuple[int, ...], cert: GoodOrientationCert
 ) -> tuple[ReductionFrame, Graph]:
-    """Contract ``w`` to two super-vertices; returns the frame and the contracted blue graph."""
+    """Contract ``w`` to two super-vertices; returns the frame and the contracted blue graph.
+
+    Both contractions trust their step, which `_execute` has checked, and
+    build the contracted graph unchecked from the valid ``norm_blue``."""
     removed = tuple(sorted(w))
-    kept = tuple(v for v in range(norm_blue.n) if v not in removed)
+    kept = tuple([v for v in range(norm_blue.n) if v not in removed])  # see graphs.complement
     k = len(kept)
     rows = list(norm_blue.induced(kept).adj) + [1 << (k + 1), 1 << k]
     classes = (cert.classes.first, cert.classes.second)
     masks = tuple(sum(1 << removed[i] for i in c) for c in classes)
     frame = ReductionFrame(removed, kept, cert.orientation.dir.out, masks)
-    return frame, Graph(k + 2, tuple(rows))
+    return frame, _unchecked(k + 2, tuple(rows))
 
 
 def _contract_triple(norm_blue: Graph, triple: tuple[int, int, int]) -> tuple[TripleFrame, Graph]:
     """Identify ``triple`` into one vertex; returns the frame and the contracted blue graph."""
     removed = tuple(sorted(triple))
-    kept = tuple(v for v in range(norm_blue.n) if v not in removed)
+    kept = tuple([v for v in range(norm_blue.n) if v not in removed])  # see graphs.complement
     k = len(kept)
     triple_mask = sum(1 << x for x in removed)
     rows = list(norm_blue.induced(kept).adj) + [0]
@@ -347,7 +355,7 @@ def _contract_triple(norm_blue: Graph, triple: tuple[int, int, int]) -> tuple[Tr
         if norm_blue.adj[u] & triple_mask:
             rows[i] |= 1 << k
             rows[k] |= 1 << i
-    return TripleFrame(removed, kept, norm_blue.adj), Graph(k + 1, tuple(rows))
+    return TripleFrame(removed, kept, norm_blue.adj), _unchecked(k + 1, tuple(rows))
 
 
 def _lift_kept(

@@ -104,15 +104,29 @@ class Graph:
         return Graph(self.n, tuple(rows))
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
-        """Induced subgraph, relabeled by the sorted order of ``vertices``."""
+        """Induced subgraph, relabeled by the sorted order of ``vertices``.
+
+        Raises ValueError for a label outside 0..n-1."""
         vs = sorted(set(vertices))
+        if vs and not (0 <= vs[0] and vs[-1] < self.n):
+            bad = vs[0] if vs[0] < 0 else vs[-1]
+            raise ValueError(f"vertex {bad} outside 0..{self.n - 1}")
         index = {v: i for i, v in enumerate(vs)}
+        inside = sum(1 << v for v in vs)
         rows = [0] * len(vs)
         for i, v in enumerate(vs):
-            for w in bits(self.adj[v]):
-                if w in index:
-                    rows[i] |= 1 << index[w]
-        return Graph(len(vs), tuple(rows))
+            for w in bits(self.adj[v] & inside):
+                rows[i] |= 1 << index[w]
+        return _unchecked(len(vs), tuple(rows))
+
+
+def _unchecked(n: int, rows: tuple[int, ...]) -> Graph:
+    """A `Graph` over ``rows`` without the validation walk, for rows derived
+    from a valid graph (its complement, an induced subgraph), which are valid."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", rows)
+    return g
 
 
 @dataclass(frozen=True)
@@ -178,8 +192,11 @@ class Orientation:
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of ``g``."""
     full = (1 << g.n) - 1
-    rows = tuple((full & ~g.adj[u]) & ~(1 << u) for u in range(g.n))
-    return Graph(g.n, rows)
+    # built from a list: CPython grows a tuple built from a generator
+    # outside its tuple free lists but frees it into them, so over a long
+    # run those lists fill with megabytes of unused tuples
+    rows = tuple([(full & ~g.adj[u]) & ~(1 << u) for u in range(g.n)])
+    return _unchecked(g.n, rows)
 
 
 def as_digraph(g: Graph) -> Digraph:
@@ -264,7 +281,7 @@ def components(g: Graph) -> list[tuple[int, ...]]:
     comps: list[tuple[int, ...]] = []
     while remaining:
         seen = reach(g.adj, remaining & -remaining)
-        comps.append(tuple(bits(seen)))
+        comps.append(tuple(list(bits(seen))))  # from a list: see `complement`
         remaining &= ~seen
     comps.sort(key=lambda c: (len(c), c[0]))
     return comps

@@ -312,7 +312,10 @@ def find_reduction(b: Graph) -> ReductionPlan | None:
         if plan is not None:
             return plan
         for count in (1, 2):
-            shapes = _tree_shapes((len(ca), len(cb)), distinct_sizes, count, 0, b.n)
+            # `count` trees never exceed this bound, so it keys the cache
+            # without the level's order whenever the trees are small
+            hi = min(b.n, count * max(distinct_sizes, default=0))
+            shapes = _tree_shapes((len(ca), len(cb)), distinct_sizes, count, 0, hi)
             for combo in _shaped_combinations(tree_sizes, count, shapes):
                 parts = [ca, cb, *(trees_big_first[i] for i in combo)]
                 plan = _validated_plan(b, parts, "two-non-trees+trees")
@@ -328,7 +331,8 @@ def find_reduction(b: Graph) -> ReductionPlan | None:
                     return plan
         lo = min(4, len(comp))
         ex1 = _union_excess(b, comp)
-        for count in range(1, min(len(trees), ex1 + 1) + 1):
+        # a forest of at most six vertices has at most six trees
+        for count in range(1, min(len(trees), ex1 + 1, 6) + 1):
             shapes = _tree_shapes((len(comp),), _SMALL_FOREST_SIZES, count, lo, 6)
             for combo in _shaped_combinations(tree_sizes, count, shapes):
                 parts = [comp, *(trees_big_first[i] for i in combo)]

@@ -280,11 +280,56 @@ def ref_window(world, xs, ys):
     return ref_fill(world, arcs)
 
 
+def ref_embedding(pattern_blue, a, k):
+    """The clique-pair embedding as first written: the same vertex order,
+    each vertex tried at positions 0..a+k-1 in turn."""
+    b = a + k
+    if pattern_blue.n > b:
+        return None
+    target = matchjoin_graph(a, k)
+    order = []
+    seen = set()
+    for start in range(pattern_blue.n):
+        if start in seen:
+            continue
+        queue = [start]
+        seen.add(start)
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for w in pattern_blue.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    placement = [-1] * pattern_blue.n
+    used = [False] * b
+
+    def extend(idx):
+        if idx == len(order):
+            return True
+        v = order[idx]
+        placed_nbrs = [placement[w] for w in pattern_blue.neighbors(v) if placement[w] >= 0]
+        for pos in range(b):
+            if used[pos]:
+                continue
+            if any(not target.has_edge(pos, p) for p in placed_nbrs):
+                continue
+            placement[v] = pos
+            used[pos] = True
+            if extend(idx + 1):
+                return True
+            placement[v] = -1
+            used[pos] = False
+        return False
+
+    return placement if extend(0) else None
+
+
 def ref_matchjoin(world, xs, ys):
     a, b = len(xs), len(ys)
     ys_sorted = sorted(ys)
     at_pos = [-1] * b
-    for local, pos in enumerate(_embed_into_matchjoin(complement(world.induced(ys)), a, b - a)):
+    for local, pos in enumerate(ref_embedding(complement(world.induced(ys)), a, b - a)):
         at_pos[pos] = ys_sorted[local]
     arcs = {}
 
@@ -419,6 +464,29 @@ class TestAgainstArcDictReference:
             cert = matchjoin_cert(world, xs, ys)
             assert cert is not None
             assert cert.orientation.dir.out == ref_matchjoin(world, xs, ys).dir.out, (a, b)
+
+    def test_embedding_on_small_patterns(self):
+        # every graph on at most 6 vertices, and seeded sparse ones on 7 and 8
+        # (the complements the constructor hands over are sparse), against
+        # every clique pair with 3 <= a <= a + k <= min(2a, 8)
+        nx = pytest.importorskip("networkx")
+        patterns = [
+            Graph.from_edges(g.number_of_nodes(), g.edges())
+            for g in nx.graph_atlas_g()
+            if g.number_of_nodes() <= 6
+        ]
+        rng = random.Random(7400)
+        for n in (7, 8):
+            pairs = [(u, v) for v in range(n) for u in range(v)]
+            patterns += [Graph.from_edges(n, rng.sample(pairs, rng.randint(0, n))) for _ in range(60)]
+        shapes = [(a, k) for a in range(3, 9) for k in range(a + 1) if a + k <= 8]
+        embedded = 0
+        for pattern in patterns:
+            for a, k in shapes:
+                expected = ref_embedding(pattern, a, k)
+                assert _embed_into_matchjoin(pattern, a, k) == expected, (pattern, a, k)
+                embedded += expected is not None
+        assert 0 < embedded < len(patterns) * len(shapes)
 
     @pytest.mark.parametrize("zcase", list(CombineCase))
     def test_combine_cases(self, zcase):

@@ -97,6 +97,129 @@ class TestGraph6:
             parse_graph6("")
 
 
+# The bit-list codecs as first written, kept as references for the
+# row-based ones: one list entry per matrix bit, packed six at a time.
+
+
+def ref_pack(bitlist):
+    chars = []
+    for start in range(0, len(bitlist), 6):
+        group = bitlist[start : start + 6]
+        group += [0] * (6 - len(group))
+        value = 0
+        for b in group:
+            value = value << 1 | b
+        chars.append(chr(value + 63))
+    return "".join(chars)
+
+
+def ref_unpack(payload, nbits):
+    expected_chars = (nbits + 5) // 6
+    if len(payload) != expected_chars:
+        raise GraphFormatError(
+            f"payload holds {len(payload)} bytes, expected {expected_chars} for {nbits} bits"
+        )
+    out = []
+    for ch in payload:
+        code = ord(ch)
+        if not 63 <= code <= 126:
+            raise GraphFormatError(f"byte {code!r} outside printable graph6 range 63..126")
+        out.extend((code - 63) >> shift & 1 for shift in range(5, -1, -1))
+    if any(out[nbits:]):
+        raise GraphFormatError("nonzero padding bits")
+    return out[:nbits]
+
+
+def ref_emit_graph6(g):
+    bitlist = [1 if g.has_edge(u, v) else 0 for v in range(1, g.n) for u in range(v)]
+    return _encode_order(g.n) + ref_pack(bitlist)
+
+
+def ref_parse_graph6(text):
+    n, payload = _decode_order(text)
+    bitlist = iter(ref_unpack(payload, n * (n - 1) // 2))
+    return Graph.from_edges(n, [(u, v) for v in range(1, n) for u in range(v) if next(bitlist)])
+
+
+def ref_emit_digraph6(d):
+    bitlist = [1 if d.has_arc(u, v) else 0 for u in range(d.n) for v in range(d.n)]
+    return "&" + _encode_order(d.n) + ref_pack(bitlist)
+
+
+def ref_parse_digraph6(text):
+    n, payload = _decode_order(text[1:])
+    bitlist = ref_unpack(payload, n * n)
+    arcs = []
+    for i, bit in enumerate(bitlist):
+        if bit:
+            u, v = divmod(i, n)
+            if u == v:
+                raise GraphFormatError(f"self-arc at vertex {u}")
+            arcs.append((u, v))
+    return Digraph.from_arcs(n, arcs)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}"
+
+
+class TestAgainstBitListReference:
+    def test_seeded_roundtrips_across_the_long_header(self):
+        rng = random.Random(1470)
+        for n in range(71):
+            for density in (0.0, 0.3, 1.0, rng.random()):
+                pairs = [(u, v) for v in range(n) for u in range(v)]
+                g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+                text = emit_graph6(g)
+                assert text == ref_emit_graph6(g)
+                assert parse_graph6(text) == ref_parse_graph6(text) == g
+                arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in g.edges()]
+                d = Digraph.from_arcs(n, arcs)
+                text = emit_digraph6(d)
+                assert text == ref_emit_digraph6(d)
+                assert parse_digraph6(text) == ref_parse_digraph6(text) == d
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "D?{?",  # wrong length
+            "D?",
+            "~??~" + "?" * 10,
+            "D?\x19",  # byte out of range
+            "D\x7f{",
+            "B\x80",
+            "A`",  # nonzero padding
+            "B~",
+            "~??~" + "?" * 325 + "@",
+        ],
+    )
+    def test_graph6_errors_unchanged(self, text):
+        expected = outcome(ref_parse_graph6, text)
+        assert isinstance(expected, str)
+        assert outcome(parse_graph6, text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "&B?",  # wrong length
+            "&B????",
+            "&B?\x19",  # byte out of range
+            "&B_?",  # self-arc at vertex 0
+            "&BQ?",  # the arc 0->1, then a self-arc at vertex 1
+            "&B?G",  # self-arc at vertex 2
+            "&A_",
+            "&A@",  # nonzero padding
+        ],
+    )
+    def test_digraph6_errors_unchanged(self, text):
+        expected = outcome(ref_parse_digraph6, text)
+        assert isinstance(expected, str)
+        assert outcome(parse_digraph6, text) == expected
+
+
 class TestDigraph6:
     def test_roundtrip_petersen_orientation(self):
         g = petersen()

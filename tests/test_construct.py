@@ -30,8 +30,9 @@ from orient2.construct import (
     replay_trace,
     threshold_size,
 )
-from orient2.graphs import Digraph, Graph, Orientation, bits, complement, diameter
-from orient2.structure import classify_component, find_reduction
+from orient2.graphs import Digraph, Graph, Orientation, bits, complement, components, diameter
+from orient2.oracle import enumerate_blue
+from orient2.structure import ComponentKind, classify_component, find_reduction
 
 
 def disjoint_union(*parts: Graph) -> Graph:
@@ -194,6 +195,88 @@ class TestBaseCases:
         o, family = _base_case_with_family(disjoint_union(cycle_graph(5), *singletons(5)))
         assert diameter(o.dir) <= 2 and "FIVE_CYCLE" in family
         assert len(classified) == 6
+
+
+def ungated_base_case(blue: Graph) -> tuple[Orientation, str] | None:
+    """`_base_case_with_family` without its size gate: every blue graph with
+    5 to 9 components has all of them classified."""
+    comps = components(blue)
+    if not 5 <= len(comps) <= 9:
+        return None
+    classes = [classify_component(blue, c) for c in comps]
+    family = construct._family_signature(classes)
+    if family is None:
+        return None
+    red = complement(blue)
+    if all(cls.kind is ComponentKind.PATH for cls in classes):
+        served = construct._serve_table(blue, comps)
+        if served is not None:
+            return Orientation.from_arcs(red, served), f"table:{family}"
+    found = construct._quadruple_search(red, comps)
+    return None if found is None else (found, family)
+
+
+def family_and_arcs(result):
+    return None if result is None else (result[1], result[0].dir.arcs())
+
+
+class TestBaseCaseSizeGate:
+    """The size gate returns what classifying every component would."""
+
+    def test_every_small_blue_graph(self):
+        found = 0
+        for n in range(5, 12):
+            for blue in enumerate_blue(n, n - 5):
+                expected = family_and_arcs(ungated_base_case(blue))
+                assert family_and_arcs(_base_case_with_family(blue)) == expected, blue
+                found += expected is not None
+        assert found > 0
+
+    def test_every_level_of_seeded_threshold_instances(self, monkeypatch):
+        levels = []
+        gated = construct._base_case_with_family
+
+        def recorded(blue):
+            levels.append(blue)
+            return gated(blue)
+
+        monkeypatch.setattr(construct, "_base_case_with_family", recorded)
+        rng = random.Random(14)
+        for i in range(200):
+            n = 20 + i % 21
+            orient_diameter_two(complement(random_blue(rng, n, n - 5)))
+        found = 0
+        for blue in levels:
+            expected = family_and_arcs(ungated_base_case(blue))
+            assert family_and_arcs(gated(blue)) == expected, blue
+            found += expected is not None
+        assert found > 0 and len(levels) > 200
+
+    @pytest.mark.parametrize(
+        "blue, family",
+        [
+            # 9 components, the largest D(3,4) with 7 vertices: passes
+            (disjoint_union(dumbbell(3, 4), *singletons(8)), "PROPER_DUMBBELL(3,4)"),
+            # 6 components with a P3 next to the core: rejected
+            (disjoint_union(complete_graph(3), paths_union([3]), *singletons(4)), None),
+            # 5 paths including a P5: rejected
+            (paths_union([5, 1, 1, 1, 1]), None),
+        ],
+    )
+    def test_instances_at_the_gate_edges(self, monkeypatch, blue, family):
+        classified = []
+
+        def counted(blue, comp):
+            classified.append(comp)
+            return classify_component(blue, comp)
+
+        monkeypatch.setattr(construct, "classify_component", counted)
+        result = _base_case_with_family(blue)
+        if family is None:
+            assert result is None and classified == []
+        else:
+            assert family in result[1] and diameter(result[0].dir) <= 2
+        assert family_and_arcs(result) == family_and_arcs(ungated_base_case(blue))
 
 
 class TestExpansion:

@@ -38,6 +38,20 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
 
+    @pytest.mark.parametrize(
+        "n, rows, match",
+        [
+            (2, (0b10, 0b00), "not symmetric"),
+            (2, (0b01, 0b00), "adjacent to itself"),
+            (2, (0b100, 0b00), "outside"),
+            (2, (0b00,), "one adjacency row"),
+            (-1, (), "non-negative"),
+        ],
+    )
+    def test_public_constructor_validates_rows(self, n, rows, match):
+        with pytest.raises(ValueError, match=match):
+            Graph(n, rows)
+
     def test_edges_sorted(self):
         g = Graph.from_edges(4, [(2, 3), (0, 1), (1, 3)])
         assert g.edges() == [(0, 1), (1, 3), (2, 3)]
@@ -46,6 +60,24 @@ class TestGraphBasics:
         g = path_graph(5)
         sub = g.induced([1, 2, 4])
         assert sub.edges() == [(0, 1)]
+
+    @pytest.mark.parametrize("vertices, label", [([-1], -1), ([-3], -3), ([-1, 0], -1), ([0, 5], 5)])
+    def test_induced_rejects_labels_outside_the_graph(self, vertices, label):
+        with pytest.raises(ValueError, match=f"vertex {label} outside 0..2"):
+            path_graph(3).induced(vertices)
+
+    @given(graphs(), st.data())
+    def test_derived_graphs_equal_validated_rebuilds(self, g, data):
+        vs = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+        for derived in (complement(g), g.induced(vs)):
+            assert derived == Graph(derived.n, derived.adj)
+        assert complement(g).adj == tuple(
+            sum(1 << v for v in range(g.n) if v != u and not g.has_edge(u, v)) for u in range(g.n)
+        )
+        order = sorted(vs)
+        assert g.induced(vs).adj == tuple(
+            sum(1 << j for j, w in enumerate(order) if g.has_edge(v, w)) for v in order
+        )
 
 
 class TestComplement:

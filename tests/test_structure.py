@@ -15,6 +15,8 @@ from conftest import (
     relabel,
     short_dumbbell,
 )
+from orient2 import structure
+from orient2.construct import orient_diameter_two
 from orient2.graphs import Graph, complement, components
 from orient2.structure import (
     ComponentClass,
@@ -352,6 +354,47 @@ class TestShapedCombinations:
 
     def test_no_shape_yields_nothing(self):
         assert list(_shaped_combinations([1, 1, 1], 2, frozenset())) == []
+
+    def test_recipe_two_bound_gives_the_level_bound_shapes(self):
+        # recipe 2 caps the total of `count` trees at count * the largest size
+        for fixed in ((3, 3), (4, 11), (5, 9), (8, 8)):
+            for distinct in ((1,), (2, 1), (3, 1), (4, 2, 1), (6, 5, 3, 1), (9, 2)):
+                for count in (1, 2):
+                    for n in range(sum(fixed), sum(fixed) + 2 * distinct[0] + 3):
+                        capped = min(n, count * distinct[0])
+                        assert _tree_shapes(fixed, distinct, count, 0, capped) == _tree_shapes(
+                            fixed, distinct, count, 0, n
+                        ), (fixed, distinct, count, n)
+
+    def test_recipe_three_asks_for_at_most_six_trees(self, monkeypatch):
+        # its forest has at most six vertices, so more trees have no shape
+        asked = []
+
+        def recorded(fixed, sizes, count, lo, hi):
+            asked.append((len(fixed), count))
+            return _tree_shapes(fixed, sizes, count, lo, hi)
+
+        monkeypatch.setattr(structure, "_tree_shapes", recorded)
+        rng = random.Random(3)
+        for n in (60, 100):
+            blue = Graph.from_edges(n, rng.sample(list(combinations(range(n), 2)), n - 5))
+            orient_diameter_two(complement(blue))
+        recipe_three = [count for fixed, count in asked if fixed == 1]
+        assert recipe_three and max(recipe_three) <= 6
+
+    def test_recipe_two_shapes_are_cached_across_orders(self):
+        # two non-tree components (4 and 11 vertices) and five isolated
+        # vertices: recipes 1 and 2 fail, so recipe 2 asks for tree shapes
+        edges = [(1, 6), (2, 17), (3, 9), (3, 18), (6, 14), (6, 16), (7, 12), (8, 19),
+                 (9, 18), (12, 19), (13, 19), (14, 16), (14, 17), (15, 18), (17, 19)]
+        _tree_shapes.cache_clear()
+        assert find_reduction(Graph.from_edges(20, edges)) is None
+        first = _tree_shapes.cache_info()
+        assert first.misses > 0
+        for n in range(21, 26):  # the same level with more isolated vertices
+            assert find_reduction(Graph.from_edges(n, edges)) is None
+        later = _tree_shapes.cache_info()
+        assert later.misses == first.misses and later.hits > first.hits
 
 
 def integer_partitions(total, largest=None):

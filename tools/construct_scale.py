@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Latency of `orient_diameter_two` on seeded threshold instances.
+
+A threshold instance of order n is the complement of a uniformly random
+blue graph with n - 5 edges, drawn from ``random.Random("construct-scale:n:seed")``.
+For each order the tool prints the median and the largest time over the
+seeds, and the tally of the construction moves and reduction recipes.
+
+Exits with status 1 if some construction falls back to the exhaustive
+oracle.
+
+Usage: python3 tools/construct_scale.py [--seeds K] N [N ...]
+       (seeds 1..K, default 3; orders default to 50 100 200)
+"""
+
+from __future__ import annotations
+
+import argparse
+import pathlib
+import random
+import statistics
+import sys
+import time
+from collections import Counter
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from orient2.construct import orient_diameter_two
+from orient2.graphs import Graph, complement
+
+
+def threshold_instance(n: int, seed: int) -> Graph:
+    rng = random.Random(f"construct-scale:{n}:{seed}")
+    blue: set[tuple[int, int]] = set()
+    while len(blue) < n - 5:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            blue.add((min(u, v), max(u, v)))
+    return complement(Graph.from_edges(n, sorted(blue)))
+
+
+def scale(n: int, seeds: int) -> bool:
+    times = []
+    moves: Counter = Counter()
+    for seed in range(1, seeds + 1):
+        g = threshold_instance(n, seed)
+        start = time.perf_counter()
+        _, trace = orient_diameter_two(g)
+        times.append(time.perf_counter() - start)
+        for step in trace.to_json():
+            moves[step["kind"]] += 1
+            if step["kind"] == "reduce":
+                moves[f"reduce:{step['recipe']}"] += 1
+    tally = " ".join(f"{name}={count}" for name, count in sorted(moves.items()))
+    print(
+        f"n={n} seeds={seeds} median={statistics.median(times):.3f}s max={max(times):.3f}s {tally}",
+        flush=True,
+    )
+    return not moves["fallback-oracle"]
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--seeds", type=int, default=3)
+    parser.add_argument("orders", type=int, nargs="*", default=[50, 100, 200])
+    args = parser.parse_args(argv)
+    if args.seeds < 1 or any(n < 5 for n in args.orders):
+        parser.error("need --seeds >= 1 and orders >= 5")
+    results = [scale(n, args.seeds) for n in args.orders]
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
