@@ -1,11 +1,10 @@
 """Kernel backend selection and the shared branching order.
 
 The compiled extension is preferred for the exact search when
-importable; ORIENT2_PURE=1 forces the pure-Python kernel.  Both search
-backends implement identical semantics (same pruning, same propagation,
-same node counting), so the choice only affects speed.  The naive
-cross-check always runs the pure, bitsliced kernel, which is faster than
-the compiled one; both give the same answers.
+importable and n <= 62; ORIENT2_PURE=1 forces the pure-Python kernel.
+The compiled kernel ports the pure one line for line (same reach table,
+same propagation, same node counting), so the choice only affects speed.
+The naive cross-check has only the pure, bitsliced kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ else:
     try:
         from . import _speedups as _impl  # type: ignore[no-redef]
 
-        BACKEND = "cython"
+        BACKEND = "compiled"
     except ImportError:
         _impl = _pysearch
         BACKEND = "python"
@@ -59,11 +58,10 @@ def solve_bounded_diameter(
     max_nodes: int,
     time_limit: float | None = None,
 ) -> tuple[int, list[int] | None, int]:
-    if n > 62 and BACKEND == "cython":  # compiled rows are single machine words
+    if n > 62 and BACKEND == "compiled":  # compiled rows are single machine words
         return _pysearch.solve(n, edges, d, max_nodes, time_limit)
     return _impl.solve(n, edges, d, max_nodes, time_limit)
 
 
 def naive_min_diameter(n: int, edges: list[Edge]) -> int:
-    # the bitsliced pure kernel is faster than the compiled one (README)
     return _pysearch.naive_min_diameter(n, edges)

@@ -31,11 +31,9 @@ block, and one int per vertex pair holds the lanes in which the pair is
 within the current hop count, so one AND-OR step advances a whole block.
 It shares no code, pruning or symmetry with `solve`.
 
-The compiled kernel in ``_speedups.pyx`` tests the same predicate by
-setting the edge and searching from every source near it, so the two
-backends force the same edges, return the same witnesses and count the
-same nodes; they are interchangeable.  Its naive kernel rebuilds every
-orientation and is slower than this one, so `_backend` never calls it.
+The compiled kernel in ``_speedups.c`` ports `solve` line for line,
+reach table included, so the two backends force the same edges, return
+the same witnesses and count the same nodes; they are interchangeable.
 """
 
 from __future__ import annotations

@@ -92,7 +92,7 @@ class TestExactDiameter:
 
 
 class TestTimeLimit:
-    @pytest.mark.skipif(_backend.BACKEND != "python", reason="the compiled kernel has its own tick interval")
+    @pytest.mark.skipif(_backend.BACKEND != "python", reason="the patched tick interval reaches only the pure kernel")
     def test_zero_time_limit_gives_no_answer(self, monkeypatch):
         # every tick reads the clock, so a zero-second limit stops the first search
         monkeypatch.setattr(_pysearch, "_TICK_INTERVAL", 1)
