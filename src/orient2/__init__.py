@@ -11,7 +11,6 @@ from ._backend import backend_name
 from .certs import (
     CombineCase,
     GoodOrientationCert,
-    Partition2,
     combine,
     verify_cert,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "INFINITE",
     "InternalVerificationError",
     "Orientation",
-    "Partition2",
     "ReductionPlan",
     "SearchBudget",
     "SearchStatus",

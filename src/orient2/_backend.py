@@ -1,34 +1,25 @@
 """Kernel backend selection and the shared branching order.
 
-The compiled extension is preferred for the exact search when
-importable and n <= 62; ORIENT2_PURE=1 forces the pure-Python kernel.
-The compiled kernel ports the pure one line for line (same reach table,
-same propagation, same node counting), so the choice only affects speed.
+The exact search runs on the compiled extension when it is importable
+and n <= 62, and on the pure-Python kernel otherwise.  The compiled
+kernel ports the pure one line for line (same reach table, same
+propagation, same node counting), so the choice only affects speed.
 The naive cross-check has only the pure, bitsliced kernel.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _pysearch
+from ._pysearch import STATUS_BUDGET, STATUS_NO, STATUS_YES
 from .graphs import Edge, Graph
 
-if os.environ.get("ORIENT2_PURE") == "1":
+try:
+    from . import _speedups as _impl
+
+    BACKEND = "compiled"
+except ImportError:
     _impl = _pysearch
     BACKEND = "python"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _pysearch
-        BACKEND = "python"
-
-STATUS_NO = 0
-STATUS_YES = 1
-STATUS_BUDGET = 2
 
 
 def backend_name() -> str:

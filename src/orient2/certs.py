@@ -15,9 +15,11 @@ opposite class.  Two explicit constructions produce such certificates:
 to a small remainder with no missing edges in between, producing a full
 diameter-2 orientation.
 
-Each construction writes the arcs it fixes into out-rows (``rows[u]`` is
-the bitmask of u's out-neighbors) and orients every other edge of its
-world from the lower label to the higher one.
+A certificate is one record: its world, the out-rows that orient it
+(``rows[u]`` is the bitmask of u's out-neighbors) and its two classes in
+their recorded order.  Each construction writes the arcs it fixes into
+the rows and orients every other edge of its world from the lower label
+to the higher one; `verify_cert` is the one check of a certificate.
 """
 
 from __future__ import annotations
@@ -42,24 +44,14 @@ from .graphs import (
 
 
 @dataclass(frozen=True)
-class Partition2:
-    """An ordered pair of disjoint vertex classes covering a certified set."""
-
-    first: tuple[int, ...]
-    second: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if set(self.first) & set(self.second):
-            raise ValueError("partition classes overlap")
-
-
-@dataclass(frozen=True)
 class GoodOrientationCert:
-    """Orientation of ``world`` whose classes witness the distance conditions."""
+    """Out-rows orienting ``world`` and two classes covering its vertices
+    that witness the distance conditions."""
 
     world: Graph
-    orientation: Orientation
-    classes: Partition2
+    rows: tuple[int, ...]
+    first: tuple[int, ...]
+    second: tuple[int, ...]
     nontrivial: bool
 
 
@@ -88,25 +80,39 @@ def _cross_gap(g: Graph, us: Iterable[int], vs: int) -> Edge | None:
     return None
 
 
-def _orient_rest(world: Graph, rows: list[int]) -> Orientation:
-    """The orientation of ``world`` with the arcs of the out-rows ``rows``
-    and every other edge oriented from its lower label to its higher one."""
+def _orient_rest(world: Graph, rows: list[int]) -> tuple[int, ...]:
+    """The out-rows ``rows`` with every other edge of ``world`` added from
+    its lower label to its higher one."""
     into = in_rows(rows)
     for u, row in enumerate(rows):
         free = world.adj[u] & ~row & ~into[u]
         rows[u] = row | free >> (u + 1) << (u + 1)
-    return Orientation(world, Digraph(world.n, tuple(rows)))
+    return tuple(rows)
 
 
 def verify_cert(c: GoodOrientationCert) -> bool:
-    """Check both certificate conditions at the claimed nontriviality level."""
-    if c.orientation.base != c.world:
-        raise ValueError("certificate orientation is not over its own world")
-    first, second = _mask(c.classes.first), _mask(c.classes.second)
-    if first | second != (1 << c.world.n) - 1 or first & second:
-        raise ValueError("partition classes do not partition the certified set")
-    out = c.orientation.dir.out
+    """Check both certificate conditions at the claimed nontriviality level.
+
+    Raises ValueError when the rows do not orient ``world`` exactly or the
+    classes do not partition its vertices; otherwise returns whether the
+    distance conditions hold."""
+    n, out = c.world.n, c.rows
+    if len(out) != n or any(row >> n for row in out):
+        raise ValueError(
+            f"arcs do not orient the base graph exactly (expected {n} out-rows over 0..{n - 1})"
+        )
     into = in_rows(out)
+    for u, (row, edges) in enumerate(zip(out, c.world.adj)):
+        if row | into[u] != edges:
+            raise ValueError(
+                "arcs do not orient the base graph exactly "
+                f"(vertex {u}: edges {edges:b}, arcs {row | into[u]:b})"
+            )
+        if row & into[u]:
+            raise ValueError(f"edge at vertex {u} oriented both ways")
+    first, second = _mask(c.first), _mask(c.second)
+    if first | second != (1 << n) - 1 or first & second:
+        raise ValueError("partition classes do not partition the certified set")
     for v, row in enumerate(out):
         own, other = (first, second) if first >> v & 1 else (second, first)
         reach2 = row | 1 << v
@@ -176,12 +182,7 @@ def window_cert(world: Graph, side_x: Sequence[int], side_y: Sequence[int]) -> G
             rows[y] |= to_window
             for x in bits(x_mask & ~to_window):
                 rows[x] |= 1 << y
-    cert = GoodOrientationCert(
-        world=world,
-        orientation=_orient_rest(world, rows),
-        classes=Partition2(tuple(xs), tuple(ys)),
-        nontrivial=(a, b) != (1, 1),
-    )
+    cert = GoodOrientationCert(world, _orient_rest(world, rows), tuple(xs), tuple(ys), (a, b) != (1, 1))
     return cert if verify_cert(cert) else None
 
 
@@ -268,12 +269,7 @@ def matchjoin_cert(world: Graph, side_x: Sequence[int], side_y: Sequence[int]) -
         rows[y] |= 1 << x | world.adj[y] & first_clique & ~(1 << match)
         for other in bits(x_mask & ~(1 << x)):
             rows[other] |= 1 << y
-    cert = GoodOrientationCert(
-        world=world,
-        orientation=_orient_rest(world, rows),
-        classes=Partition2(tuple(xs), tuple(ys)),
-        nontrivial=True,
-    )
+    cert = GoodOrientationCert(world, _orient_rest(world, rows), tuple(xs), tuple(ys), True)
     return cert if verify_cert(cert) else None
 
 
@@ -308,10 +304,9 @@ def _lay_out(
     """Add ``cert``'s arcs to ``rows`` with its vertex i at ``labels[i]``, the
     i-th label outside the sorted ``others``; returns the certificate's two
     classes as masks over those labels."""
-    for label, row in zip(labels, cert.orientation.dir.out):
+    for label, row in zip(labels, cert.rows):
         rows[label] |= _spread(row, others)
-    first, second = cert.classes.first, cert.classes.second
-    return _spread(_mask(first), others), _spread(_mask(second), others)
+    return _spread(_mask(cert.first), others), _spread(_mask(cert.second), others)
 
 
 def _point(rows: list[int], sources: int, targets: int) -> None:
@@ -378,7 +373,7 @@ def combine(
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown case {zcase}")
 
-    orientation = _orient_rest(red, rows)
+    orientation = Orientation(red, Digraph(red.n, _orient_rest(red, rows)))
     if diameter(orientation.dir) > 2:
         raise AssertionError("combined orientation failed its diameter check")
     return orientation

@@ -14,9 +14,12 @@ three moves always applies:
   outside vertex can be identified into one vertex.
 
 Contractions recurse on a strictly smaller instance; expansions replay
-the certificates to lift the small solution's out-rows back up.  Checks
-sit only where data enters and leaves that unwind: each step against its
-level, the innermost orientation, and the final one.  If no move
+the certificates to lift the small solution's out-rows back up.  The
+trace holds each level's step as the driver took it: a reduce step is the
+`ReductionPlan` itself, certificate record included, and a base case or
+fallback holds its orientation's out-rows.  Checks sit only where data
+enters and leaves that unwind: each step against its level, the
+innermost orientation, and the final one.  If no move
 applies (which would contradict the case analysis) an exhaustive search
 is used as a safety valve and the event is recorded in the trace.
 """
@@ -30,14 +33,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from ._basecase_table import TABLE
-from .certs import (
-    CombineCase,
-    GoodOrientationCert,
-    Partition2,
-    combine,
-    split_cert,
-    verify_cert,
-)
+from .certs import CombineCase, GoodOrientationCert, combine, split_cert, verify_cert
 from .codec import parse_digraph6
 from .graphs import (
     Arc,
@@ -55,6 +51,7 @@ from .graphs import (
 from .structure import (
     ComponentClass,
     ComponentKind,
+    ReductionPlan,
     _candidate_splits,
     classify_component,
     find_reduction,
@@ -83,16 +80,7 @@ class PadStep:
 @dataclass(frozen=True)
 class BaseCaseStep:
     family: str
-    arcs: tuple[Arc, ...]
-
-
-@dataclass(frozen=True)
-class ReduceStep:
-    w: tuple[int, ...]
-    recipe: str
-    cert_arcs: tuple[Arc, ...]
-    cert_first: tuple[int, ...]
-    cert_second: tuple[int, ...]
+    rows: tuple[int, ...]  # out-rows of the level's orientation
 
 
 @dataclass(frozen=True)
@@ -105,10 +93,11 @@ class TripleStep:
 @dataclass(frozen=True)
 class FallbackStep:
     reason: str
-    arcs: tuple[Arc, ...]
+    rows: tuple[int, ...]  # out-rows of the level's orientation
 
 
-TraceStep = PadStep | BaseCaseStep | ReduceStep | TripleStep | FallbackStep
+# a reduce step is the `ReductionPlan` that `find_reduction` returned
+TraceStep = PadStep | BaseCaseStep | ReductionPlan | TripleStep | FallbackStep
 
 
 @dataclass(frozen=True)
@@ -125,7 +114,7 @@ class ConstructionTrace:
                 out.append({"kind": "pad", "deleted": [list(e) for e in step.deleted]})
             elif isinstance(step, BaseCaseStep):
                 out.append({"kind": "base-case", "family": step.family})
-            elif isinstance(step, ReduceStep):
+            elif isinstance(step, ReductionPlan):
                 out.append({"kind": "reduce", "w": list(step.w), "recipe": step.recipe})
             elif isinstance(step, TripleStep):
                 out.append({"kind": "contract-triple", "triple": [step.x1, step.x2, step.x3]})
@@ -281,23 +270,17 @@ def _quadruple_search(red: Graph, comps: list[tuple[int, ...]]) -> Orientation |
             cert = split_cert(world, [local[v] for v in side_a], [local[v] for v in side_b])
             if cert is None:
                 continue
-            try:
-                if len(z_verts) == 2:
-                    return combine(red, cert, z_verts, CombineCase.TWO)
-                if len(chosen) == 3:
-                    return combine(red, cert, z_verts, CombineCase.THREE_ISOLATED)
-                zw = red.induced(z_verts)
-                zl = {v: i for i, v in enumerate(z_verts)}
-                cert_z = split_cert(
-                    zw,
-                    [zl[v] for v in z_comps[0]],
-                    [zl[v] for v in z_comps[1]],
-                )
-                if cert_z is None:
-                    continue
+            # w and z are unions of whole blue components, so every red
+            # edge between them is present and `combine` cannot refuse
+            if len(z_verts) == 2:
+                return combine(red, cert, z_verts, CombineCase.TWO)
+            if len(chosen) == 3:
+                return combine(red, cert, z_verts, CombineCase.THREE_ISOLATED)
+            zw = red.induced(z_verts)
+            zl = {v: i for i, v in enumerate(z_verts)}
+            cert_z = split_cert(zw, [zl[v] for v in z_comps[0]], [zl[v] for v in z_comps[1]])
+            if cert_z is not None:
                 return combine(red, cert, z_verts, CombineCase.NONTRIVIAL_CERT, cert_z)
-            except ValueError:
-                continue
     return None
 
 
@@ -338,9 +321,8 @@ def _contract_reduction(
     kept = tuple([v for v in range(norm_blue.n) if v not in removed])  # see graphs.complement
     k = len(kept)
     rows = list(norm_blue.induced(kept).adj) + [1 << (k + 1), 1 << k]
-    classes = (cert.classes.first, cert.classes.second)
-    masks = tuple(sum(1 << removed[i] for i in c) for c in classes)
-    frame = ReductionFrame(removed, kept, cert.orientation.dir.out, masks)
+    masks = tuple(sum(1 << removed[i] for i in c) for c in (cert.first, cert.second))
+    frame = ReductionFrame(removed, kept, cert.rows, masks)
     return frame, _unchecked(k + 2, tuple(rows))
 
 
@@ -456,7 +438,7 @@ def _oracle_fallback(norm: Graph) -> Orientation:
 Move = tuple[tuple[Edge, ...], TraceStep]  # (padding deleted at a level, its non-pad step)
 
 
-def _checked_cert(norm_blue: Graph, step: ReduceStep) -> GoodOrientationCert:
+def _checked_cert(norm_blue: Graph, step: ReductionPlan) -> GoodOrientationCert:
     """The certificate ``step`` records; raises ValueError unless ``w`` is a proper
     union of blue components with a non-trivial certificate of its red graph."""
     w = tuple(sorted(set(step.w)))
@@ -464,13 +446,11 @@ def _checked_cert(norm_blue: Graph, step: ReduceStep) -> GoodOrientationCert:
     whole = inside.bit_count() == len(w) == len(step.w) and 0 < len(w) < norm_blue.n
     if not whole or any(norm_blue.adj[v] & ~inside for v in w):
         raise ValueError(f"reduce step's set {step.w} is not a proper union of blue components")
-    world = complement(norm_blue.induced(w))
-    cert = GoodOrientationCert(
-        world=world,
-        orientation=Orientation.from_arcs(world, step.cert_arcs),
-        classes=Partition2(step.cert_first, step.cert_second),
-        nontrivial=True,
-    )
+    cert = step.cert
+    if not cert.nontrivial:
+        raise ValueError(f"reduce step's certificate on {step.w} is trivial")
+    if cert.world != complement(norm_blue.induced(w)):
+        raise ValueError(f"reduce step's certificate world is not the red graph on {step.w}")
     if not verify_cert(cert):
         raise ValueError(f"reduce step's certificate on {step.w} fails its distance conditions")
     return cert
@@ -502,13 +482,13 @@ def _execute(
                 f"padded level of order {n} misses {missing} edges; n >= 5 and n - 5 are required"
             )
         if isinstance(move, (BaseCaseStep, FallbackStep)):
-            inner = Orientation.from_arcs(complement(norm_blue), move.arcs)
+            inner = Orientation(complement(norm_blue), Digraph(n, move.rows))
             if diameter(inner.dir) > 2:
                 raise ValueError(f"innermost orientation of order {n} has diameter above 2")
             rows = list(inner.dir.out)
             _restore_padding(rows, deleted)
             break
-        if isinstance(move, ReduceStep):
+        if isinstance(move, ReductionPlan):
             frame, blue = _contract_reduction(norm_blue, move.w, _checked_cert(norm_blue, move))
         elif isinstance(move, TripleStep):
             triple = (move.x1, move.x2, move.x3)
@@ -558,19 +538,16 @@ def _choose_move(blue: Graph) -> Move:
     base = _base_case_with_family(norm_blue)
     if base is not None:
         orientation, family = base
-        return deleted, BaseCaseStep(family, tuple(orientation.dir.arcs()))
+        return deleted, BaseCaseStep(family, orientation.dir.out)
     plan = find_reduction(norm_blue)
     if plan is not None:
-        cert = plan.cert
-        arcs = tuple(cert.orientation.dir.arcs())
-        step = ReduceStep(plan.w, plan.recipe, arcs, cert.classes.first, cert.classes.second)
-        return deleted, step
+        return deleted, plan
     witness = find_violating_triple(norm_blue)
     if witness is not None:
         return deleted, TripleStep(witness.x1, witness.x2, witness.x3)
     orientation = _oracle_fallback(complement(norm_blue))
     reason = "no base case, contractible set, or triple applied"
-    return deleted, FallbackStep(reason, tuple(orientation.dir.arcs()))
+    return deleted, FallbackStep(reason, orientation.dir.out)
 
 
 def orient_diameter_two(g: Graph) -> tuple[Orientation, ConstructionTrace]:

@@ -159,9 +159,6 @@ class Digraph:
     def arcs(self) -> list[Arc]:
         return [(u, v) for u in range(self.n) for v in bits(self.out[u])]
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.out[u] >> v & 1)
-
 
 @dataclass(frozen=True)
 class Orientation:

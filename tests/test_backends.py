@@ -6,7 +6,6 @@ Where ``orient2._speedups`` is not installed, the module builds
 it from there; it skips only when no C compiler is on PATH."""
 
 import importlib.util
-import os
 import random
 import shutil
 import sysconfig
@@ -50,10 +49,9 @@ def speedups(tmp_path_factory):
 
 
 def test_compiled_backend_active_by_default():
-    # "compiled" wherever the extension is installed and ORIENT2_PURE is unset
+    # "compiled" wherever the extension is installed, whatever the environment says
     installed = importlib.util.find_spec("orient2._speedups") is not None
-    pure = os.environ.get("ORIENT2_PURE") == "1"
-    assert backend_name() == ("compiled" if installed and not pure else "python")
+    assert backend_name() == ("compiled" if installed else "python")
 
 
 def _both(speedups, n, edges, d, max_nodes, time_limit=None):

@@ -13,7 +13,6 @@ from conftest import (
 from orient2.certs import (
     CombineCase,
     GoodOrientationCert,
-    Partition2,
     _embed_into_matchjoin,
     _window_injection,
     combine,
@@ -23,64 +22,101 @@ from orient2.certs import (
     verify_cert,
     window_cert,
 )
-from orient2.graphs import Graph, Orientation, complement, diameter
+from orient2.graphs import Digraph, Graph, Orientation, bits, complement, diameter
 
 
 def k_ab(a, b):
     return Graph.from_edges(a + b, [(x, y) for x in range(a) for y in range(a, a + b)])
 
 
+def rows_of(n, arcs):
+    return Digraph.from_arcs(n, arcs).out
+
+
+def arcs_of(rows):
+    return {(u, v) for u, row in enumerate(rows) for v in bits(row)}
+
+
+# the directed four-cycle 2 -> 0 -> 3 -> 1 -> 2 on K_{2,2}
+FOUR_CYCLE = rows_of(4, [(2, 0), (0, 3), (3, 1), (1, 2)])
+
+
 class TestVerifyCert:
     def test_single_edge_any_direction_good(self):
         g = Graph.from_edges(2, [(0, 1)])
         for arcs in ([(0, 1)], [(1, 0)]):
-            cert = GoodOrientationCert(g, Orientation.from_arcs(g, arcs), Partition2((0,), (1,)), False)
+            cert = GoodOrientationCert(g, rows_of(2, arcs), (0,), (1,), False)
             assert verify_cert(cert)
 
     def test_directed_four_cycle_nontrivial(self):
-        g = k_ab(2, 2)
-        o = Orientation.from_arcs(g, [(2, 0), (0, 3), (3, 1), (1, 2)])
-        cert = GoodOrientationCert(g, o, Partition2((0, 1), (2, 3)), True)
+        cert = GoodOrientationCert(k_ab(2, 2), FOUR_CYCLE, (0, 1), (2, 3), True)
         assert verify_cert(cert)
 
     def test_all_arcs_one_way_fails(self):
-        g = k_ab(3, 3)
-        o = Orientation.from_arcs(g, [(x, y) for x in range(3) for y in range(3, 6)])
-        cert = GoodOrientationCert(g, o, Partition2((0, 1, 2), (3, 4, 5)), False)
+        rows = rows_of(6, [(x, y) for x in range(3) for y in range(3, 6)])
+        cert = GoodOrientationCert(k_ab(3, 3), rows, (0, 1, 2), (3, 4, 5), False)
         assert not verify_cert(cert)
 
     def test_mismatched_world_raises(self):
-        g = k_ab(2, 2)
-        h = complete_graph(4)
-        o = Orientation.from_arcs(h, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        cert = GoodOrientationCert(g, o, Partition2((0, 1), (2, 3)), False)
-        with pytest.raises(ValueError):
+        rows = rows_of(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])  # orients K4
+        cert = GoodOrientationCert(k_ab(2, 2), rows, (0, 1), (2, 3), False)
+        with pytest.raises(ValueError, match="do not orient the base graph exactly"):
+            verify_cert(cert)
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            (rows_of(4, [(2, 0), (0, 3), (3, 1)]), "do not orient the base graph exactly"),
+            (rows_of(4, [(2, 0), (0, 2), (0, 3), (3, 1), (1, 2)]), "oriented both ways"),
+            (rows_of(4, [(2, 0), (0, 3), (3, 1), (1, 2), (0, 1)]), "do not orient the base graph exactly"),
+            ((FOUR_CYCLE[0] | 1,) + FOUR_CYCLE[1:], "do not orient the base graph exactly"),
+            (FOUR_CYCLE[:3], "expected 4 out-rows"),
+            (FOUR_CYCLE + (0,), "expected 4 out-rows"),
+            ((FOUR_CYCLE[0] | 1 << 4,) + FOUR_CYCLE[1:], "expected 4 out-rows"),
+        ],
+        ids=[
+            "misses-an-edge",
+            "edge-both-ways",
+            "arc-on-a-non-edge",
+            "self-arc",
+            "too-few-rows",
+            "too-many-rows",
+            "arc-outside-the-world",
+        ],
+    )
+    def test_rows_must_orient_the_world_exactly(self, rows, match):
+        # the checks an `Orientation` of the world made before certificates held bare rows
+        cert = GoodOrientationCert(k_ab(2, 2), rows, (0, 1), (2, 3), True)
+        with pytest.raises(ValueError, match=match):
             verify_cert(cert)
 
     def test_partition_must_cover(self):
-        g = k_ab(2, 2)
-        o = Orientation.from_arcs(g, [(2, 0), (0, 3), (3, 1), (1, 2)])
-        cert = GoodOrientationCert(g, o, Partition2((0,), (2, 3)), False)
-        with pytest.raises(ValueError):
+        cert = GoodOrientationCert(k_ab(2, 2), FOUR_CYCLE, (0,), (2, 3), False)
+        with pytest.raises(ValueError, match="do not partition"):
+            verify_cert(cert)
+
+    def test_classes_must_be_disjoint(self):
+        cert = GoodOrientationCert(k_ab(2, 2), FOUR_CYCLE, (0, 1, 2), (2, 3), False)
+        with pytest.raises(ValueError, match="do not partition"):
             verify_cert(cert)
 
 
 class TestWindowConstruction:
     def test_2_2_matches_formula(self):
         cert = complete_bipartite_cert(2, 2)
-        arcs = set(cert.orientation.dir.arcs())
+        arcs = arcs_of(cert.rows)
         # classes 0,1 | 2,3; windows pair y_i with x_i
         assert arcs == {(2, 0), (0, 3), (3, 1), (1, 2)}
         assert cert.nontrivial and verify_cert(cert)
 
     def test_3_3_windows(self):
         cert = complete_bipartite_cert(3, 3)
-        d = cert.orientation.dir
+        rows = cert.rows
         for i in range(3):
-            assert d.has_arc(3 + i, i)
+            assert rows[3 + i] >> i & 1
             for j in range(3):
                 if j != i:
-                    assert d.has_arc(j, 3 + i)
+                    assert rows[j] >> 3 + i & 1
         assert verify_cert(cert)
 
     def test_1_1_good_but_trivial(self):
@@ -95,10 +131,10 @@ class TestWindowConstruction:
 
     def test_out_degree_is_half_window(self):
         cert = complete_bipartite_cert(5, 9)
-        xs = set(cert.classes.first)
-        for y in cert.classes.second:
-            outs = sum(1 for x in xs if cert.orientation.dir.has_arc(y, x))
-            ins = sum(1 for x in xs if cert.orientation.dir.has_arc(x, y))
+        xs = set(cert.first)
+        for y in cert.second:
+            outs = sum(cert.rows[y] >> x & 1 for x in xs)
+            ins = sum(cert.rows[x] >> y & 1 for x in xs)
             assert (outs, ins) == (2, 3)
 
     def test_size_bounds_rejected(self):
@@ -134,9 +170,9 @@ class TestMatchJoin:
     def test_canonical_3_5_arc_layout(self):
         # identity embedding: x side 0..2, first clique 3..5, second 6..7
         cert = blue_matchjoin_cert(3, 5, matchjoin_graph(3, 2))
-        d = cert.orientation.dir
+        arcs = arcs_of(cert.rows)
         for arc in [(0, 3), (1, 4), (2, 5), (4, 0), (5, 0), (6, 0), (7, 1), (1, 6), (2, 7), (6, 4), (7, 3)]:
-            assert d.has_arc(*arc), arc
+            assert arc in arcs, arc
 
     def test_c5_embeds(self):
         cert = blue_matchjoin_cert(3, 5, cycle_graph(5))
@@ -362,9 +398,9 @@ def ref_combine(red, cert_w, z, zcase, cert_z=None):
         arcs[frozenset((u, v))] = (u, v)
 
     def lay_out(cert, labels):
-        for u, v in cert.orientation.dir.arcs():
+        for u, v in sorted(arcs_of(cert.rows)):
             put(labels[u], labels[v])
-        return [labels[i] for i in cert.classes.first], [labels[i] for i in cert.classes.second]
+        return [labels[i] for i in cert.first], [labels[i] for i in cert.second]
 
     first_w, second_w = lay_out(cert_w, w_sorted)
     if zcase is CombineCase.NONTRIVIAL_CERT:
@@ -444,10 +480,10 @@ class TestAgainstArcDictReference:
         for b in sizes:
             cert = complete_bipartite_cert(a, b)
             expected = ref_window(cert.world, range(a), range(a, a + b))
-            assert cert.orientation.dir.out == expected.dir.out, (a, b)
+            assert cert.rows == expected.dir.out, (a, b)
             world, xs, ys = shuffled_two_class_world(rng, a, b, 0.5)
             cert = window_cert(world, xs, ys)
-            assert cert.orientation.dir.out == ref_window(world, xs, ys).dir.out, (a, b)
+            assert cert.rows == ref_window(world, xs, ys).dir.out, (a, b)
 
     def test_clique_pair_sizes(self):
         rng = random.Random(7200)
@@ -455,7 +491,7 @@ class TestAgainstArcDictReference:
         for a, b in pairs:
             cert = blue_matchjoin_cert(a, b, matchjoin_graph(a, b - a))
             expected = ref_matchjoin(cert.world, range(a), range(a, a + b))
-            assert cert.orientation.dir.out == expected.dir.out, (a, b)
+            assert cert.rows == expected.dir.out, (a, b)
         for _ in range(200):
             a, b = pairs[rng.randrange(len(pairs))]
             full = matchjoin_graph(a, b - a).edges()
@@ -463,7 +499,7 @@ class TestAgainstArcDictReference:
             world, xs, ys = shuffled_two_class_world(rng, a, b, 0.5, pattern)
             cert = matchjoin_cert(world, xs, ys)
             assert cert is not None
-            assert cert.orientation.dir.out == ref_matchjoin(world, xs, ys).dir.out, (a, b)
+            assert cert.rows == ref_matchjoin(world, xs, ys).dir.out, (a, b)
 
     def test_embedding_on_small_patterns(self):
         # every graph on at most 6 vertices, and seeded sparse ones on 7 and 8

@@ -142,7 +142,7 @@ def ref_parse_graph6(text):
 
 
 def ref_emit_digraph6(d):
-    bitlist = [1 if d.has_arc(u, v) else 0 for u in range(d.n) for v in range(d.n)]
+    bitlist = [d.out[u] >> v & 1 for u in range(d.n) for v in range(d.n)]
     return "&" + _encode_order(d.n) + ref_pack(bitlist)
 
 

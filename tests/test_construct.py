@@ -19,7 +19,6 @@ from orient2.construct import (
     ConstructionTrace,
     FallbackStep,
     PadStep,
-    ReduceStep,
     TripleStep,
     _base_case_with_family,
     _contract_reduction,
@@ -32,7 +31,7 @@ from orient2.construct import (
 )
 from orient2.graphs import Digraph, Graph, Orientation, bits, complement, components, diameter
 from orient2.oracle import enumerate_blue
-from orient2.structure import ComponentKind, classify_component, find_reduction
+from orient2.structure import ComponentKind, ReductionPlan, classify_component, find_reduction
 
 
 def disjoint_union(*parts: Graph) -> Graph:
@@ -56,9 +55,9 @@ def without_edges(g: Graph, *dropped: tuple[int, int]) -> Graph:
     return Graph.from_edges(g.n, [e for e in g.edges() if e not in dropped])
 
 
-def sink_at_zero(arcs):
-    """``arcs`` with every arc out of vertex 0 reversed: 0 reaches nothing."""
-    return tuple((v, u) if u == 0 else (u, v) for u, v in arcs)
+def sink_at_zero(rows):
+    """Out-rows ``rows`` with every arc out of vertex 0 reversed: 0 reaches nothing."""
+    return (0,) + tuple(row | (rows[0] >> v & 1) for v, row in enumerate(rows) if v)
 
 
 def edit_first(steps, kind, **changes):
@@ -68,7 +67,19 @@ def edit_first(steps, kind, **changes):
 
 
 def sinking_base_case(steps):
-    return edit_first(steps, BaseCaseStep, arcs=sink_at_zero(steps[-1].arcs))
+    return edit_first(steps, BaseCaseStep, rows=sink_at_zero(steps[-1].rows))
+
+
+def edit_cert(steps, **changes):
+    """``steps`` with the first reduce step's certificate given the field values ``changes``."""
+    plan = next(step for step in steps if isinstance(step, ReductionPlan))
+    return edit_first(steps, ReductionPlan, cert=dataclasses.replace(plan.cert, **changes))
+
+
+def without_first_arc(rows):
+    """Out-rows ``rows`` without the lowest arc of the first non-empty row."""
+    u = next(u for u, row in enumerate(rows) if row)
+    return rows[:u] + (rows[u] & rows[u] - 1,) + rows[u + 1 :]
 
 
 def reduction_instance() -> Graph:
@@ -301,7 +312,7 @@ class TestExpansion:
         k = len(frame.kept)
         for a, b in o_star.dir.arcs():
             if a < k and b < k:
-                assert expanded.dir.has_arc(frame.kept[a], frame.kept[b])
+                assert expanded.dir.out[frame.kept[a]] >> frame.kept[b] & 1
 
     def test_classes_copy_their_super_vertex_directions(self):
         red, frame, contracted = self._reduction_setup()
@@ -312,8 +323,8 @@ class TestExpansion:
         for a, u in enumerate(frame.kept):
             for super_label, cls in zip((k, k + 1), frame.classes):
                 for x in bits(cls):
-                    assert bool(rows[u] >> x & 1) == o_star.dir.has_arc(a, super_label)
-                    assert bool(rows[x] >> u & 1) == o_star.dir.has_arc(super_label, a)
+                    assert rows[u] >> x & 1 == o_star.dir.out[a] >> super_label & 1
+                    assert rows[x] >> u & 1 == o_star.dir.out[super_label] >> a & 1
 
 
 class TestTripleContraction:
@@ -347,10 +358,11 @@ class TestTripleContraction:
         assert diameter(expanded.dir) <= 2
         kept, k = frame.kept, len(frame.kept)
         x1, x2, x3 = frame.removed
-        assert all(expanded.dir.has_arc(a, b) for a, b in ((x1, x2), (x2, x3), (x3, x1)))
+        out = expanded.dir.out
+        assert all(out[a] >> b & 1 for a, b in ((x1, x2), (x2, x3), (x3, x1)))
         for a, b in o_star.dir.arcs():
             if a < k and b < k:
-                assert expanded.dir.has_arc(kept[a], kept[b])
+                assert out[kept[a]] >> kept[b] & 1
         remnants = 0
         for a, u in enumerate(kept):
             for x in frame.removed:
@@ -358,9 +370,9 @@ class TestTripleContraction:
                     continue
                 if contracted_blue.has_edge(a, k):
                     remnants += 1
-                    assert expanded.dir.has_arc(min(u, x), max(u, x))
+                    assert out[min(u, x)] >> max(u, x) & 1
                 else:
-                    assert expanded.dir.has_arc(u, x) == o_star.dir.has_arc(a, k)
+                    assert out[u] >> x & 1 == o_star.dir.out[a] >> k & 1
         assert remnants == 4  # 3-1, 3-8, 5-1 and 7-8: both label orders occur
 
 
@@ -409,7 +421,7 @@ class TestDriver:
         red = complement(blue)
         o, trace = orient_diameter_two(red)
         assert diameter(o.dir) <= 2
-        assert any(isinstance(s, ReduceStep) for s in trace.steps)
+        assert any(isinstance(s, ReductionPlan) for s in trace.steps)
 
     def test_padding_recorded(self):
         o, trace = orient_diameter_two(complete_graph(8))
@@ -458,7 +470,7 @@ class TestDriver:
                 continue
             present = [x for x in triple if red.has_edge(u, x)]
             if len(present) == 3:
-                outs = sum(1 for x in present if o.dir.has_arc(u, x))
+                outs = sum(o.dir.out[u] >> x & 1 for x in present)
                 assert outs in (0, 3)
 
 
@@ -535,18 +547,28 @@ class TestReplay:
             ),
             (
                 reduction_instance(),
-                lambda steps: edit_first(steps, ReduceStep, cert_arcs=steps[0].cert_arcs[1:]),
+                lambda steps: edit_cert(steps, rows=without_first_arc(steps[0].cert.rows)),
                 "do not orient the base graph exactly",
             ),
             (
                 reduction_instance(),
-                lambda steps: edit_first(steps, ReduceStep, w=(0, 1, 2, 3, 4)),
+                lambda steps: edit_first(steps, ReductionPlan, w=(0, 1, 2, 3, 4)),
                 r"set \(0, 1, 2, 3, 4\) is not a proper union of blue components",
             ),
             (
                 reduction_instance(),
-                lambda steps: edit_first(steps, ReduceStep, cert_first=(0, 1, 2, 3, 4), cert_second=(5,)),
+                lambda steps: edit_cert(steps, first=(0, 1, 2, 3, 4), second=(5,)),
                 "fails its distance conditions",
+            ),
+            (
+                reduction_instance(),
+                lambda steps: edit_cert(steps, world=complement(steps[0].cert.world)),
+                r"certificate world is not the red graph on \(0, 1, 2, 3, 4, 5\)",
+            ),
+            (
+                reduction_instance(),
+                lambda steps: edit_cert(steps, nontrivial=False),
+                r"certificate on \(0, 1, 2, 3, 4, 5\) is trivial",
             ),
         ],
         ids=[
@@ -566,6 +588,8 @@ class TestReplay:
             "reduce-cert-misses-an-edge",
             "reduce-not-a-union-of-components",
             "reduce-cert-classes-fail",
+            "reduce-cert-world-not-the-level",
+            "reduce-cert-trivial",
         ],
     )
     def test_malformed_trace_rejected(self, graph, cut, match):
@@ -621,7 +645,7 @@ class TestCostGuard:
         o, trace = orient_diameter_two(g)
         assert o.base == g
         moves = [s for s in trace.steps if not isinstance(s, PadStep)]
-        worlds = [len(s.w) for s in moves if isinstance(s, ReduceStep)]
+        worlds = [len(s.w) for s in moves if isinstance(s, ReductionPlan)]
         assert len(moves) - 1 >= 5 and worlds  # seed 3: five triples, then a reduce step on 26
         inner = g.n - 2 * (len(moves) - 1 - len(worlds)) - sum(len_w - 2 for len_w in worlds)
         assert diameters == [inner, g.n]

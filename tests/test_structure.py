@@ -17,7 +17,7 @@ from conftest import (
 )
 from orient2 import structure
 from orient2.construct import orient_diameter_two
-from orient2.graphs import Graph, complement, components
+from orient2.graphs import Graph, bits, complement, components
 from orient2.structure import (
     ComponentClass,
     ComponentKind,
@@ -511,9 +511,9 @@ class TestFindReduction:
                 row = [
                     list(plan.w),
                     plan.recipe,
-                    cert.orientation.dir.arcs(),
-                    list(cert.classes.first),
-                    list(cert.classes.second),
+                    [(u, v) for u, row in enumerate(cert.rows) for v in bits(row)],
+                    list(cert.first),
+                    list(cert.second),
                 ]
             digest.update((json.dumps(row) + "\n").encode())
         assert digest.hexdigest() == PLAN_SHA256
