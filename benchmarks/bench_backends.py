@@ -7,6 +7,9 @@ Workloads:
 * sharpness: prove the one-below-threshold extremal graph of order 9
   (31 edges) has no diameter-2 orientation,
 * petersen: exact oriented diameter of the Petersen graph (levels 2..6),
+* bridgeless: `solve` at d = 2, 3, ... until YES on one seeded random
+  connected bridgeless G(n, 0.3) per order n = 12..20, the exact part
+  of perfbench's `oracle` workload,
 * naive: brute-force enumeration of all 2^18 orientations of a fixed
   18-edge graph on 7 vertices (pure kernel only; there is no compiled
   naive kernel).
@@ -20,7 +23,7 @@ import time
 
 from orient2 import _pysearch
 from orient2._backend import ordered_edges
-from orient2.graphs import Graph
+from orient2.graphs import Graph, is_bridgeless, is_connected
 from orient2.oracle import extremal_graph
 
 try:
@@ -42,6 +45,17 @@ def dense_seven() -> Graph:
         edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.9]
         if len(edges) == 18:
             return Graph.from_edges(7, edges)
+
+
+def bridgeless_series(seed: int = 30) -> list[Graph]:
+    rng = random.Random(seed)
+    graphs = []
+    for n in range(12, 21):
+        g = None
+        while g is None or not (is_connected(g) and is_bridgeless(g)):
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+        graphs.append(g)
+    return graphs
 
 
 def bench(label: str, fn, repeat: int) -> float:
@@ -72,7 +86,22 @@ def workloads(impl):
                 return d
         return None
 
-    jobs = [("sharpness n=9 (m=31)", sharpness), ("petersen exact", petersen_exact)]
+    series = [(g.n, ordered_edges(g)) for g in bridgeless_series()]
+
+    def bridgeless_levels():
+        found = []
+        for n, edges in series:
+            d = 2
+            while impl.solve(n, edges, d, 10**8, None)[0] != 1:
+                d += 1
+            found.append(d)
+        return found
+
+    jobs = [
+        ("sharpness n=9 (m=31)", sharpness),
+        ("petersen exact", petersen_exact),
+        ("bridgeless n=12..20", bridgeless_levels),
+    ]
     if impl is _pysearch:  # there is no compiled naive kernel
         d7 = dense_seven()
         jobs.append(("naive 2^18", lambda: impl.naive_min_diameter(d7.n, d7.edges())))

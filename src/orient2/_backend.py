@@ -1,9 +1,10 @@
 """Kernel backend selection and the shared branching order.
 
 The exact search runs on the compiled extension when it is importable
-and n <= 62, and on the pure-Python kernel otherwise.  The compiled
-kernel ports the pure one line for line (same reach table, same
-propagation, same node counting), so the choice only affects speed.
+and n <= 62, and on the pure-Python kernel otherwise.  Both run the same
+search and propagation tests on equal reach tables (the pure kernel
+refreshes its table and logs overwritten rows, the compiled one rebuilds
+it after each commit), so the choice only affects speed.
 The naive cross-check has only the pure, bitsliced kernel.
 """
 

@@ -2,27 +2,34 @@
 
 `solve` decides whether the input graph has an orientation of directed
 diameter at most ``d`` by depth-first search over edge directions.  A
-partial assignment keeps, per vertex, the set of committed out-arcs and
-the set of still-undirected incident edges; a vertex pair stays feasible
-while the "potential" digraph (committed arcs plus both directions of
-every undirected edge) connects it within ``d`` steps.  Assigning an edge
-only removes potential arcs, so pruning on potential reachability is
-sound.  On top of the pruning the kernel runs failed-direction
-propagation: any undirected edge that is infeasible one way is committed
-the other way before branching.
+partial assignment keeps, per vertex, its row in the "potential" digraph
+(committed arcs plus both directions of every undirected edge) and its
+potential in-neighbours; a vertex pair stays feasible while that digraph
+connects it within ``d`` steps.  Assigning an edge only removes potential
+arcs, so pruning on potential reachability is sound.  On top of the
+pruning the kernel runs failed-direction propagation: any undirected
+edge that is infeasible one way is committed the other way before
+branching.
 
 Each propagation test asks whether the current, feasible state stays
 feasible once one potential arc a->b is gone, and reads the answer off a
 reach table of that state: for every vertex v and step k, the sources
 that reach v within k potential steps, and those that reach two or more
-of v's potential in-neighbours within k steps.  The table is built on
-the first test after a commit or an undo and dropped by the next one.  A
-source u loses a distance only when a is k < d steps away, b is not
-within k steps, and a is b's only potential in-neighbour within k steps;
-three bitmask operations per k find every such u.  At k = d - 1 the arc
-was b's last way in, so the test fails at once; any other such source
-gets one breadth-first search with the arc cut.  Tests only read the
-state; it changes only when an edge is forced or branched on.
+of v's potential in-neighbours within k steps.  A source u loses a
+distance only when a is k < d steps away, b is not within k steps, and a
+is b's only potential in-neighbour within k steps; three bitmask
+operations per k find every such u.  At k = d - 1 the arc was b's last
+way in, so the test fails at once; any other such source gets one
+breadth-first search with the arc cut, which stops once it has seen
+every vertex.  Tests only read the state; it changes only when an edge
+is forced or branched on.
+
+One table lives for the whole search.  Committing p->q changes only p's
+potential in-neighbours, so level k + 1 is recomputed for p and for the
+vertices that read a row that changed at level k (that vertex and its
+potential out-neighbours), and every overwritten row goes onto a log.
+Each commit records the log's length, and an undo pops the log back to
+it, so the table is built from scratch only at the root.
 
 `naive_min_diameter` is the deliberately dumb cross-check: it evaluates
 all 2^m orientations and takes the smallest diameter.  It is bitsliced:
@@ -31,9 +38,10 @@ block, and one int per vertex pair holds the lanes in which the pair is
 within the current hop count, so one AND-OR step advances a whole block.
 It shares no code, pruning or symmetry with `solve`.
 
-The compiled kernel in ``_speedups.c`` ports `solve` line for line,
-reach table included, so the two backends force the same edges, return
-the same witnesses and count the same nodes; they are interchangeable.
+The compiled kernel in ``_speedups.c`` runs the same search and the same
+tests but rebuilds the reach table after every commit.  The two tables
+are equal, so the two backends force the same edges, return the same
+witnesses and count the same nodes; they are interchangeable.
 """
 
 from __future__ import annotations
@@ -66,21 +74,36 @@ def solve(
     returned direction list: entry i is 0 for edges[i][0] -> edges[i][1],
     1 for the reverse.  Returns (status, directions, nodes_used).
     """
+    if n < 0:
+        raise ValueError(f"number of vertices must be non-negative, not {n}")
+    if d < 0:
+        raise ValueError(f"diameter bound must be non-negative, not {d}")
     m = len(edges)
     full = (1 << n) - 1
-    out = [0] * n  # committed out-arcs
-    und = [0] * n  # endpoints of still-undirected incident edges
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for p, q in edges:
-        und[p] |= 1 << q
-        und[q] |= 1 << p
-        nbrs[p].append(q)
-        nbrs[q].append(p)
+    pout = [0] * n  # potential out-rows: committed out-arcs and undirected edges
+    pin: list[list[int]] = [[] for _ in range(n)]  # potential in-neighbours
+    for i, pair in enumerate(edges):
+        if len(pair) != 2 or not (0 <= pair[0] < n and 0 <= pair[1] < n) or pair[0] == pair[1]:
+            raise ValueError(f"edge {i} is not a pair of distinct vertices in 0..{n - 1}")
+        p, q = pair
+        if pout[p] >> q & 1:
+            raise ValueError(f"edge {i} repeats {{{p}, {q}}}")
+        pout[p] |= 1 << q
+        pout[q] |= 1 << p
+        pin[p].append(q)
+        pin[q].append(p)
     assigned = [-1] * m
     trail: list[int] = []
+    log_at: list[int] = []  # log_at[j]: len(log) before trail[j] was committed
     nodes = 0
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    table: tuple[list[list[int]], list[list[int]], list[int]] | None = None
+    # reach[k][v], k = 0..d: the sources within k potential steps of v.
+    # shared[k][v], k = 0..d-1: the sources within k steps of two or more
+    # potential in-neighbours of v.  log: the overwritten (k, v, reach[k + 1][v],
+    # shared[k][v]) entries, oldest first.
+    reach = [[1 << v for v in range(n)]] + [[0] * n for _ in range(d)]
+    shared = [[0] * n for _ in range(d)]
+    log: list[tuple[int, int, int, int]] = []
 
     def tick() -> None:
         nonlocal nodes
@@ -91,38 +114,39 @@ def solve(
             if time.monotonic() > deadline:
                 raise _BudgetExceeded
 
-    def reach_table() -> tuple[list[list[int]], list[list[int]], list[int]]:
-        # reach[k][v]: the sources within k potential steps of v, k = 0..d.
-        # shared[k][v]: the sources within k steps of two or more potential
-        # in-neighbours of v, k = 0..d-1.  pout[v]: v's potential out-row.
-        nonlocal table
-        if table is None:
-            # v's potential in-neighbours: every neighbour but its committed out-arcs
-            pin = [[c for c in nbrs[v] if not out[v] >> c & 1] for v in range(n)]
-            level = [1 << v for v in range(n)]
-            reach = [level]
-            shared = []
-            for _ in range(d):
-                nxt = []
-                two = []
-                for v in range(n):
-                    once = twice = 0
-                    for c in pin[v]:
-                        x = level[c]
-                        twice |= once & x
-                        once |= x
-                    nxt.append(level[v] | once)
-                    two.append(twice)
-                level = nxt
-                reach.append(level)
-                shared.append(two)
-            table = (reach, shared, [out[v] | und[v] for v in range(n)])
-        return table
+    def refresh(dirty: int) -> None:
+        # Recompute level k + 1 of the rows of ``dirty`` (the vertices whose
+        # potential in-neighbours changed) and of every vertex that reads a
+        # row changed at level k: that row's vertex and its potential
+        # out-neighbours.  Each overwritten row goes onto the log.
+        changed = 0
+        for k in range(d):
+            level, nxt, two = reach[k], reach[k + 1], shared[k]
+            todo = dirty | changed
+            while changed:
+                low = changed & -changed
+                todo |= pout[low.bit_length() - 1]
+                changed ^= low
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
+                once = twice = 0
+                for c in pin[v]:
+                    x = level[c]
+                    twice |= once & x
+                    once |= x
+                once |= level[v]
+                if once != nxt[v] or twice != two[v]:
+                    log.append((k, v, nxt[v], two[v]))
+                    if once != nxt[v]:
+                        changed |= low
+                        nxt[v] = once
+                    two[v] = twice
 
     def removable(a: int, b: int) -> bool:
         # Does the current, feasible state stay feasible without the
         # potential arc a->b?  The module docstring gives the test.
-        reach, shared, pout = reach_table()
         last = d - 1
         if reach[last][a] & ~reach[last][b] & ~shared[last][b]:
             return False
@@ -147,34 +171,40 @@ def solve(
                 if not frontier:
                     break
                 seen |= frontier
+                if seen == full:
+                    break
             if seen != full:
                 return False
         return True
 
     def set_arc(i: int, direction: int) -> None:
-        nonlocal table
         p, q = edges[i]
         if direction:
             p, q = q, p
-        out[p] |= 1 << q
-        und[p] &= ~(1 << q)
-        und[q] &= ~(1 << p)
+        pin[p].remove(q)  # the potential arc q->p is gone
+        pout[q] ^= 1 << p
         assigned[i] = direction
         trail.append(i)
-        table = None
+        log_at.append(len(log))
+        refresh(1 << p)
 
     def undo_to(mark: int) -> None:
-        nonlocal table
+        if len(trail) <= mark:
+            return
+        keep = log_at[mark]
+        del log_at[mark:]
+        while len(log) > keep:
+            k, v, row, two = log.pop()
+            reach[k + 1][v] = row
+            shared[k][v] = two
         while len(trail) > mark:
             i = trail.pop()
             p, q = edges[i]
             if assigned[i]:
                 p, q = q, p
-            out[p] &= ~(1 << q)
-            und[p] |= 1 << q
-            und[q] |= 1 << p
+            pin[p].append(q)
+            pout[q] |= 1 << p
             assigned[i] = -1
-            table = None
 
     def propagate() -> bool:
         # assumes the current state is feasible
@@ -222,7 +252,8 @@ def solve(
         return False
 
     try:
-        if any(row != full for row in reach_table()[0][d]):
+        refresh(full)
+        if any(row != full for row in reach[d]):
             return (STATUS_NO, None, nodes)
         if m == 0:
             return (STATUS_YES, [], nodes)

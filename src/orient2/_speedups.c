@@ -1,9 +1,11 @@
-/* Compiled search kernel: a line-for-line port of ``_pysearch.solve``
- * (see its module docstring), with the same reach table, propagation,
- * branching order, witnesses and node counts.  A vertex set is one 64-bit
- * word, so n is limited to 62; ``_backend`` routes larger inputs to the
- * pure kernel.  Budget exhaustion unwinds the search with longjmp, where
- * the pure kernel raises ``_BudgetExceeded``.
+/* Compiled search kernel: a port of ``_pysearch.solve`` (see its module
+ * docstring) with the same propagation, branching order, witnesses and
+ * node counts.  It rebuilds the reach table after each commit, where the
+ * pure kernel refreshes the changed rows and logs the rows it overwrites;
+ * the two tables are equal.  A vertex set is one 64-bit word, so n is
+ * limited to 62; ``_backend`` routes larger inputs to the pure kernel.
+ * Budget exhaustion unwinds the search with longjmp, where the pure
+ * kernel raises ``_BudgetExceeded``.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

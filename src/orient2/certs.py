@@ -196,6 +196,10 @@ def _embed_into_matchjoin(pattern_blue: Graph, a: int, k: int) -> list[int] | No
     b = a + k
     if pattern_blue.n > b:
         return None
+    # the target has C(a,2) + C(k,2) + k edges and largest degree at most a
+    degrees = [row.bit_count() for row in pattern_blue.adj]
+    if max(degrees, default=0) > a or sum(degrees) > a * (a - 1) + k * (k + 1):
+        return None
     target = matchjoin_graph(a, k)
     # order: within each component walk from its smallest vertex so every
     # later vertex has an already-placed neighbor when possible

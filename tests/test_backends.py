@@ -120,6 +120,28 @@ class TestKernelEquivalence:
         assert eo[0][0] in (3, 4)
 
 
+BAD_EDGES = [
+    (3, [(0, 1), (1, 2), (0, 70)], "distinct vertices"),
+    (3, [(0, 1), (1, -1)], "distinct vertices"),
+    (3, [(0, 1), (2, 2)], "distinct vertices"),
+    (3, [(0, 1, 2)], "distinct vertices"),
+    (3, [(0, 1), (1, 0)], "repeats"),
+]
+
+
+class TestPureArguments:
+    """The pure kernel rejects what the compiled one rejects, without a compiler."""
+
+    @pytest.mark.parametrize("n, edges, message", [(-1, [], "number of vertices"), *BAD_EDGES])
+    def test_bad_input_raises(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            _pysearch.solve(n, edges, 2, 100)
+
+    def test_negative_diameter_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _pysearch.solve(3, [(0, 1), (1, 2), (0, 2)], -1, 100)
+
+
 class TestCompiledArguments:
     def test_budget_beyond_long_long_is_unlimited(self, speedups):
         eo = ordered_edges(extremal_graph(6))
@@ -138,18 +160,7 @@ class TestCompiledArguments:
         monkeypatch.setattr(_backend, "BACKEND", "compiled")
         assert _backend.solve_bounded_diameter(63, [], 1, 10) == (_pysearch.STATUS_NO, None, 0)
 
-    @pytest.mark.parametrize(
-        "n, edges, message",
-        [
-            (63, [], "0..62 vertices"),
-            (-1, [], "0..62 vertices"),
-            (3, [(0, 1), (1, 2), (0, 70)], "distinct vertices"),
-            (3, [(0, 1), (1, -1)], "distinct vertices"),
-            (3, [(0, 1), (2, 2)], "distinct vertices"),
-            (3, [(0, 1, 2)], "distinct vertices"),
-            (3, [(0, 1), (1, 0)], "repeats"),
-        ],
-    )
+    @pytest.mark.parametrize("n, edges, message", [(63, [], "0..62 vertices"), (-1, [], "0..62 vertices"), *BAD_EDGES])
     def test_bad_input_raises(self, speedups, n, edges, message):
         with pytest.raises(ValueError, match=message):
             speedups.solve(n, edges, 2, 100)

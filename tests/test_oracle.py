@@ -14,6 +14,7 @@ from orient2.graphs import (
     Graph,
     complement,
     diameter,
+    is_bridgeless,
     is_connected,
     undirected_diameter,
 )
@@ -479,6 +480,34 @@ class TestSolveKernel:
             assert got == _reference_solve(n, edges, d, max_nodes, None), (n, edges, d, max_nodes)
             statuses.add(got[0])
         assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
+
+    def test_matches_reference_on_deep_trails(self):
+        # connected bridgeless graphs on 11..16 vertices: trails run to dozens
+        # of commits, and a failed branch unwinds many of them at once
+        rng = random.Random(20182)
+        statuses = set()
+        backtracked = drawn = 0
+        while drawn < 40:
+            n = rng.randint(11, 16)
+            p = rng.uniform(0.2, 0.6)
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            if not (is_connected(g) and is_bridgeless(g)):
+                continue
+            drawn += 1
+            if rng.random() < 0.5:
+                edges = _backend.ordered_edges(g)
+            else:
+                edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+                rng.shuffle(edges)
+            d = rng.randint(2, 6)
+            max_nodes = 10**7 if rng.random() < 0.5 else rng.randint(0, 100)
+            got = _pysearch.solve(n, edges, d, max_nodes, None)
+            assert got == _reference_solve(n, edges, d, max_nodes, None), (n, edges, d, max_nodes)
+            statuses.add(got[0])
+            # one node per commit: more than a straight run means an undo
+            backtracked += got[2] > (1 if got[0] == _pysearch.STATUS_NO else len(edges))
+        assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
+        assert backtracked >= 4
 
     @pytest.mark.parametrize("n, nodes", [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39)])
     def test_sharpness_node_counts(self, n, nodes):
