@@ -47,14 +47,15 @@ def dense_seven() -> Graph:
             return Graph.from_edges(7, edges)
 
 
-def bridgeless_series(seed: int = 30) -> list[Graph]:
-    rng = random.Random(seed)
+def bridgeless_series() -> list[Graph]:
+    rng = random.Random(30)
     graphs = []
     for n in range(12, 21):
-        g = None
-        while g is None or not (is_connected(g) and is_bridgeless(g)):
+        while True:
             g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
-        graphs.append(g)
+            if is_connected(g) and is_bridgeless(g):
+                graphs.append(g)
+                break
     return graphs
 
 
