@@ -4,7 +4,10 @@ The exact search runs on the compiled extension when it is importable
 and n <= 62, and on the pure-Python kernel otherwise.  Both run the same
 search and propagation tests on equal reach tables (the pure kernel
 refreshes its table and logs overwritten rows, the compiled one rebuilds
-it after each commit), so the choice only affects speed.
+it after each commit), and both skip the cut-arc search of a source that
+reaches every vertex within d - 1 steps and another in-neighbour of the
+arc's head no later than the head itself, since cutting the arc delays
+such a source by at most one step; so the choice only affects speed.
 The naive cross-check has only the pure, bitsliced kernel.
 """
 

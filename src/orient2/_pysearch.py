@@ -19,10 +19,17 @@ of v's potential in-neighbours within k steps.  A source u loses a
 distance only when a is k < d steps away, b is not within k steps, and a
 is b's only potential in-neighbour within k steps; three bitmask
 operations per k find every such u.  At k = d - 1 the arc was b's last
-way in, so the test fails at once; any other such source gets one
-breadth-first search with the arc cut, which stops once it has seen
-every vertex.  Tests only read the state; it changes only when an edge
-is forced or branched on.
+way in, so the test fails at once.  A source u hit at k <= d - 2 is safe
+without a search when it reaches a second potential in-neighbour c of b
+within k + 1 steps (u in shared[k + 1][b]) and every vertex within d - 1
+steps (u in ``slack``, the AND of the rows reach[d - 1]).  Proof: a path
+from u through a->b to c is longer than k + 1, since b alone is k + 1
+steps from u, so without the arc u reaches b via c within k + 2 steps,
+and any other vertex at most one step later than before, so within d.
+Any other hit source gets one breadth-first search with the arc cut,
+which stops once it has seen every vertex.  Tests only read the state;
+it changes only when an edge is forced or branched on, and ``slack`` is
+read once per state.
 
 One table lives for the whole search.  Committing p->q changes only p's
 potential in-neighbours, so level k + 1 is recomputed for p and for the
@@ -39,9 +46,10 @@ within the current hop count, so one AND-OR step advances a whole block.
 It shares no code, pruning or symmetry with `solve`.
 
 The compiled kernel in ``_speedups.c`` runs the same search and the same
-tests but rebuilds the reach table after every commit.  The two tables
-are equal, so the two backends force the same edges, return the same
-witnesses and count the same nodes; they are interchangeable.
+tests, skip included, but rebuilds the reach table after every commit.
+The two tables are equal, so the two backends force the same edges,
+return the same witnesses and count the same nodes; they are
+interchangeable.
 """
 
 from __future__ import annotations
@@ -104,6 +112,7 @@ def solve(
     reach = [[1 << v for v in range(n)]] + [[0] * n for _ in range(d)]
     shared = [[0] * n for _ in range(d)]
     log: list[tuple[int, int, int, int]] = []
+    slack: int | None = None  # the sources within d - 1 steps of every vertex; None: not yet read
 
     def tick() -> None:
         nonlocal nodes
@@ -147,13 +156,20 @@ def solve(
     def removable(a: int, b: int) -> bool:
         # Does the current, feasible state stay feasible without the
         # potential arc a->b?  The module docstring gives the test.
+        nonlocal slack
         last = d - 1
         if reach[last][a] & ~reach[last][b] & ~shared[last][b]:
             return False
+        if slack is None:
+            slack = full
+            for row in reach[last]:
+                slack &= row
         abit = 1 << a
-        hit = abit  # k = 0: a itself always loses its direct arc
+        # k = 0: a itself always loses its direct arc.  A source with slack
+        # that reaches a second in-neighbour of b within k + 1 steps is safe.
+        hit = abit & ~(shared[1][b] & slack)
         for k in range(1, last):
-            hit |= reach[k][a] & ~reach[k][b] & ~shared[k][b]
+            hit |= reach[k][a] & ~reach[k][b] & ~shared[k][b] & ~(shared[k + 1][b] & slack)
         cut = pout[a] & ~(1 << b)
         while hit:
             seen = frontier = hit & -hit
@@ -178,6 +194,7 @@ def solve(
         return True
 
     def set_arc(i: int, direction: int) -> None:
+        nonlocal slack
         p, q = edges[i]
         if direction:
             p, q = q, p
@@ -187,10 +204,13 @@ def solve(
         trail.append(i)
         log_at.append(len(log))
         refresh(1 << p)
+        slack = None
 
     def undo_to(mark: int) -> None:
+        nonlocal slack
         if len(trail) <= mark:
             return
+        slack = None
         keep = log_at[mark]
         del log_at[mark:]
         while len(log) > keep:

@@ -2,10 +2,15 @@
  * docstring) with the same propagation, branching order, witnesses and
  * node counts.  It rebuilds the reach table after each commit, where the
  * pure kernel refreshes the changed rows and logs the rows it overwrites;
- * the two tables are equal.  A vertex set is one 64-bit word, so n is
- * limited to 62; ``_backend`` routes larger inputs to the pure kernel.
- * Budget exhaustion unwinds the search with longjmp, where the pure
- * kernel raises ``_BudgetExceeded``.
+ * the two tables are equal.  ``removable`` skips the cut-arc search of a
+ * source hit at k <= d - 2 that is in shared[k + 1][b] and in ``slack``
+ * (within d - 1 steps of every vertex): a path through a->b to b's other
+ * in-neighbour is longer than k + 1, so cutting the arc delays that source
+ * by at most one step, which keeps it within d of every vertex.  A cut-arc
+ * search stops once it has seen every vertex.  A vertex set is one 64-bit
+ * word, so n is limited to 62; ``_backend`` routes larger inputs to the
+ * pure kernel.  Budget exhaustion unwinds the search with longjmp, where
+ * the pure kernel raises ``_BudgetExceeded``.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -40,9 +45,11 @@ typedef struct {
     jmp_buf budget_exceeded;
     /* reach[k * n + v], k = 0..d: the sources within k potential steps of v.
      * shared[k * n + v], k = 0..d-1: the sources within k steps of two or
-     * more potential in-neighbours of v.  pout[v]: v's potential out-row. */
+     * more potential in-neighbours of v.  pout[v]: v's potential out-row.
+     * slack: the sources within d - 1 steps of every vertex. */
     u64 *reach, *shared;
     u64 pout[MAX_VERTICES];
+    u64 slack;
     int table_valid;
 } Solver;
 
@@ -87,6 +94,11 @@ static void reach_table(Solver *s)
             two[v] = twice;
         }
     }
+    s->slack = s->full;
+    if (s->d > 0) {
+        for (int v = 0; v < n; v++)
+            s->slack &= s->reach[(s->d - 1) * n + v];
+    }
     s->table_valid = 1;
 }
 
@@ -101,10 +113,12 @@ static int removable(Solver *s, int a, int b)
     shared = s->shared;
     if (reach[last * n + a] & ~reach[last * n + b] & ~shared[last * n + b])
         return 0;
-    u64 abit = BIT(a);
-    u64 hit = abit; /* k = 0: a itself always loses its direct arc */
+    u64 abit = BIT(a), slack = s->slack;
+    /* k = 0: a itself always loses its direct arc.  A source with slack
+     * that reaches a second in-neighbour of b within k + 1 steps is safe. */
+    u64 hit = abit & ~(shared[n + b] & slack);
     for (int k = 1; k < last; k++)
-        hit |= reach[k * n + a] & ~reach[k * n + b] & ~shared[k * n + b];
+        hit |= reach[k * n + a] & ~reach[k * n + b] & ~shared[k * n + b] & ~(shared[(k + 1) * n + b] & slack);
     u64 cut = s->pout[a] & ~BIT(b);
     while (hit) {
         u64 seen = hit & -hit, frontier = seen;
@@ -123,6 +137,8 @@ static int removable(Solver *s, int a, int b)
             if (!frontier)
                 break;
             seen |= frontier;
+            if (seen == s->full)
+                break;
         }
         if (seen != s->full)
             return 0;

@@ -87,6 +87,32 @@ def random_connected(rng: random.Random, n: int, p: float) -> Graph:
             return g
 
 
+def slack_instances(rng: random.Random, count: int):
+    """``count`` kernel inputs (n, edges, d, max_nodes) on connected
+    bridgeless graphs with n = 8..16 and d one or two above the undirected
+    diameter, so that many sources reach every vertex within d - 1 steps;
+    edges degree-ranked or shuffled, budgets unlimited or 0..100 nodes."""
+    from orient2._backend import ordered_edges
+    from orient2.graphs import is_bridgeless, is_connected, undirected_diameter
+
+    drawn = 0
+    while drawn < count:
+        n = rng.randint(8, 16)
+        p = rng.uniform(0.2, 0.6)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if not (is_connected(g) and is_bridgeless(g)):
+            continue
+        drawn += 1
+        if rng.random() < 0.5:
+            edges = ordered_edges(g)
+        else:
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+            rng.shuffle(edges)
+        d = undirected_diameter(g) + rng.randint(1, 2)
+        max_nodes = 10**7 if rng.random() < 0.5 else rng.randint(0, 100)
+        yield n, edges, d, max_nodes
+
+
 @pytest.fixture(scope="session")
 def theorem_reports():
     """Shared full verification sweep for the acceptance criteria."""

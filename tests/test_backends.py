@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, petersen
+from conftest import complete_graph, cycle_graph, petersen, slack_instances
 from orient2 import _backend, _pysearch
 from orient2._backend import backend_name, ordered_edges
 from orient2.graphs import Graph, is_bridgeless, is_connected
@@ -76,6 +76,10 @@ class TestKernelEquivalence:
             d = rng.randint(1, 5)
             max_nodes = 10**7 if rng.random() < 0.5 else rng.randint(0, 30)
             statuses.add(_both(speedups, n, edges, d, max_nodes)[0])
+        assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
+
+    def test_fuzz_where_sources_have_slack(self, speedups):
+        statuses = {_both(speedups, *instance)[0] for instance in slack_instances(random.Random(151516), 300)}
         assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
 
     @pytest.mark.parametrize("n, nodes", [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39)])

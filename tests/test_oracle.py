@@ -6,7 +6,7 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete_graph, cycle_graph, path_graph, petersen, random_connected, relabel
+from conftest import complete_graph, cycle_graph, path_graph, petersen, random_connected, relabel, slack_instances
 from orient2 import _backend, _pysearch
 from orient2.codec import emit_graph6
 from orient2.graphs import (
@@ -127,8 +127,8 @@ class TestOneBelowThreshold:
 
 @st.composite
 def _graphs(draw, max_edges=45):
-    """Graphs on 6..10 vertices with n to ``max_edges`` edges."""
-    n = draw(st.integers(min_value=6, max_value=10))
+    """Graphs on 6..12 vertices with n to ``max_edges`` edges."""
+    n = draw(st.integers(min_value=6, max_value=12))
     pairs = list(combinations(range(n), 2))
     m = draw(st.integers(min_value=n, max_value=min(max_edges, len(pairs))))
     return Graph.from_edges(n, sorted(draw(st.permutations(pairs))[:m]))
@@ -509,6 +509,16 @@ class TestSolveKernel:
         assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
         assert backtracked >= 4
 
+    def test_matches_reference_where_sources_have_slack(self):
+        # d above the undirected diameter: the searches the reach table
+        # proves unnecessary are skipped, and the answers must not move
+        statuses = set()
+        for n, edges, d, max_nodes in slack_instances(random.Random(20186), 25):
+            got = _pysearch.solve(n, edges, d, max_nodes, None)
+            assert got == _reference_solve(n, edges, d, max_nodes, None), (n, edges, d, max_nodes)
+            statuses.add(got[0])
+        assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
+
     @pytest.mark.parametrize("n, nodes", [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39)])
     def test_sharpness_node_counts(self, n, nodes):
         out = exists_orientation_diameter2(extremal_graph(n))
@@ -521,6 +531,69 @@ class TestSolveKernel:
         assert [nodes for _, _, nodes in got] == [1, 1, 40, 315, 15]
         assert [status for status, _, _ in got] == [_pysearch.STATUS_NO] * 4 + [_pysearch.STATUS_YES]
         assert got[-1] == _reference_solve(g.n, edges, 6, 10**7, None)
+
+
+def _distances(n: int, out: list[int], src: int) -> list[int]:
+    """Breadth-first distances from ``src`` along the out-rows; n * n where unreachable."""
+    dist = [n * n] * n
+    dist[src] = 0
+    frontier = seen = 1 << src
+    step = 0
+    while frontier:
+        step += 1
+        nxt = 0
+        for v in range(n):
+            if frontier >> v & 1:
+                nxt |= out[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+        for v in range(n):
+            if frontier >> v & 1:
+                dist[v] = step
+    return dist
+
+
+class TestSlackLemma:
+    """The rule by which `_pysearch.solve` skips a cut-arc search, on plain
+    distances: if u reaches a in k steps and b only in k + 1, reaches another
+    in-neighbour c of b within k + 1 steps, and reaches every vertex within
+    d - 1 steps, then without the arc a->b u still reaches every vertex
+    within d steps."""
+
+    def test_cutting_the_arc_keeps_the_eccentricity_within_d(self):
+        rng = random.Random(18018)
+        held = tight = 0
+        for _ in range(200):
+            n = rng.randint(4, 12)
+            d = rng.randint(2, 5)
+            p = rng.uniform(0.2, 0.8)
+            out = [0] * n  # a potential digraph: both-way edges and single arcs
+            for u, v in combinations(range(n), 2):
+                r = rng.random()
+                if r < p / 2:
+                    out[u] |= 1 << v
+                    out[v] |= 1 << u
+                elif r < p:
+                    u, v = (u, v) if rng.random() < 0.5 else (v, u)
+                    out[u] |= 1 << v
+            dist = [_distances(n, out, u) for u in range(n)]
+            into = [[c for c in range(n) if out[c] >> b & 1] for b in range(n)]
+            for a, b in product(range(n), repeat=2):
+                if not out[a] >> b & 1:
+                    continue
+                cut = out[:]
+                cut[a] ^= 1 << b
+                for u in range(n):
+                    k = dist[u][a]
+                    if max(dist[u]) > d - 1 or dist[u][b] != k + 1:
+                        continue
+                    if all(c == a or dist[u][c] > k + 1 for c in into[b]):
+                        continue
+                    held += 1
+                    ecc = max(_distances(n, cut, u))
+                    assert ecc <= d, (n, out, a, b, u, d)
+                    tight += ecc == d
+        assert held >= 5000 and tight >= 100, (held, tight)
 
 
 def _grown_level_by_level(n: int, max_edges: int):
