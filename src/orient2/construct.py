@@ -36,7 +36,6 @@ from ._basecase_table import TABLE
 from .certs import CombineCase, GoodOrientationCert, combine, split_cert, verify_cert
 from .codec import parse_digraph6
 from .graphs import (
-    Arc,
     Digraph,
     Edge,
     Graph,
@@ -170,20 +169,21 @@ def _paths_blue(key: tuple[int, int, int, int]) -> Graph:
     return Graph.from_edges(sum(sizes), edges)
 
 
-def _serve_table(blue: Graph, comps: list[tuple[int, ...]]) -> list[Arc] | None:
+def _serve_table(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """Out-rows of the stored orientation for these path components, relabelled onto ``blue``."""
     counts = Counter(len(c) for c in comps)
     key = (counts.get(1, 0), counts.get(2, 0), counts.get(3, 0), counts.get(4, 0))
     encoded = TABLE.get(key)
     if encoded is None:
         return None
     stored = parse_digraph6(encoded)
-    phi: dict[int, int] = {}
-    offset = 0
+    phi: list[int] = []
     for comp in sorted(comps, key=lambda c: (-len(c), c[0])):
-        for i, v in enumerate(_path_sequence(blue, comp)):
-            phi[offset + i] = v
-        offset += len(comp)
-    return [(phi[u], phi[v]) for u, v in stored.arcs()]
+        phi.extend(_path_sequence(blue, comp))
+    rows = [0] * blue.n
+    for u, v in stored.arcs():
+        rows[phi[u]] |= 1 << phi[v]
+    return tuple(rows)
 
 
 _FAMILY1_CORES = {
@@ -243,8 +243,9 @@ def _family_signature(classes: list[ComponentClass]) -> str | None:
     return None
 
 
-def _quadruple_search(red: Graph, comps: list[tuple[int, ...]]) -> Orientation | None:
-    """Deterministic search over leftover choices and two-class splits of the blue ``comps``."""
+def _quadruple_search(red: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """Out-rows from a deterministic search over leftover choices and
+    two-class splits of the blue ``comps``."""
     r = len(comps)
     singles = [i for i in range(r) if len(comps[i]) == 1]
     pairs = [i for i in range(r) if len(comps[i]) == 2]
@@ -284,10 +285,14 @@ def _quadruple_search(red: Graph, comps: list[tuple[int, ...]]) -> Orientation |
     return None
 
 
-def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
-    """Orientation of the complement of ``blue`` and its family name when
-    ``blue`` is one of the directly orientable component families."""
-    comps = components(blue)
+def _base_case_with_family(
+    blue: Graph, comps: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], str] | None:
+    """Out-rows orienting the complement of ``blue`` and its family name when
+    its components ``comps`` (in `components` order) form one of the
+    directly orientable families.
+
+    The rows are not checked here: `_execute` checks the innermost orientation."""
     bounds = _FAMILY_SIZE_BOUNDS.get(len(comps))
     if bounds is None or len(comps[-1]) > bounds[0] or len(comps[-2]) > bounds[1]:
         return None
@@ -299,7 +304,7 @@ def _base_case_with_family(blue: Graph) -> tuple[Orientation, str] | None:
     if all(cls.kind is ComponentKind.PATH for cls in classes):
         served = _serve_table(blue, comps)
         if served is not None:
-            return Orientation.from_arcs(red, served), f"table:{family}"
+            return served, f"table:{family}"
     found = _quadruple_search(red, comps)
     if found is not None:
         return found, family
@@ -327,17 +332,32 @@ def _contract_reduction(
 
 
 def _contract_triple(norm_blue: Graph, triple: tuple[int, int, int]) -> tuple[TripleFrame, Graph]:
-    """Identify ``triple`` into one vertex; returns the frame and the contracted blue graph."""
+    """Identify ``triple`` into one vertex; returns the frame and the contracted blue graph.
+
+    Each kept row drops the triple's three bit positions by shifting the
+    bits above each of them down one place, highest first, and gains the
+    merged vertex ``len(kept)`` when it meets the triple."""
     removed = tuple(sorted(triple))
+    x1, x2, x3 = removed
     kept = tuple([v for v in range(norm_blue.n) if v not in removed])  # see graphs.complement
     k = len(kept)
-    triple_mask = sum(1 << x for x in removed)
-    rows = list(norm_blue.induced(kept).adj) + [0]
+    triple_mask = 1 << x1 | 1 << x2 | 1 << x3
+    low1, low2, low3 = (1 << x1) - 1, (1 << x2) - 1, (1 << x3) - 1
+    merged = 1 << k
+    rows = []
+    join = 0
+    adj = norm_blue.adj
     for i, u in enumerate(kept):
-        if norm_blue.adj[u] & triple_mask:
-            rows[i] |= 1 << k
-            rows[k] |= 1 << i
-    return TripleFrame(removed, kept, norm_blue.adj), _unchecked(k + 1, tuple(rows))
+        row = adj[u]
+        squeezed = row & low3 | row >> x3 + 1 << x3
+        squeezed = squeezed & low2 | squeezed >> x2 + 1 << x2
+        squeezed = squeezed & low1 | squeezed >> x1 + 1 << x1
+        if row & triple_mask:
+            squeezed |= merged
+            join |= 1 << i
+        rows.append(squeezed)
+    rows.append(join)
+    return TripleFrame(removed, kept, adj), _unchecked(k + 1, tuple(rows))
 
 
 def _lift_kept(
@@ -526,7 +546,8 @@ def _choose_move(blue: Graph) -> Move:
     """The constructor's decision at one level, read from its blue graph: trim
     the red graph to the threshold by deleting its lexicographically first
     edges, then take the first of base case, reduction, violating triple and
-    exhaustive fallback."""
+    exhaustive fallback.  The level's components are computed once, for
+    the base-case gate and the reduction search."""
     n = blue.n
     if n < 5:
         raise ValueError(f"need at least 5 vertices, got {n}")
@@ -535,11 +556,12 @@ def _choose_move(blue: Graph) -> Move:
         raise ValueError(f"graph of order {n} has {red_m} edges; {threshold_size(n)} are required")
     deleted = _first_red_pairs(blue, red_m - threshold_size(n))
     norm_blue = _delete_red_pairs(blue, deleted)
-    base = _base_case_with_family(norm_blue)
+    comps = components(norm_blue)
+    base = _base_case_with_family(norm_blue, comps)
     if base is not None:
-        orientation, family = base
-        return deleted, BaseCaseStep(family, orientation.dir.out)
-    plan = find_reduction(norm_blue)
+        rows, family = base
+        return deleted, BaseCaseStep(family, rows)
+    plan = find_reduction(norm_blue, comps)
     if plan is not None:
         return deleted, plan
     witness = find_violating_triple(norm_blue)

@@ -138,34 +138,69 @@ def find_violating_triple(b: Graph) -> TripleWitness | None:
     triple.  Returns None when every independent triple satisfies
     |N2| <= 1 and N3 empty.
 
-    A vertex of N2 or N3 is a common neighbor of two triple members, so
-    when x1 and x2 share no neighbor, x3 must share one with x1 or x2:
-    ``co[x]`` holds the vertices that share a neighbor with ``x``.
+    Let c(x, y) count the common neighbors of x and y.  An independent
+    triple violates exactly when one of its pairs has c >= 2 or two of its
+    pairs have c >= 1.  A vertex of N2 is a common neighbor of exactly one
+    pair and a vertex of N3 of all three, so N3 nonempty gives three pairs
+    with c >= 1, and two vertices of N2 give one pair with c >= 2 or two
+    pairs with c >= 1.  Conversely, take two common neighbors of one pair,
+    or one common neighbor of each of two pairs.  Each lies in N2 or N3.
+    If they coincide, which only two pairs allow, that vertex lies in N3;
+    if not, N3 is nonempty or both lie in N2.
+
+    ``co[x]`` holds the vertices y != x with c(x, y) >= 1 and ``dbl[x]``
+    those with c(x, y) >= 2, so for each pair the admissible x3 form one
+    mask: every vertex if x2 is in ``dbl[x1]``; ``co[x1] | co[x2]`` if x2
+    is in ``co[x1]``; ``(co[x1] & co[x2]) | dbl[x1] | dbl[x2]`` otherwise.
+    Its lowest independent bit after x2 is the lexicographically first x3.
+    The mask can only be nonempty when ``dbl[x1]`` has a vertex after x1,
+    or x2 lies in ``co[x1]``, or ``dbl[x2]`` is nonempty, or ``co[x2]``
+    meets ``co[x1]``, that is x2 lies in ``co[y]`` for some y in
+    ``co[x1]``; the scan visits only those x2.
     """
     adj = b.adj
     co = []
+    dbl = []
+    doubled = 0  # the vertices x with dbl[x] nonempty
     for x in range(b.n):
-        shared = 0
+        once = twice = 0
         for v in bits(adj[x]):
-            shared |= adj[v]
-        co.append(shared & ~(1 << x))
+            row = adj[v]
+            twice |= once & row
+            once |= row
+        co.append(once & ~(1 << x))
+        twice &= ~(1 << x)
+        dbl.append(twice)
+        if twice:
+            doubled |= 1 << x
     full = (1 << b.n) - 1
     for x1 in range(b.n):
-        a1 = adj[x1]
+        a1, co1 = adj[x1], co[x1]
         after1 = full & ~a1 >> x1 + 1 << x1 + 1
-        for x2 in bits(after1):
+        dbl1 = dbl[x1] & after1
+        if dbl1:
+            seconds = after1
+        else:
+            seconds = co1 | doubled
+            for y in bits(co1):
+                seconds |= co[y]
+            seconds &= after1
+        for x2 in bits(seconds):
+            if dbl1 >> x2 & 1:
+                mask = after1
+            elif co1 >> x2 & 1:
+                mask = co1 | co[x2]
+            else:
+                mask = co1 & co[x2] | dbl1 | dbl[x2]
             a2 = adj[x2]
-            thirds = after1 & ~a2 >> x2 + 1 << x2 + 1
-            if not co[x1] >> x2 & 1:
-                thirds &= co[x1] | co[x2]
-            both = a1 & a2
-            either = a1 ^ a2
-            for x3 in bits(thirds):
+            thirds = mask & after1 & ~a2 >> x2 + 1 << x2 + 1
+            if thirds:
+                x3 = (thirds & -thirds).bit_length() - 1
                 a3 = adj[x3]
+                both = a1 & a2
                 n3 = both & a3
-                n2 = both & ~a3 | either & a3
-                if n3 or n2.bit_count() >= 2:
-                    return TripleWitness(x1, x2, x3, tuple(bits(n2)), tuple(bits(n3)))
+                n2 = both & ~a3 | (a1 ^ a2) & a3
+                return TripleWitness(x1, x2, x3, tuple(bits(n2)), tuple(bits(n3)))
     return None
 
 
@@ -275,7 +310,9 @@ def _validated_plan(
 _SMALL_FOREST_SIZES = (6, 5, 4, 3, 2, 1)
 
 
-def find_reduction(b: Graph) -> ReductionPlan | None:
+def find_reduction(
+    b: Graph, comps: Sequence[tuple[int, ...]] | None = None
+) -> ReductionPlan | None:
     """Search the fixed recipe list for a contractible union of components.
 
     Candidates are unions of whole blue components; each is validated by
@@ -283,10 +320,21 @@ def find_reduction(b: Graph) -> ReductionPlan | None:
     and checking that the blue excess stays at least -1.  The first
     validated candidate wins, so results are deterministic.  Candidates
     whose part sizes admit no certifiable split are skipped unbuilt.
+    ``comps`` are the components of ``b`` in `components` order, computed
+    when not given.
     """
-    comps = components(b)
-    non_trees = [comp for comp in comps if _union_excess(b, comp) >= 0]
-    trees = [comp for comp in comps if _union_excess(b, comp) == -1]
+    if comps is None:
+        comps = components(b)
+    non_trees: list[tuple[int, ...]] = []
+    non_tree_excess: list[int] = []
+    trees: list[tuple[int, ...]] = []
+    for comp in comps:
+        ex = _union_excess(b, comp)
+        if ex == -1:  # a component has excess at least -1, exactly -1 when it is a tree
+            trees.append(comp)
+        else:
+            non_trees.append(comp)
+            non_tree_excess.append(ex)
     trees_big_first = sorted(trees, key=lambda c: (-len(c), c[0]))
     tree_sizes = [len(c) for c in trees_big_first]
     distinct_sizes = tuple(sorted(set(tree_sizes), reverse=True))
@@ -323,14 +371,13 @@ def find_reduction(b: Graph) -> ReductionPlan | None:
                     return plan
 
     # recipe 3: non-tree plus a four-vertex tree, then non-tree plus a small forest
-    for comp in non_trees:
+    for comp, ex1 in zip(non_trees, non_tree_excess):
         for tree in trees_big_first:
             if len(tree) == 4:
                 plan = _validated_plan(b, [comp, tree], "non-tree+tree4")
                 if plan is not None:
                     return plan
         lo = min(4, len(comp))
-        ex1 = _union_excess(b, comp)
         # a forest of at most six vertices has at most six trees
         for count in range(1, min(len(trees), ex1 + 1, 6) + 1):
             shapes = _tree_shapes((len(comp),), _SMALL_FOREST_SIZES, count, lo, 6)

@@ -14,7 +14,7 @@ import pytest
 from conftest import blue_matchjoin_cert, complete_bipartite_cert, petersen, random_connected
 from orient2.certs import matchjoin_graph, verify_cert
 from orient2.construct import _base_case_with_family, _paths_blue
-from orient2.graphs import INFINITE, Graph, complement, diameter, is_bridgeless
+from orient2.graphs import INFINITE, Digraph, Graph, Orientation, complement, components, diameter, is_bridgeless
 from orient2.oracle import (
     SearchStatus,
     exact_oriented_diameter,
@@ -101,10 +101,10 @@ class TestAcceptance:
             outcome = exists_orientation_diameter2(red)
             ok = ok and outcome.status is SearchStatus.YES
             ok = ok and emit_digraph6(outcome.orientation.dir) == TABLE[key]
-            served = _base_case_with_family(blue)
+            served = _base_case_with_family(blue, components(blue))
             ok = ok and served is not None
-            orientation, family = served
-            ok = ok and family.startswith("table:") and diameter(orientation.dir) <= 2
+            rows, family = served
+            ok = ok and family.startswith("table:") and diameter(Orientation(red, Digraph(red.n, rows)).dir) <= 2
         report("criterion-5 small-case table regeneration", ok, f"{len(keys)} patterns")
         assert ok
 

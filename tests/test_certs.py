@@ -37,6 +37,11 @@ def arcs_of(rows):
     return {(u, v) for u, row in enumerate(rows) for v in bits(row)}
 
 
+def oriented(red, rows):
+    """The orientation of ``red`` that the out-rows ``rows`` give; raises unless they orient it exactly."""
+    return Orientation(red, Digraph(red.n, rows))
+
+
 # the directed four-cycle 2 -> 0 -> 3 -> 1 -> 2 on K_{2,2}
 FOUR_CYCLE = rows_of(4, [(2, 0), (0, 3), (3, 1), (1, 2)])
 
@@ -226,14 +231,14 @@ class TestCombine:
         blue = Graph.from_edges(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)])
         red = complement(blue)
         cert = split_cert(red.induced(range(6)), [0, 1, 2], [3, 4, 5])
-        o = combine(red, cert, [6, 7], CombineCase.TWO)
+        o = oriented(red, combine(red, cert, [6, 7], CombineCase.TWO))
         assert diameter(o.dir) == 2
 
     def test_three_isolated_leftovers(self):
         blue = Graph.from_edges(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         red = complement(blue)
         cert = split_cert(red.induced(range(6)), [0, 1, 2], [3, 4, 5])
-        o = combine(red, cert, [6, 7, 8], CombineCase.THREE_ISOLATED)
+        o = oriented(red, combine(red, cert, [6, 7, 8], CombineCase.THREE_ISOLATED))
         assert diameter(o.dir) == 2
 
     def test_two_certified_halves(self):
@@ -241,7 +246,7 @@ class TestCombine:
         red = complement(blue)
         cw = split_cert(red.induced(range(4)), [0, 1], [2, 3])
         cz = split_cert(red.induced(range(4, 8)), [0, 1], [2, 3])
-        o = combine(red, cw, [4, 5, 6, 7], CombineCase.NONTRIVIAL_CERT, cz)
+        o = oriented(red, combine(red, cw, [4, 5, 6, 7], CombineCase.NONTRIVIAL_CERT, cz))
         assert diameter(o.dir) == 2
 
     def test_blue_cross_edge_rejected(self):
@@ -265,7 +270,7 @@ def certify_and_combine_two(red, u1, v1, u2, v2):
     local = {v: i for i, v in enumerate(w)}
     cert = split_cert(red.induced(w), [local[v] for v in u2], [local[v] for v in v2])
     assert cert is not None
-    return combine(red, cert, u1 + v1, CombineCase.TWO)
+    return oriented(red, combine(red, cert, u1 + v1, CombineCase.TWO))
 
 
 class TestQuadruple:
@@ -529,5 +534,6 @@ class TestAgainstArcDictReference:
         rng = random.Random(7300 + list(CombineCase).index(zcase))
         for _ in range(40):
             red, cert_w, z, cert_z = seeded_combine_input(rng, zcase)
-            o = combine(red, cert_w, z, zcase, cert_z)
+            o = oriented(red, combine(red, cert_w, z, zcase, cert_z))
             assert o.dir.out == ref_combine(red, cert_w, z, zcase, cert_z).dir.out
+            assert diameter(o.dir) == 2

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import orient2
 from conftest import complete_graph, cycle_graph, dumbbell, paths_union, relabel, short_dumbbell
-from orient2 import construct
+from orient2 import construct, structure
 from orient2._basecase_table import TABLE
 from orient2.construct import (
     BaseCaseStep,
@@ -82,6 +82,27 @@ def without_first_arc(rows):
     return rows[:u] + (rows[u] & rows[u] - 1,) + rows[u + 1 :]
 
 
+def base_case(blue: Graph) -> tuple[tuple[int, ...], str] | None:
+    """`_base_case_with_family` on ``blue`` and its components."""
+    return _base_case_with_family(blue, components(blue))
+
+
+def checked_base_case(blue: Graph) -> tuple[Orientation, str] | None:
+    """`base_case` with its out-rows checked as the orientation of the complement of ``blue``."""
+    result = base_case(blue)
+    if result is None:
+        return None
+    rows, family = result
+    return Orientation(complement(blue), Digraph(blue.n, rows)), family
+
+
+def with_first_arc_both_ways(rows):
+    """Out-rows ``rows`` with the lowest arc of the first non-empty row also reversed."""
+    u = next(u for u, row in enumerate(rows) if row)
+    v = (rows[u] & -rows[u]).bit_length() - 1
+    return rows[:v] + (rows[v] | 1 << u,) + rows[v + 1 :]
+
+
 def reduction_instance() -> Graph:
     """K3 + P3 + four singletons in the complement: one reduce step on w = 0..5, then a base case."""
     return complement(disjoint_union(complete_graph(3), paths_union([3]), *singletons(4)))
@@ -131,7 +152,7 @@ class TestBaseCases:
     )
     def test_table_families(self, sizes):
         blue = paths_union(sizes)
-        o, _ = _base_case_with_family(blue)
+        o, _ = checked_base_case(blue)
         assert diameter(o.dir) <= 2
         assert o.base == complement(blue)
 
@@ -139,7 +160,7 @@ class TestBaseCases:
         blue = paths_union([3, 1, 1, 1, 1])
         perm = [3, 6, 0, 5, 2, 4, 1]
         shuffled = relabel(blue, perm)
-        o, _ = _base_case_with_family(shuffled)
+        o, _ = checked_base_case(shuffled)
         assert diameter(o.dir) <= 2 and o.base == complement(shuffled)
 
     @pytest.mark.parametrize(
@@ -150,19 +171,19 @@ class TestBaseCases:
     )
     def test_partition_families(self, sizes):
         blue = paths_union(sizes)
-        o, _ = _base_case_with_family(blue)
+        o, _ = checked_base_case(blue)
         assert diameter(o.dir) <= 2
 
     @pytest.mark.parametrize("core", ["K4", "D42", "D41"])
     def test_core_plus_seven_singletons(self, core):
         q = {"K4": complete_graph(4), "D42": dumbbell(2, 4), "D41": dumbbell(1, 4)}[core]
         blue = disjoint_union(q, *singletons(7))
-        o, _ = _base_case_with_family(blue)
+        o, _ = checked_base_case(blue)
         assert diameter(o.dir) <= 2
 
     def test_d34_plus_eight_singletons(self):
         blue = disjoint_union(dumbbell(3, 4), *singletons(8))
-        o, _ = _base_case_with_family(blue)
+        o, _ = checked_base_case(blue)
         assert diameter(o.dir) <= 2
 
     @pytest.mark.parametrize("core", ["D33", "S33"])
@@ -171,7 +192,7 @@ class TestBaseCases:
         q = dumbbell(3, 3) if core == "D33" else short_dumbbell(3, 3)
         rest = singletons(6) if tail == "6P1" else [paths_union([2])] + singletons(5)
         blue = disjoint_union(q, *rest)
-        o, _ = _base_case_with_family(blue)
+        o, _ = checked_base_case(blue)
         assert diameter(o.dir) <= 2
 
     @pytest.mark.parametrize("core", ["D32", "C5", "D31", "K3"])
@@ -185,13 +206,13 @@ class TestBaseCases:
         }[core]
         rest = [paths_union([2])] * twos + singletons(5 - twos)
         blue = disjoint_union(q, *rest)
-        o, _ = _base_case_with_family(blue)
+        o, _ = checked_base_case(blue)
         assert diameter(o.dir) <= 2
 
     def test_non_family_absent(self):
-        assert _base_case_with_family(disjoint_union(complete_graph(5), *singletons(5))) is None
-        assert _base_case_with_family(paths_union([5, 1, 1, 1, 1])) is None
-        assert _base_case_with_family(paths_union([1, 1, 1, 1])) is None
+        assert base_case(disjoint_union(complete_graph(5), *singletons(5))) is None
+        assert base_case(paths_union([5, 1, 1, 1, 1])) is None
+        assert base_case(paths_union([1, 1, 1, 1])) is None
 
     def test_component_count_outside_every_family_skips_classification(self, monkeypatch):
         classified = []
@@ -201,14 +222,14 @@ class TestBaseCases:
             return classify_component(blue, comp)
 
         monkeypatch.setattr(construct, "classify_component", counted)
-        assert _base_case_with_family(paths_union([2] * 6 + [1] * 6)) is None
+        assert base_case(paths_union([2] * 6 + [1] * 6)) is None
         assert classified == []
-        o, family = _base_case_with_family(disjoint_union(cycle_graph(5), *singletons(5)))
+        o, family = checked_base_case(disjoint_union(cycle_graph(5), *singletons(5)))
         assert diameter(o.dir) <= 2 and "FIVE_CYCLE" in family
         assert len(classified) == 6
 
 
-def ungated_base_case(blue: Graph) -> tuple[Orientation, str] | None:
+def ungated_base_case(blue: Graph) -> tuple[tuple[int, ...], str] | None:
     """`_base_case_with_family` without its size gate: every blue graph with
     5 to 9 components has all of them classified."""
     comps = components(blue)
@@ -222,13 +243,9 @@ def ungated_base_case(blue: Graph) -> tuple[Orientation, str] | None:
     if all(cls.kind is ComponentKind.PATH for cls in classes):
         served = construct._serve_table(blue, comps)
         if served is not None:
-            return Orientation.from_arcs(red, served), f"table:{family}"
+            return served, f"table:{family}"
     found = construct._quadruple_search(red, comps)
     return None if found is None else (found, family)
-
-
-def family_and_arcs(result):
-    return None if result is None else (result[1], result[0].dir.arcs())
 
 
 class TestBaseCaseSizeGate:
@@ -238,8 +255,8 @@ class TestBaseCaseSizeGate:
         found = 0
         for n in range(5, 12):
             for blue in enumerate_blue(n, n - 5):
-                expected = family_and_arcs(ungated_base_case(blue))
-                assert family_and_arcs(_base_case_with_family(blue)) == expected, blue
+                expected = ungated_base_case(blue)
+                assert base_case(blue) == expected, blue
                 found += expected is not None
         assert found > 0
 
@@ -247,9 +264,9 @@ class TestBaseCaseSizeGate:
         levels = []
         gated = construct._base_case_with_family
 
-        def recorded(blue):
+        def recorded(blue, comps):
             levels.append(blue)
-            return gated(blue)
+            return gated(blue, comps)
 
         monkeypatch.setattr(construct, "_base_case_with_family", recorded)
         rng = random.Random(14)
@@ -258,8 +275,8 @@ class TestBaseCaseSizeGate:
             orient_diameter_two(complement(random_blue(rng, n, n - 5)))
         found = 0
         for blue in levels:
-            expected = family_and_arcs(ungated_base_case(blue))
-            assert family_and_arcs(gated(blue)) == expected, blue
+            expected = ungated_base_case(blue)
+            assert gated(blue, components(blue)) == expected, blue
             found += expected is not None
         assert found > 0 and len(levels) > 200
 
@@ -282,12 +299,13 @@ class TestBaseCaseSizeGate:
             return classify_component(blue, comp)
 
         monkeypatch.setattr(construct, "classify_component", counted)
-        result = _base_case_with_family(blue)
+        result = base_case(blue)
         if family is None:
             assert result is None and classified == []
         else:
-            assert family in result[1] and diameter(result[0].dir) <= 2
-        assert family_and_arcs(result) == family_and_arcs(ungated_base_case(blue))
+            o, found = checked_base_case(blue)
+            assert family in found and diameter(o.dir) <= 2
+        assert result == ungated_base_case(blue)
 
 
 class TestExpansion:
@@ -376,11 +394,77 @@ class TestTripleContraction:
         assert remnants == 4  # 3-1, 3-8, 5-1 and 7-8: both label orders occur
 
 
+def induced_contract_triple(blue: Graph, triple) -> Graph:
+    """The contraction `_contract_triple` replaced: the induced graph on the
+    kept vertices plus one vertex joined to every kept vertex that meets the triple."""
+    removed = sorted(triple)
+    kept = [v for v in range(blue.n) if v not in removed]
+    k = len(kept)
+    triple_mask = sum(1 << x for x in removed)
+    rows = list(blue.induced(kept).adj) + [0]
+    for i, u in enumerate(kept):
+        if blue.adj[u] & triple_mask:
+            rows[i] |= 1 << k
+            rows[k] |= 1 << i
+    return Graph(k + 1, tuple(rows))
+
+
+class TestLevels:
+    def test_contract_triple_matches_the_induced_construction(self):
+        rng = random.Random(1903)
+        checked = 0
+        for _ in range(1000):
+            n = rng.randint(3, 70)
+            blue = random_blue(rng, n, rng.randint(0, n * (n - 1) // 4))
+            triple = tuple(rng.sample(range(n), 3))
+            if any(blue.has_edge(u, v) for u, v in combinations(triple, 2)):
+                continue
+            frame, contracted = _contract_triple(blue, triple)
+            assert contracted == induced_contract_triple(blue, triple)
+            assert frame.removed == tuple(sorted(triple)) and frame.blue == blue.adj
+            checked += 1
+        assert checked > 400
+
+    def test_components_run_once_per_level(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return components(g)
+
+        for module in (construct, structure):
+            monkeypatch.setattr(module, "components", counted)
+        rng = random.Random(1904)
+        for n in (20, 40, 80, 120):
+            calls.clear()
+            _, trace = orient_diameter_two(complement(random_blue(rng, n, n - 5)))
+            levels = [s for s in trace.steps if not isinstance(s, PadStep)]
+            assert len(levels) > 3
+            assert len(calls) == len(levels)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            (without_first_arc, "do not orient the base graph exactly"),
+            (with_first_arc_both_ways, "oriented both ways"),
+            (sink_at_zero, "innermost orientation of order 11 has diameter above 2"),
+        ],
+        ids=["missing-arc", "arc-both-ways", "sink"],
+    )
+    def test_innermost_rows_are_checked_once_in_execute(self, corrupt, match):
+        # the base case hands over bare rows; `_execute` is the one check
+        blue = disjoint_union(complete_graph(4), *singletons(7))
+        rows, family = base_case(blue)
+        step = BaseCaseStep(family, corrupt(rows))
+        with pytest.raises(ValueError, match=match):
+            construct._execute(complement(blue), lambda level: ((), step))
+
+
 class TestFallback:
     def test_oracle_fallback_orients_and_replays(self, monkeypatch):
         g = complement(random_blue(random.Random(8), 8, 3))
         for name in ("_base_case_with_family", "find_reduction", "find_violating_triple"):
-            monkeypatch.setattr(construct, name, lambda blue: None)
+            monkeypatch.setattr(construct, name, lambda blue, *comps: None)
         o, trace = orient_diameter_two(g)
         assert o.base == g and diameter(o.dir) <= 2
         assert isinstance(trace.steps[-1], FallbackStep)

@@ -15,7 +15,7 @@ from conftest import (
     relabel,
     short_dumbbell,
 )
-from orient2 import structure
+from orient2 import construct, structure
 from orient2.construct import orient_diameter_two
 from orient2.graphs import Graph, bits, complement, components
 from orient2.structure import (
@@ -288,12 +288,102 @@ def reference_triple(b: Graph):
     return None
 
 
+def scan_triple(b: Graph):
+    """The pair-and-third scan that `find_violating_triple` replaced: for each
+    independent pair, every independent x3 after x2 that shares a neighbor
+    with x1 or x2 (any x3 once x1 and x2 share one), checked one by one."""
+    adj = b.adj
+    co = []
+    for x in range(b.n):
+        shared = 0
+        for v in bits(adj[x]):
+            shared |= adj[v]
+        co.append(shared & ~(1 << x))
+    full = (1 << b.n) - 1
+    for x1 in range(b.n):
+        a1 = adj[x1]
+        after1 = full & ~a1 >> x1 + 1 << x1 + 1
+        for x2 in bits(after1):
+            a2 = adj[x2]
+            thirds = after1 & ~a2 >> x2 + 1 << x2 + 1
+            if not co[x1] >> x2 & 1:
+                thirds &= co[x1] | co[x2]
+            both = a1 & a2
+            either = a1 ^ a2
+            for x3 in bits(thirds):
+                a3 = adj[x3]
+                n3 = both & a3
+                n2 = both & ~a3 | either & a3
+                if n3 or n2.bit_count() >= 2:
+                    return TripleWitness(x1, x2, x3, tuple(bits(n2)), tuple(bits(n3)))
+    return None
+
+
+def seeded_triple_levels(monkeypatch, orders, seeds):
+    """The blue graphs `find_violating_triple` is called on while seeded
+    threshold instances of these orders are constructed."""
+    levels = []
+
+    def recorded(b):
+        levels.append(b)
+        return find_violating_triple(b)
+
+    monkeypatch.setattr(construct, "find_violating_triple", recorded)
+    for n in orders:
+        for seed in seeds:
+            rng = random.Random(f"triple-levels:{n}:{seed}")
+            blue = Graph.from_edges(n, rng.sample(list(combinations(range(n), 2)), n - 5))
+            orient_diameter_two(complement(blue))
+    return levels
+
+
+class TestTripleMaskBranches:
+    """One case per mask of the pair (0, 1): the first x3 that the mask admits
+    is the lexicographically first violating third vertex."""
+
+    @pytest.mark.parametrize(
+        "edges, witness",
+        [
+            # 0 and 1 share 2 and 3: every independent x3 after 1 is admitted
+            ([(0, 2), (0, 3), (1, 2), (1, 3)], TripleWitness(0, 1, 4, (2, 3), ())),
+            # 0 and 1 share 5; 3 shares 6 with 0 (the x1 side), 2 shares nothing
+            ([(0, 5), (1, 5), (0, 6), (3, 6)], TripleWitness(0, 1, 3, (5, 6), ())),
+            # 0 and 1 share 5; 3 shares 6 with 1 (the x2 side)
+            ([(0, 5), (1, 5), (1, 6), (3, 6)], TripleWitness(0, 1, 3, (5, 6), ())),
+            # 0 and 1 share nothing; 3 shares 5 with 0 and 6 with 1
+            ([(0, 5), (3, 5), (1, 6), (3, 6)], TripleWitness(0, 1, 3, (5, 6), ())),
+            # 0 and 1 share nothing; 3 shares 5 and 6 with 1
+            ([(1, 5), (1, 6), (3, 5), (3, 6)], TripleWitness(0, 1, 3, (5, 6), ())),
+            # 0 and 1 share nothing; 3 shares 5 and 6 with 0
+            ([(0, 5), (0, 6), (3, 5), (3, 6)], TripleWitness(0, 1, 3, (5, 6), ())),
+        ],
+        ids=[
+            "doubly-linked",
+            "singly-linked-x1-side",
+            "singly-linked-x2-side",
+            "unlinked-third-linked-to-both",
+            "unlinked-third-doubly-linked-to-x2",
+            "unlinked-third-doubly-linked-to-x1",
+        ],
+    )
+    def test_branch(self, edges, witness):
+        b = Graph.from_edges(7, edges)
+        assert find_violating_triple(b) == witness == reference_triple(b)
+
+    def test_pair_without_admissible_third_is_passed_over(self):
+        # 0 and 1 share only 5, and no vertex after 1 shares a neighbor with
+        # either, so the pair (0, 1) admits no x3; the unlinked pair (0, 2)
+        # admits 3, which shares 6 and 7 with 2
+        b = Graph.from_edges(8, [(0, 5), (1, 5), (2, 6), (3, 6), (2, 7), (3, 7)])
+        assert find_violating_triple(b) == reference_triple(b) == TripleWitness(0, 2, 3, (6, 7), ())
+
+
 class TestTripleAgainstReference:
     def test_random_graphs(self):
         rng = random.Random(19)
         found = 0
         for _ in range(3000):
-            n = rng.randint(3, 22)
+            n = rng.randint(3, 40)
             p = rng.random() ** 2  # mostly sparse, like blue graphs, but every density occurs
             b = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
             expected = reference_triple(b)
@@ -311,6 +401,20 @@ class TestTripleAgainstReference:
         # 0 and 1 share 2 and 3; the third vertex 4 shares nothing with either
         b = Graph.from_edges(6, [(0, 2), (1, 2), (0, 3), (1, 3)])
         assert find_violating_triple(b) == TripleWitness(0, 1, 4, (2, 3), ())
+
+    def test_scan_reference_agrees_with_the_full_scan(self):
+        rng = random.Random(1919)
+        for _ in range(500):
+            n = rng.randint(3, 24)
+            p = rng.random() ** 2
+            b = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            assert scan_triple(b) == reference_triple(b)
+
+    def test_recorded_levels_of_seeded_constructions(self, monkeypatch):
+        levels = seeded_triple_levels(monkeypatch, (100, 150, 200), (1, 2, 3))
+        assert len(levels) > 500 and max(b.n for b in levels) == 200
+        for b in levels:
+            assert find_violating_triple(b) == scan_triple(b)
 
 
 def filtered_combinations(sizes, count, keep):

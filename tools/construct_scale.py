@@ -4,7 +4,9 @@
 A threshold instance of order n is the complement of a uniformly random
 blue graph with n - 5 edges, drawn from ``random.Random("construct-scale:n:seed")``.
 For each order the tool prints the median and the largest time over the
-seeds, and the tally of the construction moves and reduction recipes.
+seeds, the tally of the construction moves and reduction recipes, and a
+CRC-32 of every seed's orientation and trace (its ``to_json()`` form), so
+two checkouts that build the same orientations print the same digest.
 
 Exits with status 1 if some construction falls back to the exhaustive
 oracle.
@@ -21,6 +23,7 @@ import random
 import statistics
 import sys
 import time
+import zlib
 from collections import Counter
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -42,18 +45,21 @@ def threshold_instance(n: int, seed: int) -> Graph:
 def scale(n: int, seeds: int) -> bool:
     times = []
     moves: Counter = Counter()
+    digest = 0
     for seed in range(1, seeds + 1):
         g = threshold_instance(n, seed)
         start = time.perf_counter()
-        _, trace = orient_diameter_two(g)
+        o, trace = orient_diameter_two(g)
         times.append(time.perf_counter() - start)
+        digest = zlib.crc32(repr((sorted(o.dir.arcs()), trace.to_json())).encode(), digest)
         for step in trace.to_json():
             moves[step["kind"]] += 1
             if step["kind"] == "reduce":
                 moves[f"reduce:{step['recipe']}"] += 1
     tally = " ".join(f"{name}={count}" for name, count in sorted(moves.items()))
     print(
-        f"n={n} seeds={seeds} median={statistics.median(times):.3f}s max={max(times):.3f}s {tally}",
+        f"n={n} seeds={seeds} median={statistics.median(times):.3f}s max={max(times):.3f}s "
+        f"digest={digest:08x} {tally}",
         flush=True,
     )
     return not moves["fallback-oracle"]
