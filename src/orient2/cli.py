@@ -128,7 +128,11 @@ def cmd_orient(args: argparse.Namespace) -> int:
 
 
 def cmd_diameter(args: argparse.Namespace) -> int:
-    budget = _budget(args)
+    try:
+        budget = _budget(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     def oriented_diameter(g: Graph) -> int:
         value = exact_oriented_diameter(g, budget)

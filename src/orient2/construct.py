@@ -15,11 +15,11 @@ three moves always applies:
 
 Contractions recurse on a strictly smaller instance; expansions replay
 the certificates to lift the small solution's out-rows back up.  The
-trace holds each level's step as the driver took it: a reduce step is the
+trace step is the one record of a level: a reduce step is the
 `ReductionPlan` itself, certificate record included, and a base case or
-fallback holds its orientation's out-rows.  Checks sit only where data
-enters and leaves that unwind: each step against its level, the
-innermost orientation, and the final one.  If no move
+fallback holds its orientation's out-rows.  Replay checks each recorded
+step against its level; the driver's own steps are correct by
+construction, and its one check is the final orientation's.  If no move
 applies (which would contradict the case analysis) an exhaustive search
 is used as a safety valve and the event is recorded in the trace.
 """
@@ -32,6 +32,7 @@ from itertools import combinations, islice
 from math import comb
 from typing import Callable, Sequence
 
+from ._backend import STATUS_BUDGET
 from ._basecase_table import TABLE
 from .certs import CombineCase, GoodOrientationCert, combine, split_cert, verify_cert
 from .codec import parse_digraph6
@@ -122,23 +123,8 @@ class ConstructionTrace:
         return out
 
 
-@dataclass(frozen=True)
-class ReductionFrame:
-    """A certified set contracted to the super-vertices len(kept), len(kept) + 1."""
-
-    removed: tuple[int, ...]
-    kept: tuple[int, ...]
-    cert_rows: tuple[int, ...]  # the certificate's out-rows, over the labels of removed
-    classes: tuple[int, ...]  # its two classes, as masks over the uncontracted labels
-
-
-@dataclass(frozen=True)
-class TripleFrame:
-    """An independent triple identified into the vertex len(kept)."""
-
-    removed: tuple[int, ...]
-    kept: tuple[int, ...]
-    blue: tuple[int, ...]  # the blue rows of the level it was taken from
+# a level of the descent: the padding deleted, the padded blue graph and its non-pad step
+Level = tuple[tuple[Edge, ...], Graph, TraceStep]
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +278,7 @@ def _base_case_with_family(
     its components ``comps`` (in `components` order) form one of the
     directly orientable families.
 
-    The rows are not checked here: `_execute` checks the innermost orientation."""
+    The rows are not checked here: `_execute` checks the orientation they lift to."""
     bounds = _FAMILY_SIZE_BOUNDS.get(len(comps))
     if bounds is None or len(comps[-1]) > bounds[0] or len(comps[-2]) > bounds[1]:
         return None
@@ -315,38 +301,38 @@ def _base_case_with_family(
 # contraction / expansion
 
 
-def _contract_reduction(
-    norm_blue: Graph, w: tuple[int, ...], cert: GoodOrientationCert
-) -> tuple[ReductionFrame, Graph]:
-    """Contract ``w`` to two super-vertices; returns the frame and the contracted blue graph.
+def _removed_and_kept(n: int, vertices: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted ``vertices`` a contraction removes and the sorted labels it keeps."""
+    removed = tuple(sorted(vertices))
+    return removed, tuple([v for v in range(n) if v not in removed])  # see graphs.complement
 
-    Both contractions trust their step, which `_execute` has checked, and
-    build the contracted graph unchecked from the valid ``norm_blue``."""
-    removed = tuple(sorted(w))
-    kept = tuple([v for v in range(norm_blue.n) if v not in removed])  # see graphs.complement
+
+def _contract_reduction(level: Graph, plan: ReductionPlan) -> Graph:
+    """The padded blue graph ``level`` with ``plan.w`` contracted to the
+    super-vertices ``len(kept)`` and ``len(kept) + 1``.  Both contractions
+    trust their step and build the result unchecked from the valid ``level``."""
+    removed, kept = _removed_and_kept(level.n, plan.w)
     k = len(kept)
-    rows = list(norm_blue.induced(kept).adj) + [1 << (k + 1), 1 << k]
-    masks = tuple(sum(1 << removed[i] for i in c) for c in (cert.first, cert.second))
-    frame = ReductionFrame(removed, kept, cert.rows, masks)
-    return frame, _unchecked(k + 2, tuple(rows))
+    rows = list(level.induced(kept).adj) + [1 << (k + 1), 1 << k]
+    return _unchecked(k + 2, tuple(rows))
 
 
-def _contract_triple(norm_blue: Graph, triple: tuple[int, int, int]) -> tuple[TripleFrame, Graph]:
-    """Identify ``triple`` into one vertex; returns the frame and the contracted blue graph.
+def _contract_triple(level: Graph, step: TripleStep) -> Graph:
+    """The padded blue graph ``level`` with the step's triple identified into
+    the vertex ``len(kept)``.
 
     Each kept row drops the triple's three bit positions by shifting the
     bits above each of them down one place, highest first, and gains the
-    merged vertex ``len(kept)`` when it meets the triple."""
-    removed = tuple(sorted(triple))
+    merged vertex when it meets the triple."""
+    removed, kept = _removed_and_kept(level.n, (step.x1, step.x2, step.x3))
     x1, x2, x3 = removed
-    kept = tuple([v for v in range(norm_blue.n) if v not in removed])  # see graphs.complement
     k = len(kept)
     triple_mask = 1 << x1 | 1 << x2 | 1 << x3
     low1, low2, low3 = (1 << x1) - 1, (1 << x2) - 1, (1 << x3) - 1
     merged = 1 << k
     rows = []
     join = 0
-    adj = norm_blue.adj
+    adj = level.adj
     for i, u in enumerate(kept):
         row = adj[u]
         squeezed = row & low3 | row >> x3 + 1 << x3
@@ -357,7 +343,7 @@ def _contract_triple(norm_blue: Graph, triple: tuple[int, int, int]) -> tuple[Tr
             join |= 1 << i
         rows.append(squeezed)
     rows.append(join)
-    return TripleFrame(removed, kept, adj), _unchecked(k + 1, tuple(rows))
+    return _unchecked(k + 1, tuple(rows))
 
 
 def _lift_kept(
@@ -377,36 +363,40 @@ def _lift_kept(
     return rows
 
 
-def expand_reduction(star: Sequence[int], frame: ReductionFrame) -> list[int]:
-    """Lift out-rows of an orientation of the contracted graph over the removed set.
+def expand_reduction(star: Sequence[int], level: Graph, plan: ReductionPlan) -> list[int]:
+    """Lift out-rows of an orientation of the contracted graph over the set
+    ``plan.w`` that `_contract_reduction` removed from ``level``.
 
-    Edges inside the removed set follow the stored certificate; edges
+    Edges inside the removed set follow the plan's certificate; edges
     between a kept vertex and a certificate class copy the direction that
     vertex chose toward the class's super-vertex.  The lift of a diameter-2
     orientation has diameter 2, so nothing here is checked."""
-    kept, removed = frame.kept, frame.removed
+    removed, kept = _removed_and_kept(level.n, plan.w)
     k = len(kept)
-    rows = _lift_kept(star, kept, removed, frame.classes)
-    for i, cls in enumerate(frame.classes):
+    cert = plan.cert
+    classes = tuple(sum(1 << removed[i] for i in c) for c in (cert.first, cert.second))
+    rows = _lift_kept(star, kept, removed, classes)
+    for i, cls in enumerate(classes):
         super_out = _spread(star[k + i], removed)
         for x in bits(cls):
             rows[x] |= super_out
-    for a, row in enumerate(frame.cert_rows):
+    for a, row in enumerate(cert.rows):
         rows[removed[a]] |= _spread(row, kept)
     return rows
 
 
-def expand_triple_contraction(star: Sequence[int], frame: TripleFrame) -> list[int]:
-    """Lift out-rows of an orientation over an identified independent triple.
+def expand_triple_contraction(star: Sequence[int], level: Graph, step: TripleStep) -> list[int]:
+    """Lift out-rows of an orientation over the triple that `_contract_triple`
+    identified in ``level``.
 
     The triple becomes a directed 3-cycle; every kept vertex that kept all
     three edges copies its direction toward the merged vertex, and partial
     remnants are oriented low label to high label.  Unchecked, as above."""
-    kept, removed = frame.kept, frame.removed
+    removed, kept = _removed_and_kept(level.n, (step.x1, step.x2, step.x3))
     x1, x2, x3 = removed
     triple = (1 << x1) | (1 << x2) | (1 << x3)
-    full = (1 << len(frame.blue)) - 1
-    red = [full & ~frame.blue[x] & ~(1 << x) for x in removed]
+    full = (1 << level.n) - 1
+    red = [full & ~level.adj[x] & ~(1 << x) for x in removed]
     rows = _lift_kept(star, kept, removed, (triple,))
     merged_out = _spread(star[len(kept)], removed)
     whole = red[0] & red[1] & red[2]
@@ -426,7 +416,8 @@ def _delete_red_pairs(blue: Graph, deleted: tuple[Edge, ...]) -> Graph:
     """``blue`` with each deleted red edge added as a blue edge.
 
     Raises ValueError naming the first pair that is not an edge of the
-    complement of ``blue`` once the pairs before it are deleted."""
+    complement of ``blue`` once the pairs before it are deleted; pairs that
+    pass keep the graph valid, so it is built unchecked."""
     if not deleted:
         return blue
     rows = list(blue.adj)
@@ -435,7 +426,7 @@ def _delete_red_pairs(blue: Graph, deleted: tuple[Edge, ...]) -> Graph:
             raise ValueError(f"pad pair {(u, v)} is not an edge of the level's graph")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(blue.n, tuple(rows))
+    return _unchecked(blue.n, tuple(rows))
 
 
 def _restore_padding(rows: list[int], deleted: tuple[Edge, ...]) -> None:
@@ -447,7 +438,10 @@ def _restore_padding(rows: list[int], deleted: tuple[Edge, ...]) -> None:
 def _oracle_fallback(norm: Graph) -> Orientation:
     from .oracle import _solve_bounded, default_budget  # deferred: oracle imports this module
 
-    _, orientation, _ = _solve_bounded(norm, 2, default_budget())
+    budget = default_budget()
+    status, orientation, _ = _solve_bounded(norm, 2, budget)
+    if status == STATUS_BUDGET:
+        raise InternalVerificationError(f"exhaustive fallback ran out of its {budget.max_nodes}-node budget")
     if orientation is None:
         raise InternalVerificationError(
             "exhaustive fallback found no diameter-2 orientation above the threshold"
@@ -455,21 +449,18 @@ def _oracle_fallback(norm: Graph) -> Orientation:
     return orientation
 
 
-Move = tuple[tuple[Edge, ...], TraceStep]  # (padding deleted at a level, its non-pad step)
-
-
-def _checked_cert(norm_blue: Graph, step: ReductionPlan) -> GoodOrientationCert:
+def _checked_cert(level: Graph, step: ReductionPlan) -> GoodOrientationCert:
     """The certificate ``step`` records; raises ValueError unless ``w`` is a proper
     union of blue components with a non-trivial certificate of its red graph."""
     w = tuple(sorted(set(step.w)))
-    inside = sum(1 << v for v in w if 0 <= v < norm_blue.n)
-    whole = inside.bit_count() == len(w) == len(step.w) and 0 < len(w) < norm_blue.n
-    if not whole or any(norm_blue.adj[v] & ~inside for v in w):
+    inside = sum(1 << v for v in w if 0 <= v < level.n)
+    whole = inside.bit_count() == len(w) == len(step.w) and 0 < len(w) < level.n
+    if not whole or any(level.adj[v] & ~inside for v in w):
         raise ValueError(f"reduce step's set {step.w} is not a proper union of blue components")
     cert = step.cert
     if not cert.nontrivial:
         raise ValueError(f"reduce step's certificate on {step.w} is trivial")
-    if cert.world != complement(norm_blue.induced(w)):
+    if cert.world != complement(level.induced(w)):
         raise ValueError(f"reduce step's certificate world is not the red graph on {step.w}")
     if not verify_cert(cert):
         raise ValueError(f"reduce step's certificate on {step.w} fails its distance conditions")
@@ -477,54 +468,32 @@ def _checked_cert(norm_blue: Graph, step: ReductionPlan) -> GoodOrientationCert:
 
 
 def _execute(
-    g: Graph, next_step: Callable[[Graph], Move]
+    g: Graph, next_step: Callable[[Graph], Level]
 ) -> tuple[Orientation, ConstructionTrace]:
-    """Descend on the complement through the moves ``next_step`` hands out
-    for each level's blue graph, then lift the innermost orientation's
-    out-rows back through every contraction and padding.
+    """Descend on the complement through the levels ``next_step`` hands out
+    for each blue graph, then lift the innermost orientation's out-rows back
+    through every contraction and padding.
 
-    Contractions and the innermost orientation are built from the steps'
-    contents alone, so the driver runs exactly the trace it records.  Bad
-    step contents raise ValueError, a bad final orientation
-    InternalVerificationError."""
-    steps: list[TraceStep] = []
-    levels: list[tuple[tuple[Edge, ...], ReductionFrame | TripleFrame]] = []
+    Each level is contracted and expanded from its step and padded graph
+    alone, so the driver runs exactly the trace it records.  Only the
+    output is checked: a bad one raises InternalVerificationError."""
+    levels: list[Level] = []
     blue = complement(g)
     while True:
-        deleted, move = next_step(blue)
-        if deleted:
-            steps.append(PadStep(deleted))
-        steps.append(move)
-        norm_blue = _delete_red_pairs(blue, deleted)
-        n, missing = norm_blue.n, norm_blue.m
-        if n < 5 or missing != n - 5:
-            raise ValueError(
-                f"padded level of order {n} misses {missing} edges; n >= 5 and n - 5 are required"
-            )
-        if isinstance(move, (BaseCaseStep, FallbackStep)):
-            inner = Orientation(complement(norm_blue), Digraph(n, move.rows))
-            if diameter(inner.dir) > 2:
-                raise ValueError(f"innermost orientation of order {n} has diameter above 2")
-            rows = list(inner.dir.out)
-            _restore_padding(rows, deleted)
+        levels.append(next_step(blue))
+        _, level, step = levels[-1]
+        if isinstance(step, ReductionPlan):
+            blue = _contract_reduction(level, step)
+        elif isinstance(step, TripleStep):
+            blue = _contract_triple(level, step)
+        else:
             break
-        if isinstance(move, ReductionPlan):
-            frame, blue = _contract_reduction(norm_blue, move.w, _checked_cert(norm_blue, move))
-        elif isinstance(move, TripleStep):
-            triple = (move.x1, move.x2, move.x3)
-            inside = sum(1 << x for x in set(triple) if 0 <= x < n)
-            if inside.bit_count() != 3 or any(norm_blue.adj[x] & inside for x in triple):
-                raise ValueError(f"triple {triple} is not independent in the level's blue graph")
-            frame, blue = _contract_triple(norm_blue, triple)
-        else:
-            raise ValueError(f"unexpected trace step {move!r}")
-        levels.append((deleted, frame))
-
-    for deleted, frame in reversed(levels):
-        if isinstance(frame, ReductionFrame):
-            rows = expand_reduction(rows, frame)
-        else:
-            rows = expand_triple_contraction(rows, frame)
+    rows = list(step.rows)
+    for deleted, level, step in reversed(levels):
+        if isinstance(step, ReductionPlan):
+            rows = expand_reduction(rows, level, step)
+        elif isinstance(step, TripleStep):
+            rows = expand_triple_contraction(rows, level, step)
         _restore_padding(rows, deleted)
     try:
         o = Orientation(g, Digraph(g.n, tuple(rows)))
@@ -532,6 +501,11 @@ def _execute(
         raise InternalVerificationError(f"lifted rows do not orient the input: {exc}") from exc
     if diameter(o.dir) > 2:
         raise InternalVerificationError("final orientation failed its diameter check")
+    steps: list[TraceStep] = []
+    for deleted, _, step in levels:
+        if deleted:
+            steps.append(PadStep(deleted))
+        steps.append(step)
     return o, ConstructionTrace(tuple(steps))
 
 
@@ -542,7 +516,7 @@ def _first_red_pairs(blue: Graph, count: int) -> tuple[Edge, ...]:
     return tuple(islice(pairs, count))
 
 
-def _choose_move(blue: Graph) -> Move:
+def _choose_move(blue: Graph) -> Level:
     """The constructor's decision at one level, read from its blue graph: trim
     the red graph to the threshold by deleting its lexicographically first
     edges, then take the first of base case, reduction, violating triple and
@@ -555,21 +529,21 @@ def _choose_move(blue: Graph) -> Move:
     if red_m < threshold_size(n):
         raise ValueError(f"graph of order {n} has {red_m} edges; {threshold_size(n)} are required")
     deleted = _first_red_pairs(blue, red_m - threshold_size(n))
-    norm_blue = _delete_red_pairs(blue, deleted)
-    comps = components(norm_blue)
-    base = _base_case_with_family(norm_blue, comps)
+    level = _delete_red_pairs(blue, deleted)
+    comps = components(level)
+    base = _base_case_with_family(level, comps)
     if base is not None:
         rows, family = base
-        return deleted, BaseCaseStep(family, rows)
-    plan = find_reduction(norm_blue, comps)
+        return deleted, level, BaseCaseStep(family, rows)
+    plan = find_reduction(level, comps)
     if plan is not None:
-        return deleted, plan
-    witness = find_violating_triple(norm_blue)
+        return deleted, level, plan
+    witness = find_violating_triple(level)
     if witness is not None:
-        return deleted, TripleStep(witness.x1, witness.x2, witness.x3)
-    orientation = _oracle_fallback(complement(norm_blue))
+        return deleted, level, TripleStep(witness.x1, witness.x2, witness.x3)
+    orientation = _oracle_fallback(complement(level))
     reason = "no base case, contractible set, or triple applied"
-    return deleted, FallbackStep(reason, orientation.dir.out)
+    return deleted, level, FallbackStep(reason, orientation.dir.out)
 
 
 def orient_diameter_two(g: Graph) -> tuple[Orientation, ConstructionTrace]:
@@ -582,10 +556,10 @@ def replay_trace(g: Graph, trace: ConstructionTrace) -> Orientation:
     """Re-apply recorded steps mechanically; reproduces the driver's output.
 
     Raises ValueError when the trace ends before a base-case or fallback
-    step, continues after one, or pads with a pair that is not an edge."""
+    step, continues after one, or holds a step that does not fit its level."""
     steps = iter(trace.steps)
 
-    def recorded(blue: Graph) -> Move:
+    def recorded(blue: Graph) -> Level:
         step = next(steps, None)
         deleted: tuple[Edge, ...] = ()
         if isinstance(step, PadStep):
@@ -593,7 +567,26 @@ def replay_trace(g: Graph, trace: ConstructionTrace) -> Orientation:
             step = next(steps, None)
         if step is None:
             raise ValueError("trace ends before its base-case or fallback step")
-        return deleted, step
+        level = _delete_red_pairs(blue, deleted)
+        n, missing = level.n, level.m
+        if n < 5 or missing != n - 5:
+            raise ValueError(
+                f"padded level of order {n} misses {missing} edges; n >= 5 and n - 5 are required"
+            )
+        if isinstance(step, (BaseCaseStep, FallbackStep)):
+            inner = Orientation(complement(level), Digraph(n, step.rows))
+            if diameter(inner.dir) > 2:
+                raise ValueError(f"innermost orientation of order {n} has diameter above 2")
+        elif isinstance(step, ReductionPlan):
+            _checked_cert(level, step)
+        elif isinstance(step, TripleStep):
+            triple = (step.x1, step.x2, step.x3)
+            inside = sum(1 << x for x in set(triple) if 0 <= x < n)
+            if inside.bit_count() != 3 or any(level.adj[x] & inside for x in triple):
+                raise ValueError(f"triple {triple} is not independent in the level's blue graph")
+        else:
+            raise ValueError(f"unexpected trace step {step!r}")
+        return deleted, level, step
 
     o, _ = _execute(g, recorded)
     extra = sum(1 for _ in steps)

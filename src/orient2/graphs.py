@@ -46,6 +46,21 @@ def in_rows(out: Sequence[int]) -> list[int]:
     return into
 
 
+def _exact_in_rows(out: Sequence[int], adj: Sequence[int]) -> list[int]:
+    """`in_rows` of ``out``; ValueError unless ``out`` orients the rows ``adj`` exactly, each edge one way."""
+    into = in_rows(out)
+    for u, (row, edges) in enumerate(zip(out, adj)):
+        covered = row | into[u]
+        if covered != edges:
+            raise ValueError(
+                "arcs do not orient the base graph exactly "
+                f"(vertex {u}: edges {edges:b}, arcs {covered:b})"
+            )
+        if row & into[u]:
+            raise ValueError(f"edge at vertex {u} oriented both ways")
+    return into
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph: ``adj[u]`` is the neighbor set of ``u`` as a bitmask."""
@@ -170,16 +185,7 @@ class Orientation:
     def __post_init__(self) -> None:
         if self.base.n != self.dir.n:
             raise ValueError("orientation and base graph have different vertex counts")
-        into = in_rows(self.dir.out)
-        for u, (out, edges) in enumerate(zip(self.dir.out, self.base.adj)):
-            covered = out | into[u]
-            if covered != edges:
-                raise ValueError(
-                    "arcs do not orient the base graph exactly "
-                    f"(vertex {u}: edges {edges:b}, arcs {covered:b})"
-                )
-            if out & into[u]:
-                raise ValueError(f"edge at vertex {u} oriented both ways")
+        _exact_in_rows(self.dir.out, self.base.adj)
 
     @staticmethod
     def from_arcs(base: Graph, arcs: Iterable[Arc]) -> "Orientation":

@@ -40,11 +40,13 @@ class SearchBudget:
 
 
 def default_budget() -> SearchBudget:
-    """Default budget, overridable through the ORIENT2_BUDGET variable."""
+    """Default budget, overridable through ORIENT2_BUDGET (ValueError unless an integer >= 0)."""
     env = os.environ.get("ORIENT2_BUDGET")
-    if env:
-        return SearchBudget(max_nodes=int(env))
-    return SearchBudget()
+    if not env:
+        return SearchBudget()
+    if not env.strip().isdecimal():
+        raise ValueError(f"ORIENT2_BUDGET must be an integer of at least 0, got {env!r}")
+    return SearchBudget(max_nodes=int(env))
 
 
 class SearchStatus(Enum):

@@ -118,6 +118,13 @@ class TestDiameter:
         assert exc.value.code == 2
         assert "--budget: must be at least 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_budget_variable_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ORIENT2_BUDGET", value)
+        code, out, err = run_cli(capsys, monkeypatch, ["diameter"], emit_graph6(petersen()) + "\n")
+        assert code == 2 and out == ""
+        assert err == f"error: ORIENT2_BUDGET must be an integer of at least 0, got {value!r}\n"
+
 
 class TestBatches:
     @pytest.mark.parametrize("command", ["orient", "diameter", "classify"])
@@ -160,6 +167,28 @@ class TestBatches:
         code, out, err = run_cli(capsys, monkeypatch, ["orient"], f"{k5}\n{k5}\n")
         assert code == 3 and out == single and len(calls) == 2
         assert err == "error: line 1: internal error: final orientation failed its diameter check\n"
+
+    def test_faulty_base_case_exit_3_on_each_line(self, capsys, monkeypatch):
+        # corrupt base-case rows reach the output check, which fails the line, not the batch
+        from orient2 import construct
+
+        built = construct._base_case_with_family
+
+        def sinking(level, comps):
+            found = built(level, comps)
+            if found is None:
+                return None
+            rows, family = found
+            return (0,) + tuple(row | (rows[0] >> v & 1) for v, row in enumerate(rows) if v), family
+
+        monkeypatch.setattr(construct, "_base_case_with_family", sinking)
+        stdin = emit_graph6(complete_graph(5)) + "\n" + emit_graph6(complete_graph(9)) + "\n"
+        code, out, err = run_cli(capsys, monkeypatch, ["orient"], stdin)
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for number, line in enumerate(lines, start=1):
+            assert line.startswith(f"error: line {number}: internal error: ")
 
     @pytest.mark.parametrize("command", ["orient", "classify"])
     def test_missing_file_exit_2(self, capsys, monkeypatch, tmp_path, command):

@@ -18,6 +18,7 @@ from orient2.construct import (
     BaseCaseStep,
     ConstructionTrace,
     FallbackStep,
+    InternalVerificationError,
     PadStep,
     TripleStep,
     _base_case_with_family,
@@ -308,6 +309,15 @@ class TestBaseCaseSizeGate:
         assert result == ungated_base_case(blue)
 
 
+def reduction_labels(n: int, plan: ReductionPlan):
+    """The kept labels, the removed labels and the two certificate classes
+    (as masks) of the reduce step ``plan`` on a level of order ``n``."""
+    removed = sorted(plan.w)
+    kept = [v for v in range(n) if v not in removed]
+    classes = [sum(1 << removed[i] for i in c) for c in (plan.cert.first, plan.cert.second)]
+    return kept, removed, classes
+
+
 class TestExpansion:
     def _reduction_setup(self):
         blue = disjoint_union(dumbbell(3, 3), paths_union([3]), *singletons(5))
@@ -315,31 +325,33 @@ class TestExpansion:
         assert red.m == threshold_size(red.n)
         plan = find_reduction(blue)
         assert plan is not None
-        frame, contracted_blue = _contract_reduction(blue, plan.w, plan.cert)
-        return red, frame, complement(contracted_blue)
+        return red, blue, plan, complement(_contract_reduction(blue, plan))
 
     def test_contracted_instance_stays_above_threshold(self):
-        _, frame, contracted = self._reduction_setup()
+        _, _, _, contracted = self._reduction_setup()
         assert contracted.m >= threshold_size(contracted.n)
 
     def test_expansion_preserves_outside_arcs(self):
-        red, frame, contracted = self._reduction_setup()
+        red, blue, plan, contracted = self._reduction_setup()
         o_star, _ = orient_diameter_two(contracted)
-        expanded = Orientation(red, Digraph(red.n, tuple(expand_reduction(o_star.dir.out, frame))))
+        rows = expand_reduction(o_star.dir.out, blue, plan)
+        expanded = Orientation(red, Digraph(red.n, tuple(rows)))
         assert diameter(expanded.dir) <= 2
-        k = len(frame.kept)
+        kept, _, _ = reduction_labels(blue.n, plan)
+        k = len(kept)
         for a, b in o_star.dir.arcs():
             if a < k and b < k:
-                assert expanded.dir.out[frame.kept[a]] >> frame.kept[b] & 1
+                assert expanded.dir.out[kept[a]] >> kept[b] & 1
 
     def test_classes_copy_their_super_vertex_directions(self):
-        red, frame, contracted = self._reduction_setup()
+        red, blue, plan, contracted = self._reduction_setup()
         o_star, _ = orient_diameter_two(contracted)
-        rows = expand_reduction(o_star.dir.out, frame)
-        k = len(frame.kept)
-        assert sorted(bits(frame.classes[0] | frame.classes[1])) == list(frame.removed)
-        for a, u in enumerate(frame.kept):
-            for super_label, cls in zip((k, k + 1), frame.classes):
+        rows = expand_reduction(o_star.dir.out, blue, plan)
+        kept, removed, classes = reduction_labels(blue.n, plan)
+        k = len(kept)
+        assert sorted(bits(classes[0] | classes[1])) == removed
+        for a, u in enumerate(kept):
+            for super_label, cls in zip((k, k + 1), classes):
                 for x in bits(cls):
                     assert rows[u] >> x & 1 == o_star.dir.out[a] >> super_label & 1
                     assert rows[x] >> u & 1 == o_star.dir.out[super_label] >> a & 1
@@ -355,27 +367,28 @@ class TestTripleContraction:
         _, trace = orient_diameter_two(red)
         step = trace.steps[0]
         assert isinstance(step, TripleStep)
-        frame, contracted_blue = _contract_triple(blue, (step.x1, step.x2, step.x3))
-        return blue, red, frame, contracted_blue
+        removed = tuple(sorted((step.x1, step.x2, step.x3)))
+        kept = tuple(v for v in range(blue.n) if v not in removed)
+        return blue, red, step, removed, kept, _contract_triple(blue, step)
 
     def test_merged_vertex_joins_the_kept_vertices_blue_into_the_triple(self):
-        blue, red, frame, contracted_blue = self._setup()
-        kept, k = frame.kept, len(frame.kept)
-        triple = sum(1 << x for x in frame.removed)
-        assert frame.removed == (1, 4, 8)
+        blue, red, step, removed, kept, contracted_blue = self._setup()
+        k = len(kept)
+        triple = sum(1 << x for x in removed)
+        assert removed == (1, 4, 8)
         assert contracted_blue.n == k + 1
         assert contracted_blue.induced(range(k)) == blue.induced(kept)
         joined = [kept[i] for i in contracted_blue.neighbors(k)]
         assert joined == [u for u in kept if blue.adj[u] & triple] == [3, 5, 7]
 
     def test_expansion_lifts_kept_arcs_cycle_and_remnants(self):
-        blue, red, frame, contracted_blue = self._setup()
+        blue, red, step, removed, kept, contracted_blue = self._setup()
         o_star, _ = orient_diameter_two(complement(contracted_blue))
-        rows = expand_triple_contraction(o_star.dir.out, frame)
+        rows = expand_triple_contraction(o_star.dir.out, blue, step)
         expanded = Orientation(red, Digraph(red.n, tuple(rows)))
         assert diameter(expanded.dir) <= 2
-        kept, k = frame.kept, len(frame.kept)
-        x1, x2, x3 = frame.removed
+        k = len(kept)
+        x1, x2, x3 = removed
         out = expanded.dir.out
         assert all(out[a] >> b & 1 for a, b in ((x1, x2), (x2, x3), (x3, x1)))
         for a, b in o_star.dir.arcs():
@@ -383,7 +396,7 @@ class TestTripleContraction:
                 assert out[kept[a]] >> kept[b] & 1
         remnants = 0
         for a, u in enumerate(kept):
-            for x in frame.removed:
+            for x in removed:
                 if not red.has_edge(u, x):
                     continue
                 if contracted_blue.has_edge(a, k):
@@ -419,9 +432,9 @@ class TestLevels:
             triple = tuple(rng.sample(range(n), 3))
             if any(blue.has_edge(u, v) for u, v in combinations(triple, 2)):
                 continue
-            frame, contracted = _contract_triple(blue, triple)
-            assert contracted == induced_contract_triple(blue, triple)
-            assert frame.removed == tuple(sorted(triple)) and frame.blue == blue.adj
+            assert _contract_triple(blue, TripleStep(*triple)) == induced_contract_triple(blue, triple)
+            removed, kept = construct._removed_and_kept(blue.n, triple)
+            assert removed == tuple(sorted(triple)) and set(kept) == set(range(n)) - set(triple)
             checked += 1
         assert checked > 400
 
@@ -451,13 +464,27 @@ class TestLevels:
         ],
         ids=["missing-arc", "arc-both-ways", "sink"],
     )
-    def test_innermost_rows_are_checked_once_in_execute(self, corrupt, match):
-        # the base case hands over bare rows; `_execute` is the one check
+    def test_innermost_rows_are_checked_by_replay(self, corrupt, match):
+        # a recorded base case hands over bare rows; replay checks them against their level
         blue = disjoint_union(complete_graph(4), *singletons(7))
         rows, family = base_case(blue)
-        step = BaseCaseStep(family, corrupt(rows))
+        trace = ConstructionTrace((BaseCaseStep(family, corrupt(rows)),))
         with pytest.raises(ValueError, match=match):
-            construct._execute(complement(blue), lambda level: ((), step))
+            replay_trace(complement(blue), trace)
+
+    @pytest.mark.parametrize("corrupt", [without_first_arc, with_first_arc_both_ways, sink_at_zero])
+    def test_a_faulty_base_case_fails_the_output_check(self, monkeypatch, corrupt):
+        # the driver's own rows get no second check: the output check catches them
+        blue = disjoint_union(complete_graph(4), *singletons(7))
+        built = construct._base_case_with_family
+
+        def faulty(level, comps):
+            rows, family = built(level, comps)
+            return corrupt(rows), family
+
+        monkeypatch.setattr(construct, "_base_case_with_family", faulty)
+        with pytest.raises(InternalVerificationError):
+            orient_diameter_two(complement(blue))
 
 
 class TestFallback:
@@ -470,6 +497,13 @@ class TestFallback:
         assert isinstance(trace.steps[-1], FallbackStep)
         assert trace.fallback_count() == 1
         assert replay_trace(g, trace) == o
+
+    def test_budget_exhaustion_is_not_reported_as_no(self, monkeypatch):
+        for name in ("_base_case_with_family", "find_reduction", "find_violating_triple"):
+            monkeypatch.setattr(construct, name, lambda blue, *comps: None)
+        monkeypatch.setenv("ORIENT2_BUDGET", "1")
+        with pytest.raises(InternalVerificationError, match="ran out of its 1-node budget"):
+            orient_diameter_two(complete_graph(9))
 
 
 class TestDriver:
@@ -709,8 +743,9 @@ class TestReplay:
 
 
 class TestCostGuard:
-    """The unwind lifts rows: only the innermost orientation and the output
-    are checked, and no level between them gets its red graph built."""
+    """The unwind lifts rows: the driver checks only the output, replay
+    also the innermost orientation, and no level between them gets its red
+    graph built beyond the certificate worlds replay checks."""
 
     def test_only_the_innermost_level_and_the_output_are_checked(self, monkeypatch):
         g = complement(random_blue(random.Random(3), 40, 35))
@@ -732,6 +767,11 @@ class TestCostGuard:
         worlds = [len(s.w) for s in moves if isinstance(s, ReductionPlan)]
         assert len(moves) - 1 >= 5 and worlds  # seed 3: five triples, then a reduce step on 26
         inner = g.n - 2 * (len(moves) - 1 - len(worlds)) - sum(len_w - 2 for len_w in worlds)
+        assert diameters == [g.n]
+        assert not any(inner < k < g.n for k in complements)
+        diameters.clear()
+        complements.clear()
+        assert replay_trace(g, trace) == o
         assert diameters == [inner, g.n]
         between = Counter(k for k in complements if inner < k < g.n)
         assert not between - Counter(worlds)

@@ -928,3 +928,11 @@ class TestHarnesses:
         assert default_budget().max_nodes == 12345
         monkeypatch.delenv("ORIENT2_BUDGET")
         assert default_budget().max_nodes == 100_000_000
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_budget_env_rejects_what_is_not_a_budget(self, monkeypatch, value):
+        from orient2.oracle import default_budget
+
+        monkeypatch.setenv("ORIENT2_BUDGET", value)
+        with pytest.raises(ValueError, match=f"ORIENT2_BUDGET must be an integer of at least 0, got '{value}'"):
+            default_budget()
