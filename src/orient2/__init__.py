@@ -9,7 +9,6 @@ command-line front end (`orient2`).
 
 from ._backend import backend_name
 from .certs import (
-    CombineCase,
     GoodOrientationCert,
     combine,
     verify_cert,
@@ -60,7 +59,7 @@ from .structure import (
     ComponentClass,
     ComponentKind,
     ReductionPlan,
-    TripleWitness,
+    TripleStep,
     classify_component,
     excess,
     find_reduction,
@@ -70,7 +69,6 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CombineCase",
     "ComponentClass",
     "ComponentKind",
     "ConstructionTrace",
@@ -86,7 +84,7 @@ __all__ = [
     "ReductionPlan",
     "SearchBudget",
     "SearchStatus",
-    "TripleWitness",
+    "TripleStep",
     "VerificationReport",
     "backend_name",
     "classify_component",

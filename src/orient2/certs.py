@@ -13,7 +13,8 @@ opposite class.  Two explicit constructions produce such certificates:
 
 `split_cert` tries both on one split.  `combine` glues a certified subset
 to a small remainder with no missing edges in between, producing the
-out-rows of a full diameter-2 orientation.
+out-rows of a full diameter-2 orientation; the remainder's size and
+whether it carries its own certificate pick the construction.
 
 A certificate is one record: its world, the out-rows that orient it
 (``rows[u]`` is the bitmask of u's out-neighbors) and its two classes in
@@ -25,7 +26,6 @@ to the higher one; `verify_cert` is the one check of a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -278,12 +278,6 @@ def split_cert(world: Graph, side_a: Sequence[int], side_b: Sequence[int]) -> Go
     return None
 
 
-class CombineCase(Enum):
-    NONTRIVIAL_CERT = "nontrivial-cert"
-    THREE_ISOLATED = "three-isolated"
-    TWO = "two"
-
-
 def _lay_out(
     rows: list[int], cert: GoodOrientationCert, labels: Sequence[int], others: Sequence[int]
 ) -> tuple[int, int]:
@@ -305,7 +299,6 @@ def combine(
     red: Graph,
     cert_w: GoodOrientationCert,
     z: Sequence[int],
-    zcase: CombineCase,
     cert_z: GoodOrientationCert | None = None,
 ) -> tuple[int, ...]:
     """Extend a certified subset to a diameter-2 orientation of all of ``red``;
@@ -313,8 +306,12 @@ def combine(
 
     ``z`` lists the uncertified vertices; the rest of ``red`` is the
     certified set and must match ``cert_w.world`` under sorted relabeling.
-    Every edge between the two parts must be present in ``red``.  The
-    inputs are checked; the rows they determine are not, since each case's
+    Every edge between the two parts must be present in ``red``.  The case
+    follows from the inputs: with ``cert_z``, a non-trivial certificate of
+    the red graph on ``z``, the four classes are joined in a cycle;
+    without it ``z`` must be two vertices, or three that span a red
+    triangle, and one of them routes between the two classes.  The inputs
+    are checked; the rows they determine are not, since each case's
     construction makes them a diameter-2 orientation.  A caller that hands
     them across a trust boundary checks them there.
     """
@@ -332,9 +329,9 @@ def combine(
 
     rows = [0] * red.n
     first_w, second_w = _lay_out(rows, cert_w, w_sorted, z_sorted)
-    if zcase is CombineCase.NONTRIVIAL_CERT:
-        if cert_z is None or not cert_z.nontrivial or not verify_cert(cert_z):
-            raise ValueError("this case needs a verified non-trivial certificate for the rest")
+    if cert_z is not None:
+        if not cert_z.nontrivial or not verify_cert(cert_z):
+            raise ValueError("the rest needs a verified non-trivial certificate")
         if red.induced(z_sorted) != cert_z.world:
             raise ValueError("rest certificate world does not match the rest of the graph")
         first_z, second_z = _lay_out(rows, cert_z, z_sorted, w_sorted)
@@ -342,25 +339,20 @@ def combine(
         _point(rows, first_z, second_w)
         _point(rows, second_w, second_z)
         _point(rows, second_z, first_w)
-    elif zcase in (CombineCase.THREE_ISOLATED, CombineCase.TWO):
-        if zcase is CombineCase.THREE_ISOLATED:
-            if len(z_sorted) != 3:
-                raise ValueError("this case needs exactly three leftover vertices")
+    else:
+        if len(z_sorted) == 3:
             y1, y2, y3 = z_sorted
             for p, q in ((y1, y2), (y2, y3), (y3, y1)):
                 if not red.has_edge(p, q):
-                    raise ValueError("three-vertex case requires pairwise edges among the leftovers")
+                    raise ValueError("three leftover vertices must span a red triangle")
                 rows[p] |= 1 << q
-        else:
-            if len(z_sorted) != 2:
-                raise ValueError("this case needs exactly two leftover vertices")
+        elif len(z_sorted) != 2:
+            raise ValueError(f"{len(z_sorted)} leftover vertices need a certificate")
         lead = z_sorted[0]
         rest = _mask(z_sorted[1:])
         _point(rows, first_w, 1 << lead)
         rows[lead] |= second_w
         _point(rows, rest, first_w)
         _point(rows, second_w, rest)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown case {zcase}")
 
     return _orient_rest(red, rows)

@@ -94,6 +94,12 @@ def _each_line(args: argparse.Namespace, handle: Callable[[Graph], int]) -> int:
 
 
 def cmd_orient(args: argparse.Namespace) -> int:
+    try:
+        default_budget()  # read again by the exhaustive fallback, so checked before any line
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+
     def orient(g: Graph) -> int:
         if g.n < 5:
             raise _LineError(EXIT_BAD_INPUT, f"need at least 5 vertices, got {g.n}")

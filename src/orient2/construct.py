@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 from ._backend import STATUS_BUDGET
 from ._basecase_table import TABLE
-from .certs import CombineCase, GoodOrientationCert, combine, split_cert, verify_cert
+from .certs import GoodOrientationCert, combine, verify_cert
 from .codec import parse_digraph6
 from .graphs import (
     Digraph,
@@ -52,7 +52,8 @@ from .structure import (
     ComponentClass,
     ComponentKind,
     ReductionPlan,
-    _candidate_splits,
+    TripleStep,
+    _certify_union,
     classify_component,
     find_reduction,
     find_violating_triple,
@@ -84,19 +85,13 @@ class BaseCaseStep:
 
 
 @dataclass(frozen=True)
-class TripleStep:
-    x1: int
-    x2: int
-    x3: int
-
-
-@dataclass(frozen=True)
 class FallbackStep:
     reason: str
     rows: tuple[int, ...]  # out-rows of the level's orientation
 
 
-# a reduce step is the `ReductionPlan` that `find_reduction` returned
+# a reduce step is the `ReductionPlan` that `find_reduction` returned, a
+# contract-triple step the `TripleStep` that `find_violating_triple` returned
 TraceStep = PadStep | BaseCaseStep | ReductionPlan | TripleStep | FallbackStep
 
 
@@ -229,9 +224,9 @@ def _family_signature(classes: list[ComponentClass]) -> str | None:
     return None
 
 
-def _quadruple_search(red: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """Out-rows from a deterministic search over leftover choices and
-    two-class splits of the blue ``comps``."""
+def _quadruple_search(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """Out-rows from a deterministic search over leftover choices Z among the
+    blue ``comps``, each gluing the certified rest W to Z with `combine`."""
     r = len(comps)
     singles = [i for i in range(r) if len(comps[i]) == 1]
     pairs = [i for i in range(r) if len(comps[i]) == 2]
@@ -246,28 +241,20 @@ def _quadruple_search(red: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ..
     ]
     for chosen in leftover_options:
         rest = [comps[i] for i in range(r) if i not in chosen]
-        if not rest:
+        cert = _certify_union(blue, rest)
+        if cert is None:
             continue
-        w_verts = sorted(v for c in rest for v in c)
-        world = red.induced(w_verts)
-        local = {v: i for i, v in enumerate(w_verts)}
         z_comps = [comps[i] for i in chosen]
         z_verts = sorted(v for c in z_comps for v in c)
-        for side_a, side_b in _candidate_splits(rest):
-            cert = split_cert(world, [local[v] for v in side_a], [local[v] for v in side_b])
-            if cert is None:
+        cert_z = None
+        if len(chosen) == 2 and len(z_verts) > 2:
+            # Z's certificate does not depend on how W was split
+            cert_z = _certify_union(blue, z_comps)
+            if cert_z is None:
                 continue
-            # w and z are unions of whole blue components, so every red
-            # edge between them is present and `combine` cannot refuse
-            if len(z_verts) == 2:
-                return combine(red, cert, z_verts, CombineCase.TWO)
-            if len(chosen) == 3:
-                return combine(red, cert, z_verts, CombineCase.THREE_ISOLATED)
-            zw = red.induced(z_verts)
-            zl = {v: i for i, v in enumerate(z_verts)}
-            cert_z = split_cert(zw, [zl[v] for v in z_comps[0]], [zl[v] for v in z_comps[1]])
-            if cert_z is not None:
-                return combine(red, cert, z_verts, CombineCase.NONTRIVIAL_CERT, cert_z)
+        # w and z are unions of whole blue components, so every red
+        # edge between them is present and `combine` cannot refuse
+        return combine(complement(blue), cert, z_verts, cert_z)
     return None
 
 
@@ -286,12 +273,11 @@ def _base_case_with_family(
     family = _family_signature(classes)
     if family is None:
         return None
-    red = complement(blue)
     if all(cls.kind is ComponentKind.PATH for cls in classes):
         served = _serve_table(blue, comps)
         if served is not None:
             return served, f"table:{family}"
-    found = _quadruple_search(red, comps)
+    found = _quadruple_search(blue, comps)
     if found is not None:
         return found, family
     return None
@@ -538,9 +524,9 @@ def _choose_move(blue: Graph) -> Level:
     plan = find_reduction(level, comps)
     if plan is not None:
         return deleted, level, plan
-    witness = find_violating_triple(level)
-    if witness is not None:
-        return deleted, level, TripleStep(witness.x1, witness.x2, witness.x3)
+    triple = find_violating_triple(level)
+    if triple is not None:
+        return deleted, level, triple
     orientation = _oracle_fallback(complement(level))
     reason = "no base case, contractible set, or triple applied"
     return deleted, level, FallbackStep(reason, orientation.dir.out)

@@ -382,8 +382,8 @@ def verify_theorem(n: int) -> VerificationReport:
 def verify_sharpness(n: int, budget: SearchBudget | None = None) -> bool:
     """True iff the one-below-threshold extremal graph has no diameter-2
     orientation, decided exhaustively.  Budget exhaustion raises."""
-    if not 5 <= n <= 9:
-        raise ValueError("sharpness check supports 5 <= n <= 9")
+    if not 5 <= n <= 13:
+        raise ValueError("sharpness check supports 5 <= n <= 13")
     outcome = exists_orientation_diameter2(extremal_graph(n), budget)
     if outcome.status is SearchStatus.INDETERMINATE:
         raise RuntimeError(f"sharpness search for n={n} exhausted its budget")

@@ -40,23 +40,22 @@ class ComponentClass:
 
 
 @dataclass(frozen=True)
-class TripleWitness:
-    """Independent triple with at least two doubly-attached or one triply-attached outside vertex."""
-
-    x1: int
-    x2: int
-    x3: int
-    n2: tuple[int, ...]
-    n3: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ReductionPlan:
     """A contractible union of whole blue components, with its certificate."""
 
     w: tuple[int, ...]
     recipe: str
     cert: GoodOrientationCert  # local to sorted(w)
+
+
+@dataclass(frozen=True)
+class TripleStep:
+    """An independent triple with at least two doubly-attached or one
+    triply-attached outside vertex, identified into one vertex."""
+
+    x1: int
+    x2: int
+    x3: int
 
 
 def excess(g: Graph) -> int:
@@ -131,8 +130,9 @@ def classify_component(g: Graph, comp: Sequence[int]) -> ComponentClass:
     return ComponentClass(ComponentKind.OTHER)
 
 
-def find_violating_triple(b: Graph) -> TripleWitness | None:
-    """First independent triple (lexicographic) with |N2| >= 2 or N3 nonempty.
+def find_violating_triple(b: Graph) -> TripleStep | None:
+    """First independent triple (lexicographic) with |N2| >= 2 or N3 nonempty,
+    as the trace step that contracts it.
 
     N_i collects the outside vertices with exactly i neighbors in the
     triple.  Returns None when every independent triple satisfies
@@ -195,12 +195,7 @@ def find_violating_triple(b: Graph) -> TripleWitness | None:
             a2 = adj[x2]
             thirds = mask & after1 & ~a2 >> x2 + 1 << x2 + 1
             if thirds:
-                x3 = (thirds & -thirds).bit_length() - 1
-                a3 = adj[x3]
-                both = a1 & a2
-                n3 = both & a3
-                n2 = both & ~a3 | (a1 ^ a2) & a3
-                return TripleWitness(x1, x2, x3, tuple(bits(n2)), tuple(bits(n3)))
+                return TripleStep(x1, x2, (thirds & -thirds).bit_length() - 1)
     return None
 
 
@@ -287,23 +282,32 @@ def _shaped_combinations(
         yield from walk(0, (), ())
 
 
-def _validated_plan(
-    b: Graph, parts: Sequence[tuple[int, ...]], recipe: str
-) -> ReductionPlan | None:
-    w = sorted(v for part in parts for v in part)
-    if len(w) == b.n:
-        return None  # a contractible set must be a proper subset
-    if _union_excess(b, w) < -1:
-        return None
+def _certify_union(b: Graph, parts: Sequence[tuple[int, ...]]) -> GoodOrientationCert | None:
+    """First non-trivial certificate of the red graph on the union of the
+    whole blue components ``parts``, over their two-colorings in
+    `_candidate_splits` order; labels are local to the sorted union."""
     if not _splittable(tuple(sorted(len(part) for part in parts))):
         return None
+    w = sorted(v for part in parts for v in part)
     world = complement(b.induced(w))
     local = {v: i for i, v in enumerate(w)}
     for side_a, side_b in _candidate_splits(parts):
         cert = split_cert(world, [local[v] for v in side_a], [local[v] for v in side_b])
         if cert is not None:
-            return ReductionPlan(tuple(w), recipe, cert)
+            return cert
     return None
+
+
+def _validated_plan(
+    b: Graph, parts: Sequence[tuple[int, ...]], recipe: str
+) -> ReductionPlan | None:
+    w = tuple(sorted(v for part in parts for v in part))
+    if len(w) == b.n:
+        return None  # a contractible set must be a proper subset
+    if _union_excess(b, w) < -1:
+        return None
+    cert = _certify_union(b, parts)
+    return None if cert is None else ReductionPlan(w, recipe, cert)
 
 
 # tree sizes that fit recipe 3's small forest (at most six vertices), largest first

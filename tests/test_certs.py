@@ -11,7 +11,6 @@ from conftest import (
     paths_union,
 )
 from orient2.certs import (
-    CombineCase,
     GoodOrientationCert,
     _embed_into_matchjoin,
     _window_injection,
@@ -231,14 +230,14 @@ class TestCombine:
         blue = Graph.from_edges(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)])
         red = complement(blue)
         cert = split_cert(red.induced(range(6)), [0, 1, 2], [3, 4, 5])
-        o = oriented(red, combine(red, cert, [6, 7], CombineCase.TWO))
+        o = oriented(red, combine(red, cert, [6, 7]))
         assert diameter(o.dir) == 2
 
     def test_three_isolated_leftovers(self):
         blue = Graph.from_edges(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         red = complement(blue)
         cert = split_cert(red.induced(range(6)), [0, 1, 2], [3, 4, 5])
-        o = oriented(red, combine(red, cert, [6, 7, 8], CombineCase.THREE_ISOLATED))
+        o = oriented(red, combine(red, cert, [6, 7, 8]))
         assert diameter(o.dir) == 2
 
     def test_two_certified_halves(self):
@@ -246,7 +245,7 @@ class TestCombine:
         red = complement(blue)
         cw = split_cert(red.induced(range(4)), [0, 1], [2, 3])
         cz = split_cert(red.induced(range(4, 8)), [0, 1], [2, 3])
-        o = oriented(red, combine(red, cw, [4, 5, 6, 7], CombineCase.NONTRIVIAL_CERT, cz))
+        o = oriented(red, combine(red, cw, [4, 5, 6, 7], cz))
         assert diameter(o.dir) == 2
 
     def test_blue_cross_edge_rejected(self):
@@ -254,14 +253,21 @@ class TestCombine:
         red = complement(blue)
         cert = split_cert(red.induced(range(6)), [0, 1, 2], [3, 4, 5])
         with pytest.raises(ValueError):
-            combine(red, cert, [6, 7], CombineCase.TWO)
+            combine(red, cert, [6, 7])
 
     def test_three_with_internal_blue_edge_rejected(self):
         blue = Graph.from_edges(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)])
         red = complement(blue)
         cert = split_cert(red.induced(range(6)), [0, 1, 2], [3, 4, 5])
         with pytest.raises(ValueError):
-            combine(red, cert, [6, 7, 8], CombineCase.THREE_ISOLATED)
+            combine(red, cert, [6, 7, 8])
+
+    def test_four_leftovers_without_certificate_rejected(self):
+        blue = Graph.from_edges(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        red = complement(blue)
+        cert = split_cert(red.induced(range(6)), [0, 1, 2], [3, 4, 5])
+        with pytest.raises(ValueError):
+            combine(red, cert, [6, 7, 8, 9])
 
 
 def certify_and_combine_two(red, u1, v1, u2, v2):
@@ -270,7 +276,7 @@ def certify_and_combine_two(red, u1, v1, u2, v2):
     local = {v: i for i, v in enumerate(w)}
     cert = split_cert(red.induced(w), [local[v] for v in u2], [local[v] for v in v2])
     assert cert is not None
-    return oriented(red, combine(red, cert, u1 + v1, CombineCase.TWO))
+    return oriented(red, combine(red, cert, u1 + v1))
 
 
 class TestQuadruple:
@@ -296,7 +302,7 @@ class TestQuadruple:
         cert = split_cert(red.induced([2, 3, 4, 5]), [0, 1], [2, 3])
         assert cert is not None
         with pytest.raises(ValueError):
-            combine(red, cert, [0, 1, 3], CombineCase.TWO)
+            combine(red, cert, [0, 1, 3])
 
 
 # Arc-dict references: the three constructions as first written, one arc
@@ -394,7 +400,11 @@ def ref_matchjoin(world, xs, ys):
     return ref_fill(world, arcs)
 
 
-def ref_combine(red, cert_w, z, zcase, cert_z=None):
+# the three constructions of `combine`, named by what its inputs hold
+COMBINE_SHAPES = ("nontrivial-cert", "three-isolated", "two")
+
+
+def ref_combine(red, cert_w, z, shape, cert_z=None):
     z_sorted = sorted(z)
     w_sorted = sorted(set(range(red.n)) - set(z))
     arcs = {}
@@ -408,7 +418,7 @@ def ref_combine(red, cert_w, z, zcase, cert_z=None):
         return [labels[i] for i in cert.first], [labels[i] for i in cert.second]
 
     first_w, second_w = lay_out(cert_w, w_sorted)
-    if zcase is CombineCase.NONTRIVIAL_CERT:
+    if shape == "nontrivial-cert":
         first_z, second_z = lay_out(cert_z, z_sorted)
         blocks = ((first_w, first_z), (first_z, second_w), (second_w, second_z), (second_z, first_w))
         for sources, targets in blocks:
@@ -416,7 +426,7 @@ def ref_combine(red, cert_w, z, zcase, cert_z=None):
                 for v in targets:
                     put(u, v)
     else:
-        if zcase is CombineCase.THREE_ISOLATED:
+        if shape == "three-isolated":
             y1, y2, y3 = z_sorted
             for p, q in ((y1, y2), (y2, y3), (y3, y1)):
                 put(p, q)
@@ -448,9 +458,9 @@ def shuffled_two_class_world(rng, a, b, inner, blue_y=None):
     return Graph.from_edges(a + b, edges), xs, ys
 
 
-def seeded_combine_input(rng, zcase):
+def seeded_combine_input(rng, shape):
     """A red graph, a certificate for its certified set w, the leftover set z
-    and, for NONTRIVIAL_CERT, a certificate for z; w and z interleave."""
+    and, for the "nontrivial-cert" shape, a certificate for z; w and z interleave."""
 
     def certified_part():
         while True:
@@ -461,11 +471,11 @@ def seeded_combine_input(rng, zcase):
                 return world, cert
 
     w_world, cert_w = certified_part()
-    if zcase is CombineCase.NONTRIVIAL_CERT:
+    if shape == "nontrivial-cert":
         z_world, cert_z = certified_part()
     else:
         cert_z = None
-        size = 3 if zcase is CombineCase.THREE_ISOLATED else 2
+        size = 3 if shape == "three-isolated" else 2
         joined = size == 3 or rng.random() < 0.5
         z_world = complete_graph(size) if joined else Graph.from_edges(2, [])
     nw, n = w_world.n, w_world.n + z_world.n
@@ -529,11 +539,11 @@ class TestAgainstArcDictReference:
                 embedded += expected is not None
         assert 0 < embedded < len(patterns) * len(shapes)
 
-    @pytest.mark.parametrize("zcase", list(CombineCase))
-    def test_combine_cases(self, zcase):
-        rng = random.Random(7300 + list(CombineCase).index(zcase))
+    @pytest.mark.parametrize("shape", COMBINE_SHAPES)
+    def test_combine_cases(self, shape):
+        rng = random.Random(7300 + COMBINE_SHAPES.index(shape))
         for _ in range(40):
-            red, cert_w, z, cert_z = seeded_combine_input(rng, zcase)
-            o = oriented(red, combine(red, cert_w, z, zcase, cert_z))
-            assert o.dir.out == ref_combine(red, cert_w, z, zcase, cert_z).dir.out
+            red, cert_w, z, cert_z = seeded_combine_input(rng, shape)
+            o = oriented(red, combine(red, cert_w, z, cert_z))
+            assert o.dir.out == ref_combine(red, cert_w, z, shape, cert_z).dir.out
             assert diameter(o.dir) == 2

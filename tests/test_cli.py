@@ -83,6 +83,19 @@ class TestOrient:
         Orientation(g, d)  # the arcs orient exactly the input edges
         assert diameter(d) <= 2
 
+    def test_bad_budget_variable_fails_the_batch(self, capsys, monkeypatch):
+        # with every constructor move refused, each line would reach the
+        # exhaustive fallback, which reads ORIENT2_BUDGET
+        from orient2 import construct
+
+        for name in ("_base_case_with_family", "find_reduction", "find_violating_triple"):
+            monkeypatch.setattr(construct, name, lambda *args: None)
+        monkeypatch.setenv("ORIENT2_BUDGET", "abc")
+        k9 = emit_graph6(complete_graph(9))
+        code, out, err = run_cli(capsys, monkeypatch, ["orient"], f"{k9}\n{k9}\n")
+        assert code == 2 and out == ""
+        assert err == "error: ORIENT2_BUDGET must be an integer of at least 0, got 'abc'\n"
+
 
 class TestDiameter:
     def test_petersen(self, capsys, monkeypatch):
@@ -230,7 +243,7 @@ class TestSharpness:
         assert code == 0 and out.startswith("CONFIRMED")
 
     def test_range_exit_2(self, capsys, monkeypatch):
-        code, _, _ = run_cli(capsys, monkeypatch, ["sharpness", "--n", "10"])
+        code, _, _ = run_cli(capsys, monkeypatch, ["sharpness", "--n", "14"])
         assert code == 2
 
     def test_budget_exhausted_indeterminate(self, capsys, monkeypatch):

@@ -240,12 +240,11 @@ def ungated_base_case(blue: Graph) -> tuple[tuple[int, ...], str] | None:
     family = construct._family_signature(classes)
     if family is None:
         return None
-    red = complement(blue)
     if all(cls.kind is ComponentKind.PATH for cls in classes):
         served = construct._serve_table(blue, comps)
         if served is not None:
             return served, f"table:{family}"
-    found = construct._quadruple_search(red, comps)
+    found = construct._quadruple_search(blue, comps)
     return None if found is None else (found, family)
 
 

@@ -519,7 +519,10 @@ class TestSolveKernel:
             statuses.add(got[0])
         assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
 
-    @pytest.mark.parametrize("n, nodes", [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39)])
+    @pytest.mark.parametrize(
+        "n, nodes",
+        [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39), (10, 45), (11, 51), (12, 57), (13, 63)],
+    )
     def test_sharpness_node_counts(self, n, nodes):
         out = exists_orientation_diameter2(extremal_graph(n))
         assert (out.status, out.nodes) == (SearchStatus.NO, nodes)
@@ -912,10 +915,11 @@ class TestHarnesses:
     def test_sharpness_small(self):
         assert verify_sharpness(5)
         assert verify_sharpness(6)
+        assert all(verify_sharpness(n) for n in range(10, 14))  # up to the cap
 
     def test_sharpness_range_check(self):
         with pytest.raises(ValueError):
-            verify_sharpness(10)
+            verify_sharpness(14)
 
     def test_sharpness_budget_raises(self):
         with pytest.raises(RuntimeError):

@@ -21,8 +21,9 @@ from orient2.graphs import Graph, bits, complement, components
 from orient2.structure import (
     ComponentClass,
     ComponentKind,
-    TripleWitness,
+    TripleStep,
     _candidate_splits,
+    _certify_union,
     _shaped_combinations,
     _splittable,
     _tree_shapes,
@@ -233,11 +234,34 @@ def brute_force_triples(b: Graph):
     return hits
 
 
+def attachments(b: Graph, step: TripleStep) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """N2 and N3 of the step's triple: the outside vertices with exactly two
+    and exactly three neighbors in it."""
+    triple_mask = 1 << step.x1 | 1 << step.x2 | 1 << step.x3
+    n2 = []
+    n3 = []
+    for v in range(b.n):
+        if triple_mask >> v & 1:
+            continue
+        hits = (b.adj[v] & triple_mask).bit_count()
+        if hits == 2:
+            n2.append(v)
+        elif hits == 3:
+            n3.append(v)
+    return tuple(n2), tuple(n3)
+
+
+def assert_violates(b: Graph, step: TripleStep) -> None:
+    n2, n3 = attachments(b, step)
+    assert len(n2) >= 2 or n3, (step, n2, n3)
+
+
 class TestViolatingTriples:
     def test_two_shared_neighbors_plus_isolated(self):
         b = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
         w = find_violating_triple(b)
-        assert w is not None and len(w.n2) == 2
+        assert w is not None and len(attachments(b, w)[0]) == 2
+        assert_violates(b, w)
 
     def test_all_isolated_absent(self):
         assert find_violating_triple(Graph.from_edges(5, [])) is None
@@ -250,7 +274,8 @@ class TestViolatingTriples:
     def test_three_leaf_star_triggers_n3(self):
         b = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
         w = find_violating_triple(b)
-        assert w is not None and w.n3 == (0,)
+        assert w is not None and attachments(b, w)[1] == (0,)
+        assert_violates(b, w)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -265,6 +290,7 @@ class TestViolatingTriples:
         else:
             assert got is not None
             assert (got.x1, got.x2, got.x3) == expected[0]
+            assert_violates(b, got)
 
 
 def reference_triple(b: Graph):
@@ -272,19 +298,10 @@ def reference_triple(b: Graph):
     for x1, x2, x3 in combinations(range(b.n), 3):
         if b.has_edge(x1, x2) or b.has_edge(x1, x3) or b.has_edge(x2, x3):
             continue
-        triple_mask = 1 << x1 | 1 << x2 | 1 << x3
-        n2 = []
-        n3 = []
-        for v in range(b.n):
-            if triple_mask >> v & 1:
-                continue
-            hits = (b.adj[v] & triple_mask).bit_count()
-            if hits == 2:
-                n2.append(v)
-            elif hits == 3:
-                n3.append(v)
+        step = TripleStep(x1, x2, x3)
+        n2, n3 = attachments(b, step)
         if len(n2) >= 2 or n3:
-            return TripleWitness(x1, x2, x3, tuple(n2), tuple(n3))
+            return step
     return None
 
 
@@ -315,7 +332,7 @@ def scan_triple(b: Graph):
                 n3 = both & a3
                 n2 = both & ~a3 | either & a3
                 if n3 or n2.bit_count() >= 2:
-                    return TripleWitness(x1, x2, x3, tuple(bits(n2)), tuple(bits(n3)))
+                    return TripleStep(x1, x2, x3)
     return None
 
 
@@ -342,20 +359,20 @@ class TestTripleMaskBranches:
     is the lexicographically first violating third vertex."""
 
     @pytest.mark.parametrize(
-        "edges, witness",
+        "edges, step, n2",
         [
             # 0 and 1 share 2 and 3: every independent x3 after 1 is admitted
-            ([(0, 2), (0, 3), (1, 2), (1, 3)], TripleWitness(0, 1, 4, (2, 3), ())),
+            ([(0, 2), (0, 3), (1, 2), (1, 3)], TripleStep(0, 1, 4), (2, 3)),
             # 0 and 1 share 5; 3 shares 6 with 0 (the x1 side), 2 shares nothing
-            ([(0, 5), (1, 5), (0, 6), (3, 6)], TripleWitness(0, 1, 3, (5, 6), ())),
+            ([(0, 5), (1, 5), (0, 6), (3, 6)], TripleStep(0, 1, 3), (5, 6)),
             # 0 and 1 share 5; 3 shares 6 with 1 (the x2 side)
-            ([(0, 5), (1, 5), (1, 6), (3, 6)], TripleWitness(0, 1, 3, (5, 6), ())),
+            ([(0, 5), (1, 5), (1, 6), (3, 6)], TripleStep(0, 1, 3), (5, 6)),
             # 0 and 1 share nothing; 3 shares 5 with 0 and 6 with 1
-            ([(0, 5), (3, 5), (1, 6), (3, 6)], TripleWitness(0, 1, 3, (5, 6), ())),
+            ([(0, 5), (3, 5), (1, 6), (3, 6)], TripleStep(0, 1, 3), (5, 6)),
             # 0 and 1 share nothing; 3 shares 5 and 6 with 1
-            ([(1, 5), (1, 6), (3, 5), (3, 6)], TripleWitness(0, 1, 3, (5, 6), ())),
+            ([(1, 5), (1, 6), (3, 5), (3, 6)], TripleStep(0, 1, 3), (5, 6)),
             # 0 and 1 share nothing; 3 shares 5 and 6 with 0
-            ([(0, 5), (0, 6), (3, 5), (3, 6)], TripleWitness(0, 1, 3, (5, 6), ())),
+            ([(0, 5), (0, 6), (3, 5), (3, 6)], TripleStep(0, 1, 3), (5, 6)),
         ],
         ids=[
             "doubly-linked",
@@ -366,16 +383,18 @@ class TestTripleMaskBranches:
             "unlinked-third-doubly-linked-to-x1",
         ],
     )
-    def test_branch(self, edges, witness):
+    def test_branch(self, edges, step, n2):
         b = Graph.from_edges(7, edges)
-        assert find_violating_triple(b) == witness == reference_triple(b)
+        assert find_violating_triple(b) == step == reference_triple(b)
+        assert attachments(b, step) == (n2, ())
 
     def test_pair_without_admissible_third_is_passed_over(self):
         # 0 and 1 share only 5, and no vertex after 1 shares a neighbor with
         # either, so the pair (0, 1) admits no x3; the unlinked pair (0, 2)
         # admits 3, which shares 6 and 7 with 2
         b = Graph.from_edges(8, [(0, 5), (1, 5), (2, 6), (3, 6), (2, 7), (3, 7)])
-        assert find_violating_triple(b) == reference_triple(b) == TripleWitness(0, 2, 3, (6, 7), ())
+        assert find_violating_triple(b) == reference_triple(b) == TripleStep(0, 2, 3)
+        assert attachments(b, TripleStep(0, 2, 3)) == ((6, 7), ())
 
 
 class TestTripleAgainstReference:
@@ -395,12 +414,14 @@ class TestTripleAgainstReference:
         # 0 and 1 share no neighbor; 2 shares neighbor 5 with 0 and neighbor 6 with 1
         b = Graph.from_edges(8, [(0, 5), (2, 5), (1, 6), (2, 6), (3, 4)])
         assert find_violating_triple(b) == reference_triple(b)
-        assert find_violating_triple(b) == TripleWitness(0, 1, 2, (5, 6), ())
+        assert find_violating_triple(b) == TripleStep(0, 1, 2)
+        assert attachments(b, TripleStep(0, 1, 2)) == ((5, 6), ())
 
     def test_common_neighbor_pair_with_far_third(self):
         # 0 and 1 share 2 and 3; the third vertex 4 shares nothing with either
         b = Graph.from_edges(6, [(0, 2), (1, 2), (0, 3), (1, 3)])
-        assert find_violating_triple(b) == TripleWitness(0, 1, 4, (2, 3), ())
+        assert find_violating_triple(b) == TripleStep(0, 1, 4)
+        assert attachments(b, TripleStep(0, 1, 4)) == ((2, 3), ())
 
     def test_scan_reference_agrees_with_the_full_scan(self):
         rng = random.Random(1919)
@@ -414,7 +435,10 @@ class TestTripleAgainstReference:
         levels = seeded_triple_levels(monkeypatch, (100, 150, 200), (1, 2, 3))
         assert len(levels) > 500 and max(b.n for b in levels) == 200
         for b in levels:
-            assert find_violating_triple(b) == scan_triple(b)
+            got = find_violating_triple(b)
+            assert got == scan_triple(b)
+            if got is not None:
+                assert_violates(b, got)
 
 
 def filtered_combinations(sizes, count, keep):
@@ -539,8 +563,11 @@ class TestSizePrefilter:
                 splittable = _splittable(tuple(sorted(sizes)))
                 rejected += not splittable
                 accepted += splittable
+                first = None
                 for side_a, side_b in _candidate_splits(parts):
                     cert = split_cert(world, side_a, side_b)
+                    if first is None:
+                        first = cert
                     a, b = sorted((len(side_a), len(side_b)))
                     if not splittable:
                         # the constructions' own size checks agree with the predicate
@@ -552,6 +579,8 @@ class TestSizePrefilter:
                     elif a >= 2 and window_sizes_ok(a, b):
                         # no blue edge crosses a whole-part split, so the window always certifies
                         assert cert is not None and verify_cert(cert)
+                # the parts cover the world, so its labels are the union's local labels
+                assert _certify_union(complement(world), parts) == first
         assert (rejected, accepted) == (41, 218)  # of the 259 tuples with at least two parts
 
     def test_single_part_is_rejected(self):

@@ -1,10 +1,12 @@
-"""The benchmark tracer names real program functions.
+"""The benchmark tracer and the tools name real program functions.
 
 `perfbench/tracer.py` wraps the functions its ``LAYERS`` table names by
-module and attribute.  A rename in the program would leave a traced run
-failing at start-up, so every name is resolved here against ``orient2``.
-The table is read from the file's source; nothing under ``perfbench/``
-is imported or run.
+module and attribute, and the scripts under ``tools/`` import names from
+``orient2``, private ones included.  A rename in the program would leave
+a traced run or a tool failing at start-up, so every name is resolved
+here against ``orient2``.  The table and the imports are read from the
+files' source; nothing under ``perfbench/`` or ``tools/`` is imported or
+run.
 """
 
 import ast
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 def tracer_layers():
@@ -33,3 +37,23 @@ def test_every_tracer_layer_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"tracer LAYERS name functions orient2 no longer has: {missing}"
+
+
+def tool_imports(path):
+    """(module, name) for every ``from orient2... import name`` in the file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "orient2":
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+@pytest.mark.skipif(not TOOLS, reason="tools/ is absent")
+@pytest.mark.parametrize("path", TOOLS, ids=lambda path: path.name)
+def test_every_tool_import_resolves(path):
+    names = list(tool_imports(path))
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, f"{path.name} imports names orient2 no longer has: {missing}"
