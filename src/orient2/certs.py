@@ -13,8 +13,9 @@ opposite class.  Two explicit constructions produce such certificates:
 
 `split_cert` tries both on one split.  `combine` glues a certified subset
 to a small remainder with no missing edges in between, producing the
-out-rows of a full diameter-2 orientation; the remainder's size and
-whether it carries its own certificate pick the construction.
+out-rows of a full diameter-2 orientation: it joins the subset's two
+classes and the remainder's two classes, those of the remainder's own
+certificate or its two vertices, in one directed cycle of four classes.
 
 A certificate is one record: its world, the out-rows that orient it
 (``rows[u]`` is the bitmask of u's out-neighbors) and its two classes in
@@ -126,9 +127,7 @@ def _window_injection(a: int, b: int) -> list[frozenset[int]]:
 
 
 def window_sizes_ok(a: int, b: int) -> bool:
-    if (a, b) == (1, 1):
-        return True
-    return 2 <= a <= b <= comb(a, a // 2)
+    return 1 <= a <= b <= comb(a, a // 2)
 
 
 def split_sizes_ok(a: int, b: int) -> bool:
@@ -155,16 +154,13 @@ def window_cert(world: Graph, side_x: Sequence[int], side_y: Sequence[int]) -> G
     if not window_sizes_ok(a, b) or _cross_gap(world, xs, _mask(ys)) is not None:
         return None
     rows = [0] * world.n
-    if (a, b) == (1, 1):
-        rows[xs[0]] = 1 << ys[0]
-    else:
-        x_mask = _mask(xs)
-        for y, window in zip(ys, _window_injection(a, b)):
-            to_window = _mask(xs[j] for j in window)
-            rows[y] |= to_window
-            for x in bits(x_mask & ~to_window):
-                rows[x] |= 1 << y
-    cert = GoodOrientationCert(world, _orient_rest(world, rows), tuple(xs), tuple(ys), (a, b) != (1, 1))
+    x_mask = _mask(xs)
+    for y, window in zip(ys, _window_injection(a, b)):
+        to_window = _mask(xs[j] for j in window)
+        rows[y] |= to_window
+        for x in bits(x_mask & ~to_window):
+            rows[x] |= 1 << y
+    cert = GoodOrientationCert(world, _orient_rest(world, rows), tuple(xs), tuple(ys), a >= 2)
     return cert if verify_cert(cert) else None
 
 
@@ -279,11 +275,16 @@ def split_cert(world: Graph, side_a: Sequence[int], side_b: Sequence[int]) -> Go
 
 
 def _lay_out(
-    rows: list[int], cert: GoodOrientationCert, labels: Sequence[int], others: Sequence[int]
+    rows: list[int], red: Graph, cert: GoodOrientationCert, labels: Sequence[int], others: Sequence[int]
 ) -> tuple[int, int]:
     """Add ``cert``'s arcs to ``rows`` with its vertex i at ``labels[i]``, the
     i-th label outside the sorted ``others``; returns the certificate's two
-    classes as masks over those labels."""
+    classes as masks over those labels.  Raises ValueError unless ``cert`` is
+    a verified non-trivial certificate of ``red``'s graph on ``labels``."""
+    if red.induced(labels) != cert.world:
+        raise ValueError("certificate world does not match its part of the red graph")
+    if not cert.nontrivial or not verify_cert(cert):
+        raise ValueError("a certified part needs a verified non-trivial certificate")
     for label, row in zip(labels, cert.rows):
         rows[label] |= _spread(row, others)
     return _spread(_mask(cert.first), others), _spread(_mask(cert.second), others)
@@ -304,55 +305,37 @@ def combine(
     """Extend a certified subset to a diameter-2 orientation of all of ``red``;
     returns its out-rows.
 
-    ``z`` lists the uncertified vertices; the rest of ``red`` is the
-    certified set and must match ``cert_w.world`` under sorted relabeling.
-    Every edge between the two parts must be present in ``red``.  The case
-    follows from the inputs: with ``cert_z``, a non-trivial certificate of
-    the red graph on ``z``, the four classes are joined in a cycle;
-    without it ``z`` must be two vertices, or three that span a red
-    triangle, and one of them routes between the two classes.  The inputs
-    are checked; the rows they determine are not, since each case's
-    construction makes them a diameter-2 orientation.  A caller that hands
-    them across a trust boundary checks them there.
+    ``z`` lists the leftover vertices; the rest of ``red`` is the certified
+    set W and must match ``cert_w.world`` under sorted relabeling.  Every
+    edge between the two parts must be present in ``red``.  The leftover's
+    two classes are those of ``cert_z``, a non-trivial certificate of the
+    red graph on ``z``, or without it the two vertices of ``z``; any other
+    leftover raises ValueError.  The four classes are joined in the cycle
+    W1 -> Z1 -> W2 -> Z2 -> W1.  A pair inside a certified part is within
+    distance 2 by its certificate; every other pair is by the cycle,
+    since each vertex of W has an in- and an out-neighbour in W's other
+    class.  The inputs are checked; the rows are not, since the
+    construction makes them a diameter-2 orientation.  A caller that
+    hands them across a trust boundary checks them there.
     """
     z_sorted = sorted(set(z))
     w_sorted = sorted(set(range(red.n)) - set(z_sorted))
     if not z_sorted or not w_sorted:
         raise ValueError("both the certified set and the leftover set must be nonempty")
-    if red.induced(w_sorted) != cert_w.world:
-        raise ValueError("certificate world does not match the certified subset")
-    if not cert_w.nontrivial or not verify_cert(cert_w):
-        raise ValueError("certified subset needs a verified non-trivial certificate")
+    if cert_z is None and len(z_sorted) != 2:
+        raise ValueError(f"{len(z_sorted)} leftover vertices need a certificate")
     gap = _cross_gap(red, w_sorted, _mask(z_sorted))
     if gap is not None:
         raise ValueError(f"missing edge {gap[0]}-{gap[1]} between the certified set and the rest")
 
     rows = [0] * red.n
-    first_w, second_w = _lay_out(rows, cert_w, w_sorted, z_sorted)
-    if cert_z is not None:
-        if not cert_z.nontrivial or not verify_cert(cert_z):
-            raise ValueError("the rest needs a verified non-trivial certificate")
-        if red.induced(z_sorted) != cert_z.world:
-            raise ValueError("rest certificate world does not match the rest of the graph")
-        first_z, second_z = _lay_out(rows, cert_z, z_sorted, w_sorted)
-        _point(rows, first_w, first_z)
-        _point(rows, first_z, second_w)
-        _point(rows, second_w, second_z)
-        _point(rows, second_z, first_w)
+    first_w, second_w = _lay_out(rows, red, cert_w, w_sorted, z_sorted)
+    if cert_z is None:
+        first_z, second_z = 1 << z_sorted[0], 1 << z_sorted[1]
     else:
-        if len(z_sorted) == 3:
-            y1, y2, y3 = z_sorted
-            for p, q in ((y1, y2), (y2, y3), (y3, y1)):
-                if not red.has_edge(p, q):
-                    raise ValueError("three leftover vertices must span a red triangle")
-                rows[p] |= 1 << q
-        elif len(z_sorted) != 2:
-            raise ValueError(f"{len(z_sorted)} leftover vertices need a certificate")
-        lead = z_sorted[0]
-        rest = _mask(z_sorted[1:])
-        _point(rows, first_w, 1 << lead)
-        rows[lead] |= second_w
-        _point(rows, rest, first_w)
-        _point(rows, second_w, rest)
-
+        first_z, second_z = _lay_out(rows, red, cert_z, z_sorted, w_sorted)
+    _point(rows, first_w, first_z)
+    _point(rows, first_z, second_w)
+    _point(rows, second_w, second_z)
+    _point(rows, second_z, first_w)
     return _orient_rest(red, rows)

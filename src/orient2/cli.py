@@ -15,7 +15,7 @@ import sys
 from typing import Callable
 
 from ._backend import backend_name
-from .codec import GraphFormatError, emit_graph6, emit_orientation, parse_graph
+from .codec import GraphFormatError, emit_graph6, emit_orientation, is_edge_list, parse_graph
 from .construct import InternalVerificationError, orient_diameter_two, threshold_size
 from .graphs import INFINITE, Graph, complement, components
 from .oracle import (
@@ -46,8 +46,8 @@ def _input_lines(args: argparse.Namespace) -> list[tuple[int, str]]:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    if "\n" in text.strip() and text.strip().splitlines()[0].split()[0].isdigit():
-        # a single edge-list block spans several lines
+    if is_edge_list(text):
+        # an edge list is one block, however many lines it spans
         return [(1, text)]
     return [(number, line) for number, line in enumerate(text.splitlines(), start=1) if line.strip()]
 

@@ -141,12 +141,19 @@ def parse_edgelist(text: str) -> Graph:
         raise GraphFormatError(str(exc)) from exc
 
 
+def is_edge_list(text: str) -> bool:
+    """Whether ``text`` is read as an edge list: its first token is an
+    integer, optionally negative.  graph6 and digraph6 text never starts
+    with a digit or '-'."""
+    tokens = text.split(maxsplit=1)
+    return bool(tokens) and tokens[0].removeprefix("-").isdecimal()
+
+
 def parse_graph(text: str) -> Graph:
     """Accept graph6 (with optional header) or the plain edge-list format."""
     stripped = text.strip()
     if not stripped:
         raise GraphFormatError("empty input")
-    first_line = stripped.splitlines()[0].split()
-    if len(first_line) >= 2 and all(tok.lstrip("-").isdigit() for tok in first_line):
+    if is_edge_list(stripped):
         return parse_edgelist(stripped)
     return parse_graph6(stripped)

@@ -32,7 +32,6 @@ from itertools import combinations, islice
 from math import comb
 from typing import Callable, Sequence
 
-from ._backend import STATUS_BUDGET
 from ._basecase_table import TABLE
 from .certs import GoodOrientationCert, combine, verify_cert
 from .codec import parse_digraph6
@@ -226,14 +225,14 @@ def _family_signature(classes: list[ComponentClass]) -> str | None:
 
 def _quadruple_search(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     """Out-rows from a deterministic search over leftover choices Z among the
-    blue ``comps``, each gluing the certified rest W to Z with `combine`."""
+    blue ``comps``, each gluing the certified rest W to Z with `combine`:
+    two singletons, then one P2, then two components with more than two
+    vertices between them, which Z certifies on its own."""
     r = len(comps)
     singles = [i for i in range(r) if len(comps[i]) == 1]
     pairs = [i for i in range(r) if len(comps[i]) == 2]
-    leftover_options: list[tuple[int, ...]] = []
-    leftover_options += [combo for combo in combinations(singles, 2)]
+    leftover_options: list[tuple[int, ...]] = list(combinations(singles, 2))
     leftover_options += [(i,) for i in pairs]
-    leftover_options += [combo for combo in combinations(singles, 3)]
     leftover_options += [
         (i, j)
         for i, j in combinations(range(r), 2)
@@ -247,7 +246,7 @@ def _quadruple_search(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, .
         z_comps = [comps[i] for i in chosen]
         z_verts = sorted(v for c in z_comps for v in c)
         cert_z = None
-        if len(chosen) == 2 and len(z_verts) > 2:
+        if len(z_verts) > 2:
             # Z's certificate does not depend on how W was split
             cert_z = _certify_union(blue, z_comps)
             if cert_z is None:
@@ -422,17 +421,18 @@ def _restore_padding(rows: list[int], deleted: tuple[Edge, ...]) -> None:
 
 
 def _oracle_fallback(norm: Graph) -> Orientation:
-    from .oracle import _solve_bounded, default_budget  # deferred: oracle imports this module
+    # deferred: oracle imports this module
+    from .oracle import SearchStatus, default_budget, exists_orientation_diameter2
 
     budget = default_budget()
-    status, orientation, _ = _solve_bounded(norm, 2, budget)
-    if status == STATUS_BUDGET:
+    outcome = exists_orientation_diameter2(norm, budget)
+    if outcome.status is SearchStatus.INDETERMINATE:
         raise InternalVerificationError(f"exhaustive fallback ran out of its {budget.max_nodes}-node budget")
-    if orientation is None:
+    if outcome.orientation is None:
         raise InternalVerificationError(
             "exhaustive fallback found no diameter-2 orientation above the threshold"
         )
-    return orientation
+    return outcome.orientation
 
 
 def _checked_cert(level: Graph, step: ReductionPlan) -> GoodOrientationCert:

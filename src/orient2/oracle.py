@@ -17,6 +17,7 @@ from . import _backend
 from .codec import emit_graph6
 from .graphs import (
     INFINITE,
+    Digraph,
     DistanceValue,
     Graph,
     Orientation,
@@ -75,24 +76,27 @@ class VerificationReport:
         return not self.failures
 
 
-def _dirs_to_orientation(g: Graph, edges: list[tuple[int, int]], dirs: list[int]) -> Orientation:
-    arcs = [(q, p) if d else (p, q) for (p, q), d in zip(edges, dirs)]
-    return Orientation.from_arcs(g, arcs)
-
-
-def _solve_bounded(
-    g: Graph, d: int, budget: SearchBudget
-) -> tuple[int, Orientation | None, int]:
+def _solve_bounded(g: Graph, d: int, budget: SearchBudget) -> DecisionOutcome:
+    """Decide "some orientation of ``g`` has diameter at most ``d``" with the
+    search kernel; a YES outcome carries its checked witness."""
     edges = _backend.ordered_edges(g)
     status, dirs, nodes = _backend.solve_bounded_diameter(
         g.n, edges, d, budget.max_nodes, budget.time_limit
     )
-    orientation = None
-    if status == _backend.STATUS_YES and dirs is not None:
-        orientation = _dirs_to_orientation(g, edges, dirs)
-        if diameter(orientation.dir) > d:
-            raise AssertionError("search returned an invalid witness")
-    return status, orientation, nodes
+    if status == _backend.STATUS_BUDGET:
+        return DecisionOutcome(SearchStatus.INDETERMINATE, nodes=nodes)
+    if status == _backend.STATUS_NO:
+        return DecisionOutcome(SearchStatus.NO, nodes=nodes)
+    # dirs[i] reverses the i-th edge of the branching order
+    rows = [0] * g.n
+    for (p, q), flip in zip(edges, dirs):
+        if flip:
+            p, q = q, p
+        rows[p] |= 1 << q
+    orientation = Orientation(g, Digraph(g.n, tuple(rows)))
+    if diameter(orientation.dir) > d:
+        raise AssertionError("search returned an invalid witness")
+    return DecisionOutcome(SearchStatus.YES, orientation, nodes)
 
 
 def exists_orientation_diameter2(g: Graph, budget: SearchBudget | None = None) -> DecisionOutcome:
@@ -107,12 +111,7 @@ def exists_orientation_diameter2(g: Graph, budget: SearchBudget | None = None) -
         return DecisionOutcome(SearchStatus.YES, Orientation.from_arcs(g, []))
     if not is_connected(g) or not is_bridgeless(g) or undirected_diameter(g) > 2:
         return DecisionOutcome(SearchStatus.NO)
-    status, orientation, nodes = _solve_bounded(g, 2, budget)
-    if status == _backend.STATUS_YES:
-        return DecisionOutcome(SearchStatus.YES, orientation, nodes)
-    if status == _backend.STATUS_NO:
-        return DecisionOutcome(SearchStatus.NO, nodes=nodes)
-    return DecisionOutcome(SearchStatus.INDETERMINATE, nodes=nodes)
+    return _solve_bounded(g, 2, budget)
 
 
 def exact_oriented_diameter(
@@ -134,11 +133,11 @@ def exact_oriented_diameter(
     for d in range(lower, g.n):
         time_left = None if deadline is None else max(0.0, deadline - time.monotonic())
         level_budget = SearchBudget(max_nodes=remaining, time_limit=time_left)
-        status, _, nodes = _solve_bounded(g, d, level_budget)
-        remaining -= nodes
-        if status == _backend.STATUS_YES:
+        outcome = _solve_bounded(g, d, level_budget)
+        remaining -= outcome.nodes
+        if outcome.status is SearchStatus.YES:
             return d
-        if status == _backend.STATUS_BUDGET or remaining <= 0:
+        if outcome.status is SearchStatus.INDETERMINATE or remaining <= 0:
             return None
     raise AssertionError("a strong orientation of diameter <= n-1 always exists")
 

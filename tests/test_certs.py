@@ -233,13 +233,6 @@ class TestCombine:
         o = oriented(red, combine(red, cert, [6, 7]))
         assert diameter(o.dir) == 2
 
-    def test_three_isolated_leftovers(self):
-        blue = Graph.from_edges(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        red = complement(blue)
-        cert = split_cert(red.induced(range(6)), [0, 1, 2], [3, 4, 5])
-        o = oriented(red, combine(red, cert, [6, 7, 8]))
-        assert diameter(o.dir) == 2
-
     def test_two_certified_halves(self):
         blue = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
         red = complement(blue)
@@ -262,12 +255,25 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine(red, cert, [6, 7, 8])
 
-    def test_four_leftovers_without_certificate_rejected(self):
-        blue = Graph.from_edges(10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    @pytest.mark.parametrize("part", ["w", "z"])
+    def test_trivial_certificate_rejected(self, part):
+        # K6 as a K2 and a K4: the (1, 1) window certifies the K2, but only trivially
+        trivial = window_cert(complete_graph(2), [0], [1])
+        good = split_cert(complete_graph(4), [0, 1], [2, 3])
+        assert not trivial.nontrivial and verify_cert(trivial)
+        red = complete_graph(6)
+        cert_w, z, cert_z = (trivial, [2, 3, 4, 5], good) if part == "w" else (good, [4, 5], trivial)
+        with pytest.raises(ValueError, match="non-trivial certificate"):
+            combine(red, cert_w, z, cert_z)
+
+    @pytest.mark.parametrize("leftovers", [3, 4])
+    def test_leftovers_without_certificate_rejected(self, leftovers):
+        # only two leftover vertices can stand in for a certificate's classes
+        blue = Graph.from_edges(6 + leftovers, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         red = complement(blue)
         cert = split_cert(red.induced(range(6)), [0, 1, 2], [3, 4, 5])
-        with pytest.raises(ValueError):
-            combine(red, cert, [6, 7, 8, 9])
+        with pytest.raises(ValueError, match=f"{leftovers} leftover vertices need a certificate"):
+            combine(red, cert, range(6, 6 + leftovers))
 
 
 def certify_and_combine_two(red, u1, v1, u2, v2):
@@ -400,8 +406,9 @@ def ref_matchjoin(world, xs, ys):
     return ref_fill(world, arcs)
 
 
-# the three constructions of `combine`, named by what its inputs hold
-COMBINE_SHAPES = ("nontrivial-cert", "three-isolated", "two")
+# what `combine`'s leftover holds, with the seed of its cases: its own
+# certificate, or two vertices that stand in for its classes
+COMBINE_SHAPES = {"nontrivial-cert": 7300, "two": 7302}
 
 
 def ref_combine(red, cert_w, z, shape, cert_z=None):
@@ -426,10 +433,8 @@ def ref_combine(red, cert_w, z, shape, cert_z=None):
                 for v in targets:
                     put(u, v)
     else:
-        if shape == "three-isolated":
-            y1, y2, y3 = z_sorted
-            for p, q in ((y1, y2), (y2, y3), (y3, y1)):
-                put(p, q)
+        # the routing as first written: the lead leftover vertex between the
+        # classes, and the other one from W's second class back to its first
         lead, rest = z_sorted[0], z_sorted[1:]
         for u in first_w:
             put(u, lead)
@@ -475,9 +480,7 @@ def seeded_combine_input(rng, shape):
         z_world, cert_z = certified_part()
     else:
         cert_z = None
-        size = 3 if shape == "three-isolated" else 2
-        joined = size == 3 or rng.random() < 0.5
-        z_world = complete_graph(size) if joined else Graph.from_edges(2, [])
+        z_world = complete_graph(2) if rng.random() < 0.5 else Graph.from_edges(2, [])
     nw, n = w_world.n, w_world.n + z_world.n
     labels = rng.sample(range(n), n)
     w_labels, z_labels = sorted(labels[:nw]), sorted(labels[nw:])
@@ -541,7 +544,7 @@ class TestAgainstArcDictReference:
 
     @pytest.mark.parametrize("shape", COMBINE_SHAPES)
     def test_combine_cases(self, shape):
-        rng = random.Random(7300 + COMBINE_SHAPES.index(shape))
+        rng = random.Random(COMBINE_SHAPES[shape])
         for _ in range(40):
             red, cert_w, z, cert_z = seeded_combine_input(rng, shape)
             o = oriented(red, combine(red, cert_w, z, cert_z))

@@ -203,6 +203,20 @@ class TestBatches:
         for number, line in enumerate(lines, start=1):
             assert line.startswith(f"error: line {number}: internal error: ")
 
+    @pytest.mark.parametrize(
+        "stdin, message",
+        [
+            # a negative order: one edge-list block, not two lines
+            ("-5 1\n0 1\n", "negative vertex or edge count"),
+            # a header with one value: an edge list, not a graph6 length byte
+            ("5\n0 1\n", "expected 0 endpoint values, found 1"),
+        ],
+    )
+    def test_text_starting_with_an_integer_is_one_edge_list(self, capsys, monkeypatch, stdin, message):
+        code, out, err = run_cli(capsys, monkeypatch, ["classify"], stdin)
+        assert code == 2 and out == ""
+        assert err == f"error: line 1: {message}\n"
+
     @pytest.mark.parametrize("command", ["orient", "classify"])
     def test_missing_file_exit_2(self, capsys, monkeypatch, tmp_path, command):
         path = tmp_path / "absent.txt"

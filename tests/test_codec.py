@@ -11,6 +11,7 @@ from orient2.codec import (
     emit_digraph6,
     emit_graph6,
     emit_orientation,
+    is_edge_list,
     parse_digraph6,
     parse_edgelist,
     parse_graph,
@@ -253,6 +254,22 @@ class TestEdgeList:
     def test_autodetect(self):
         assert parse_graph("3 2\n0 1\n1 2") == parse_edgelist("3 2\n0 1\n1 2")
         assert parse_graph("D?{") == parse_graph6("D?{")
+
+    @pytest.mark.parametrize("text", ["5", "-5 1\n0 1", "5 0 x", " 7\n"])
+    def test_a_leading_integer_makes_an_edge_list(self, text):
+        assert is_edge_list(text)
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert "length byte" not in str(exc.value)
+
+    @pytest.mark.parametrize("text", ["", "D?{", "&D?????", ">>graph6<<D?{", "~??~", "-", "x 1"])
+    def test_graph6_and_digraph6_are_not_edge_lists(self, text):
+        assert not is_edge_list(text)
+
+    @given(graphs())
+    def test_emitted_text_is_never_an_edge_list(self, g):
+        assert not is_edge_list(emit_graph6(g))
+        assert not is_edge_list(emit_digraph6(Digraph(g.n, g.adj)))
 
     def test_wrong_edge_count(self):
         with pytest.raises(GraphFormatError):

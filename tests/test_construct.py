@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +209,33 @@ class TestBaseCases:
         blue = disjoint_union(q, *rest)
         o, _ = checked_base_case(blue)
         assert diameter(o.dir) <= 2
+
+    def test_every_accepted_multiset_gets_a_base_case(self):
+        # the component multisets `_family_signature` accepts: each core with
+        # its paths, and every five paths of at most 4 vertices
+        build = {
+            ComponentKind.COMPLETE: complete_graph,
+            ComponentKind.PROPER_DUMBBELL: dumbbell,
+            ComponentKind.PROPER_SHORT_DUMBBELL: short_dumbbell,
+            ComponentKind.FIVE_CYCLE: lambda: cycle_graph(5),
+        }
+        tails = [(construct._FAMILY1_CORES, [[1] * 7]), ({construct._FAMILY2_CORE}, [[1] * 8])]
+        tails.append((construct._FAMILY3_CORES, [[1] * 6, [2] + [1] * 5]))
+        tails.append((construct._FAMILY4_CORES, [[2] * twos + [1] * (5 - twos) for twos in range(6)]))
+        blues = [
+            disjoint_union(build[core.kind](*core.params), paths_union(paths))
+            for cores, path_lists in tails
+            for core in sorted(cores, key=str)
+            for paths in path_lists
+        ]
+        blues += [paths_union(list(sizes)) for sizes in combinations_with_replacement(range(1, 5), 5)]
+        assert len(blues) == 88
+        for blue in blues:
+            comps = components(blue)
+            assert construct._family_signature([classify_component(blue, c) for c in comps]) is not None
+            rows, family = _base_case_with_family(blue, comps)
+            o = Orientation(complement(blue), Digraph(blue.n, rows))
+            assert diameter(o.dir) <= 2, family
 
     def test_non_family_absent(self):
         assert base_case(disjoint_union(complete_graph(5), *singletons(5))) is None

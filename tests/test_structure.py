@@ -621,6 +621,16 @@ class TestFindReduction:
         self.check(b, plan)
         assert plan.recipe == "non-tree+forest"
 
+    def test_non_tree_with_tree4(self):
+        # components of 1, 1, 1, 2, 4 and 7 vertices; found by a seeded
+        # search over random blue graphs with n - 5 edges
+        edges = [(0, 3), (0, 13), (1, 3), (1, 10), (2, 8), (3, 13), (4, 9), (4, 14), (5, 12), (7, 9), (10, 12)]
+        b = Graph.from_edges(16, edges)
+        assert sorted(len(c) for c in components(b)) == [1, 1, 1, 2, 4, 7]
+        plan = find_reduction(b)
+        self.check(b, plan)
+        assert plan.recipe == "non-tree+tree4"
+
     def test_single_component_absent(self):
         assert find_reduction(complete_graph(3)) is None
 

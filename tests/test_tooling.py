@@ -1,16 +1,19 @@
-"""The benchmark tracer and the tools name real program functions.
+"""The benchmark tracer and the tools name real program functions, and the
+constructor still builds the pinned digest of `tools/construct_scale.py`.
 
 `perfbench/tracer.py` wraps the functions its ``LAYERS`` table names by
 module and attribute, and the scripts under ``tools/`` import names from
 ``orient2``, private ones included.  A rename in the program would leave
 a traced run or a tool failing at start-up, so every name is resolved
 here against ``orient2``.  The table and the imports are read from the
-files' source; nothing under ``perfbench/`` or ``tools/`` is imported or
-run.
+files' source; nothing under ``perfbench/`` is imported or run, and of
+``tools/`` only `construct_scale.py` is loaded, for its instances and
+digest.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,21 @@ def test_every_tool_import_resolves(path):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{path.name} imports names orient2 no longer has: {missing}"
+
+
+CONSTRUCT_SCALE = ROOT / "tools" / "construct_scale.py"
+
+
+@pytest.mark.skipif(not CONSTRUCT_SCALE.is_file(), reason="tools/construct_scale.py is absent")
+def test_construct_scale_digest_at_order_200():
+    # the golden corpus stops at n = 36; this pins seeds 1..5 of the tool at n = 200
+    from orient2.construct import orient_diameter_two
+
+    spec = importlib.util.spec_from_file_location("construct_scale", CONSTRUCT_SCALE)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    digest = 0
+    for seed in range(1, 6):
+        o, trace = orient_diameter_two(tool.threshold_instance(200, seed))
+        digest = tool.fold_digest(digest, o, trace)
+    assert f"{digest:08x}" == "a689d353"

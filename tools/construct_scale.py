@@ -28,8 +28,8 @@ from collections import Counter
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from orient2.construct import orient_diameter_two
-from orient2.graphs import Graph, complement
+from orient2.construct import ConstructionTrace, orient_diameter_two
+from orient2.graphs import Graph, Orientation, complement
 
 
 def threshold_instance(n: int, seed: int) -> Graph:
@@ -42,6 +42,11 @@ def threshold_instance(n: int, seed: int) -> Graph:
     return complement(Graph.from_edges(n, sorted(blue)))
 
 
+def fold_digest(digest: int, o: Orientation, trace: ConstructionTrace) -> int:
+    """``digest`` continued by the CRC-32 of one construction's sorted arcs and trace."""
+    return zlib.crc32(repr((sorted(o.dir.arcs()), trace.to_json())).encode(), digest)
+
+
 def scale(n: int, seeds: int) -> bool:
     times = []
     moves: Counter = Counter()
@@ -51,7 +56,7 @@ def scale(n: int, seeds: int) -> bool:
         start = time.perf_counter()
         o, trace = orient_diameter_two(g)
         times.append(time.perf_counter() - start)
-        digest = zlib.crc32(repr((sorted(o.dir.arcs()), trace.to_json())).encode(), digest)
+        digest = fold_digest(digest, o, trace)
         for step in trace.to_json():
             moves[step["kind"]] += 1
             if step["kind"] == "reduce":
