@@ -48,10 +48,12 @@ class GoodOrientationCert:
 
 def matchjoin_graph(a: int, k: int) -> Graph:
     """Cliques on 0..a-1 and a..a+k-1, with vertex i matched to a + i for i < k."""
-    edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
-    edges += [(a + u, a + v) for u in range(k) for v in range(u + 1, k)]
-    edges += [(i, a + i) for i in range(k)]
-    return Graph.from_edges(a + k, edges)
+    left, right = (1 << a) - 1, ((1 << k) - 1) << a
+    rows = [left ^ 1 << u for u in range(a)] + [right ^ 1 << a + u for u in range(k)]
+    for i in range(k):
+        rows[i] |= 1 << a + i
+        rows[a + i] |= 1 << i
+    return Graph(a + k, tuple(rows))
 
 
 def _mask(vertices: Iterable[int]) -> int:

@@ -24,6 +24,7 @@ from .graphs import (
     complement,
     components,
     diameter,
+    eccentricity,
     is_bridgeless,
     is_connected,
     undirected_diameter,
@@ -342,7 +343,8 @@ def verify_theorem(n: int) -> VerificationReport:
     """Run the constructor on every threshold instance of order ``n``.
 
     Enumerates all complements with at most n - 5 edges, orients each
-    input, and independently re-checks every output at diameter <= 2.
+    input, and re-checks every output at diameter <= 2 with one BFS per
+    source (`eccentricity`), independent of the constructor's own check.
     Each failure reads ``"<graph6 of the input>: <reason>"``; the reason
     is ``"<exception type>: <message>"`` when the constructor raised.
     """
@@ -363,7 +365,7 @@ def verify_theorem(n: int) -> VerificationReport:
             fallbacks += trace.fallback_count()
             if orientation.base != red:
                 reason = "orientation is not of the input graph"
-            elif (d := diameter(orientation.dir)) > 2:
+            elif (d := max(eccentricity(orientation.dir, u) for u in range(n))) > 2:
                 reason = f"orientation has diameter {d}"
         except Exception as exc:
             reason = f"{type(exc).__name__}: {exc}"

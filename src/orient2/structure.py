@@ -313,6 +313,12 @@ def _validated_plan(
 # tree sizes that fit recipe 3's small forest (at most six vertices), largest first
 _SMALL_FOREST_SIZES = (6, 5, 4, 3, 2, 1)
 
+# Largest non-tree component recipe 3 can certify with a small forest.  Every
+# split keeps the component whole, so past this size the side without it, at
+# most six forest vertices, is the smaller side a, and `split_sizes_ok` caps
+# b at max(C(a, a//2), 2a), largest at a = 6.
+_SMALL_FOREST_LIMIT = max(b for b in range(6, 64) if split_sizes_ok(6, b))
+
 
 def find_reduction(
     b: Graph, comps: Sequence[tuple[int, ...]] | None = None
@@ -381,6 +387,8 @@ def find_reduction(
                 plan = _validated_plan(b, [comp, tree], "non-tree+tree4")
                 if plan is not None:
                     return plan
+        if len(comp) > _SMALL_FOREST_LIMIT:
+            continue
         lo = min(4, len(comp))
         # a forest of at most six vertices has at most six trees
         for count in range(1, min(len(trees), ex1 + 1, 6) + 1):

@@ -637,6 +637,21 @@ class TestRelabelling:
         assert o.base == h and diameter(o.dir) <= 2
 
 
+class TestAddedRedEdges:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_adding_red_edges_keeps_a_diameter_two_orientation(self, data):
+        """A threshold instance with any of its n - 5 missing edges added still
+        gets a diameter-2 orientation of the graph with those edges."""
+        n = data.draw(st.integers(min_value=5, max_value=24))
+        pairs = list(combinations(range(n), 2))
+        blue = data.draw(st.lists(st.sampled_from(pairs), min_size=n - 5, max_size=n - 5, unique=True))
+        added = set(data.draw(st.lists(st.sampled_from(blue), unique=True))) if blue else set()
+        g = complement(Graph.from_edges(n, [e for e in blue if e not in added]))
+        o, _ = orient_diameter_two(g)
+        assert o.base == g and diameter(o.dir) <= 2
+
+
 class TestReplay:
     @pytest.mark.parametrize(
         "blue_builder",

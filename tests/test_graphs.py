@@ -1,17 +1,27 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import complete_graph, cycle_graph, dumbbell, path_graph
+import orient2.graphs as graphs_module
+from orient2.construct import orient_diameter_two
 from orient2.graphs import (
     INFINITE,
     Digraph,
     Graph,
     Orientation,
+    _transpose,
+    _within_two,
     as_digraph,
+    bits,
     complement,
     components,
     diameter,
     distance,
+    eccentricity,
+    in_rows,
     is_bridgeless,
     undirected_diameter,
 )
@@ -198,3 +208,172 @@ class TestOrientation:
         g = cycle_graph(4)
         d = as_digraph(g)
         assert distance(d, 0, 2) == 2
+
+
+# ---------------------------------------------------------------------------
+# the word-parallel kernels against the per-arc walks they replace
+
+WORD_BOUNDARIES = (7, 8, 9, 15, 16, 17, 63, 64, 65, 200)
+
+
+def walk_in_rows(out):
+    """In-rows by the per-arc walk: the reference for `_transpose`."""
+    into = [0] * len(out)
+    for u, row in enumerate(out):
+        for v in bits(row):
+            into[v] |= 1 << u
+    return into
+
+
+def walk_exactness_error(out, adj):
+    """The message `Orientation` gave for out-rows ``out`` over ``adj`` before
+    the transpose, from the walk's in-rows; None when they orient it exactly."""
+    into = walk_in_rows(out)
+    for u, (row, edges) in enumerate(zip(out, adj)):
+        covered = row | into[u]
+        if covered != edges:
+            return f"arcs do not orient the base graph exactly (vertex {u}: edges {edges:b}, arcs {covered:b})"
+        if row & into[u]:
+            return f"edge at vertex {u} oriented both ways"
+    return None
+
+
+def walk_symmetry_error(adj):
+    for u, row in enumerate(adj):
+        for v in bits(row):
+            if not adj[v] >> u & 1:
+                return f"edge {u}-{v} is not symmetric"
+    return None
+
+
+def bfs_diameter(rows):
+    """Diameter by one BFS per source: the reference for `_within_two` and `diameter`."""
+    d = Digraph(len(rows), tuple(rows))
+    return max((eccentricity(d, u) for u in range(d.n)), default=0)
+
+
+def random_rows(rng, n, p):
+    return [sum(1 << v for v in range(n) if v != u and rng.random() < p) for u in range(n)]
+
+
+def constructed(n, seed):
+    """The constructor's diameter-2 orientation of a threshold instance of order ``n``."""
+    rng = random.Random(seed)
+    blue = Graph.from_edges(n, rng.sample(list(combinations(range(n), 2)), n - 5))
+    o, _ = orient_diameter_two(complement(blue))
+    return o.base, list(o.dir.out)
+
+
+@pytest.fixture(params=["transpose", "walk"])
+def rows_path(request, monkeypatch):
+    """Run a test once with every row set sent through `_transpose` and once through the walk."""
+    monkeypatch.setattr(graphs_module, "_dense", lambda n, arcs: request.param == "transpose")
+    return request.param
+
+
+class TestKernels:
+    def test_transpose_matches_the_walk(self):
+        rng = random.Random(2301)
+        for n in [*range(71), 200]:
+            for p in (0.0, 0.05, 0.5, 1.0):
+                rows = random_rows(rng, n, p)
+                assert _transpose(rows) == walk_in_rows(rows), (n, p)
+                assert in_rows(rows) == walk_in_rows(rows), (n, p)
+
+    def test_within_two_and_diameter_match_bfs(self):
+        rng = random.Random(2302)
+        verdicts = set()
+        for n in [*range(71), 200]:
+            for p in (0.1, 0.3, 0.5, 0.7, 1.0):
+                rows = random_rows(rng, n, p)
+                reference = bfs_diameter(rows)
+                assert _within_two(rows) == (reference <= 2), (n, p)
+                assert diameter(Digraph(n, tuple(rows))) == reference, (n, p)
+                verdicts.add(reference <= 2)
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARIES)
+    def test_constructed_orientations_pass(self, n, rows_path):
+        g, rows = constructed(n, n)
+        assert _within_two(rows)
+        assert Orientation(g, Digraph(n, tuple(rows))).dir.out == tuple(rows)
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARIES)
+    @pytest.mark.parametrize("fault", ["both ways", "missing arc", "arc off the base graph"])
+    def test_faults_raise_the_walks_message(self, n, fault, rows_path):
+        g, rows = constructed(n, n)
+        rng = random.Random(n)
+        u = rng.choice([u for u in range(n) if rows[u]])
+        v = rng.choice(list(bits(rows[u])))
+        if fault == "both ways":
+            rows[v] |= 1 << u
+        elif fault == "missing arc":
+            rows[u] ^= 1 << v
+        else:
+            u, v = rng.choice([(u, v) for u, v in combinations(range(n), 2) if not g.has_edge(u, v)])
+            rows[u] |= 1 << v
+        expected = walk_exactness_error(rows, g.adj)
+        assert expected is not None
+        with pytest.raises(ValueError) as raised:
+            Orientation(g, Digraph(n, tuple(rows)))
+        assert str(raised.value) == expected
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARIES)
+    def test_a_pair_at_distance_three_fails(self, n):
+        _, rows = constructed(n, n)
+        arcs = [(u, v) for u in range(n) for v in bits(rows[u])]
+        random.Random(n).shuffle(arcs)
+        distances = set()
+        for u, v in arcs:  # reverse one arc at a time until some pair is at distance 3
+            flipped = list(rows)
+            flipped[u] ^= 1 << v
+            flipped[v] |= 1 << u
+            d = bfs_diameter(flipped)
+            assert _within_two(flipped) == (d <= 2)
+            assert diameter(Digraph(n, tuple(flipped))) == d
+            distances.add(d)
+            if d == 3:
+                break
+        assert 3 in distances
+
+    @pytest.mark.parametrize("n", WORD_BOUNDARIES)
+    def test_asymmetric_rows_get_the_walks_message(self, n, rows_path):
+        rng = random.Random(2303 + n)
+        adj = list(complement(Graph.from_edges(n, rng.sample(list(combinations(range(n), 2)), n))).adj)
+        assert Graph(n, tuple(adj)).adj == tuple(adj)
+        for dropped in (1, 2, 3):
+            # drop v from the rows of some of its neighbours: row v then has that many strays
+            broken = list(adj)
+            v = rng.choice([v for v in range(n) if adj[v].bit_count() >= 3])
+            for u in rng.sample(list(bits(adj[v])), dropped):
+                broken[u] ^= 1 << v
+            with pytest.raises(ValueError) as raised:
+                Graph(n, tuple(broken))
+            assert str(raised.value) == walk_symmetry_error(broken)
+
+    def test_dense_rows_take_the_transpose(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return walk_in_rows(rows)
+
+        monkeypatch.setattr(graphs_module, "_transpose", counted)
+        g, rows = constructed(40, 1)
+        calls.clear()
+        Graph(g.n, g.adj)
+        Orientation(g, Digraph(g.n, tuple(rows)))
+        assert calls == [40, 40]
+
+    def test_kernels_stop_at_the_largest_measured_order(self):
+        top = graphs_module._DENSE_MAX_N
+        assert graphs_module._dense(top, top * (top - 1))
+        assert not graphs_module._dense(top + 1, (top + 1) * top)
+
+    def test_empty_graph_at_the_largest_order_takes_the_walk(self, monkeypatch):
+        def refused(rows):
+            raise AssertionError("sparse rows reached the transpose")
+
+        monkeypatch.setattr(graphs_module, "_transpose", refused)
+        g = Graph.from_edges(258048, [])
+        assert in_rows(g.adj) == [0] * 258048

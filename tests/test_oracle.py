@@ -11,7 +11,9 @@ from orient2 import _backend, _pysearch
 from orient2.codec import emit_graph6
 from orient2.graphs import (
     INFINITE,
+    Digraph,
     Graph,
+    Orientation,
     complement,
     diameter,
     is_bridgeless,
@@ -888,6 +890,25 @@ class TestHarnesses:
     def test_verify_theorem_n7(self):
         report = verify_theorem(7)
         assert report.instances_checked == 4 and report.ok
+
+    def test_verify_theorem_rechecks_outputs_without_the_kernels(self, monkeypatch):
+        """An output of diameter above 2 fails the re-check even when the
+        word-parallel diameter-2 kernel wrongly accepts every digraph."""
+        import orient2.construct as construct
+        import orient2.graphs as graphs
+
+        real = construct.orient_diameter_two
+
+        def transitive(g):
+            _, trace = real(g)
+            rows = tuple(row >> (u + 1) << (u + 1) for u, row in enumerate(g.adj))
+            return Orientation(g, Digraph(g.n, rows)), trace
+
+        monkeypatch.setattr(construct, "orient_diameter_two", transitive)
+        monkeypatch.setattr(graphs, "_within_two", lambda rows: True)
+        report = verify_theorem(7)
+        assert report.instances_checked == 4 and len(report.failures) == 4
+        assert all(f.endswith(": orientation has diameter inf") for f in report.failures)
 
     def test_verify_theorem_range_check(self):
         with pytest.raises(ValueError):

@@ -587,6 +587,31 @@ class TestSizePrefilter:
         assert not _splittable((6,))
         assert _splittable((2, 2)) and _splittable((3, 6)) and not _splittable((3, 7))
 
+    def test_no_small_forest_splits_a_component_past_the_gate(self):
+        """Past `_SMALL_FOREST_LIMIT`, the side without the component has at
+        most six forest vertices and is the smaller one, so no split passes."""
+        limit = structure._SMALL_FOREST_LIMIT
+        assert _splittable((6, limit))
+        for total in range(1, 7):
+            for trees in integer_partitions(total):
+                for comp in range(limit + 1, 4 * limit):
+                    assert not _splittable(tuple(sorted((*trees, comp))))
+
+    def test_small_forest_gate_changes_no_plan(self, monkeypatch):
+        rng = random.Random(2311)
+        recipes = set()
+        for _ in range(40):
+            cycle = rng.randint(5, 26)
+            trees = paths_union([rng.randint(1, 6) for _ in range(rng.randint(1, 3))])
+            blue = disjoint_union(cycle_graph(cycle), trees)
+            gated = find_reduction(blue)
+            with monkeypatch.context() as ungated:
+                ungated.setattr(structure, "_SMALL_FOREST_LIMIT", blue.n)
+                assert find_reduction(blue) == gated
+            if gated is not None:
+                recipes.add((gated.recipe, cycle))
+        # the gate is reached, at its limit too
+        assert ("non-tree+small-forest", 20) in recipes
 
 class TestFindReduction:
     def check(self, b, plan):
