@@ -38,7 +38,6 @@ from .graphs import (
     complement,
     components,
     diameter,
-    distance,
     is_bridgeless,
     undirected_diameter,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "complement",
     "components",
     "diameter",
-    "distance",
     "emit_digraph6",
     "emit_graph6",
     "emit_orientation",

@@ -44,7 +44,9 @@ def _input_lines(args: argparse.Namespace) -> list[tuple[int, str]]:
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
-    else:
+    elif hasattr(sys.stdin, "buffer"):
+        text = sys.stdin.buffer.read().decode("ascii", "surrogateescape")
+    else:  # a text-only stream
         text = sys.stdin.read()
     if is_edge_list(text):
         # an edge list is one block, however many lines it spans

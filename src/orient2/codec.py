@@ -9,7 +9,7 @@ holding n as an 18-bit big-endian number (B. McKay, *formats.txt*).
 
 from __future__ import annotations
 
-from .graphs import Digraph, Graph, Orientation, in_rows
+from .graphs import Digraph, Graph, Orientation, _unchecked, in_rows
 
 GRAPH6_HEADER = ">>graph6<<"
 DIGRAPH6_HEADER = ">>digraph6<<"
@@ -27,6 +27,12 @@ _SEXTETS = {chr(code + 63): format(code, "06b") for code in range(64)}
 _BYTES = {sextet: byte for byte, sextet in _SEXTETS.items()}
 
 
+def _byte(ch: str) -> int:
+    """The byte read as ``ch``; a byte that is not ASCII arrives as its surrogate escape."""
+    code = ord(ch)
+    return code - 0xDC00 if 0xDC80 <= code <= 0xDCFF else code
+
+
 def _pack_bits(bitstring: str) -> str:
     bitstring += "0" * (-len(bitstring) % 6)
     return "".join([_BYTES[bitstring[i : i + 6]] for i in range(0, len(bitstring), 6)])
@@ -42,8 +48,7 @@ def _unpack_bits(payload: str, nbits: int) -> str:
     try:
         bitstring = "".join([_SEXTETS[ch] for ch in payload])
     except KeyError as exc:
-        code = ord(exc.args[0])
-        raise GraphFormatError(f"byte {code!r} outside printable graph6 range 63..126") from None
+        raise GraphFormatError(f"byte {_byte(exc.args[0])!r} outside printable graph6 range 63..126") from None
     if "1" in bitstring[nbits:]:
         raise GraphFormatError("nonzero padding bits")
     return bitstring[:nbits]
@@ -63,7 +68,7 @@ def _decode_order(text: str) -> tuple[int, str]:
     if text[0] != "~":
         code = ord(text[0])
         if not 63 <= code <= 125:
-            raise GraphFormatError(f"bad length byte {code!r}")
+            raise GraphFormatError(f"bad length byte {_byte(text[0])!r}")
         return code - 63, text[1:]
     if text[1:2] == "~":
         raise GraphFormatError(f"graphs with more than {MAX_VERTICES} vertices are not supported")
@@ -91,7 +96,7 @@ def parse_graph6(text: str) -> Graph:
     # row v's neighbours below v are column v of the upper triangle, reversed
     lower = [int("0" + bitstring[v * (v - 1) // 2 : v * (v + 1) // 2][::-1], 2) for v in range(n)]
     upper = in_rows(lower)
-    return Graph(n, tuple([low | up for low, up in zip(lower, upper)]))
+    return _unchecked(n, tuple([low | up for low, up in zip(lower, upper)]))
 
 
 def emit_digraph6(d: Digraph) -> str:

@@ -16,8 +16,8 @@ Two private kernels check dense rows word-parallel:
   Kronrod and Faradzev, 1970): a 16-entry table of the ORs of each 4
   consecutive rows, then one lookup per nibble of each row.
 
-`in_rows`, and through it `_exact_in_rows`, and `Graph`'s symmetry check
-use the transpose only for rows holding at least n²/64 + 64 arcs; sparser
+`in_rows` (and through it `_exact_in_rows` and `Graph`'s symmetry check)
+uses the transpose only for rows holding at least n²/64 + 64 arcs; sparser
 rows keep the per-arc walk, which is faster there and allocates no W² bits.
 `diameter` answers from `_within_two` for rows holding at least n²/8 arcs
 and falls back to one BFS per source when it finds a pair three or more
@@ -161,28 +161,21 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(adj) != n:
             raise ValueError("expected one adjacency row per vertex")
-        arcs = 0
         for u, row in enumerate(adj):
             if row >> n:
                 raise ValueError("adjacency row mentions vertices outside 0..n-1")
             if row >> u & 1:
                 raise ValueError(f"vertex {u} is adjacent to itself")
-            arcs += row.bit_count()
-        if _dense(n, arcs):
-            back = _transpose(adj)
-            if back == list(adj):
-                return
-            # the first u in order whose row has a v that lacks u, as the walk finds it
-            u, stray = next((u, row & ~col) for u, (row, col) in enumerate(zip(adj, back)) if row & ~col)
+        into = in_rows(adj)
+        if into != list(adj):
+            # the first u in order whose row has a v that lacks u
+            u, stray = next((u, row & ~col) for u, (row, col) in enumerate(zip(adj, into)) if row & ~col)
             raise ValueError(f"edge {u}-{(stray & -stray).bit_length() - 1} is not symmetric")
-        for u, row in enumerate(adj):
-            bit = 1 << u
-            for v in bits(row):
-                if not adj[v] & bit:
-                    raise ValueError(f"edge {u}-{v} is not symmetric")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Edge]) -> "Graph":
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -191,7 +184,7 @@ class Graph:
                 raise ValueError(f"edge {u}-{v} outside 0..{n - 1}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        return _unchecked(n, tuple(rows))
 
     @property
     def m(self) -> int:
@@ -234,8 +227,10 @@ class Graph:
 
 
 def _unchecked(n: int, rows: tuple[int, ...]) -> Graph:
-    """A `Graph` over ``rows`` without the validation walk, for rows derived
-    from a valid graph (its complement, an induced subgraph), which are valid."""
+    """A `Graph` over ``rows`` without validation, for rows valid by
+    construction: derived from a valid graph (its complement, an induced
+    subgraph) or built symmetric by a builder that checked its own input
+    (`Graph.from_edges`, `codec.parse_graph6`, `oracle.enumerate_blue`)."""
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "adj", rows)
@@ -300,33 +295,6 @@ def complement(g: Graph) -> Graph:
     return _unchecked(g.n, rows)
 
 
-def as_digraph(g: Graph) -> Digraph:
-    """View an undirected graph as a digraph with both arc directions."""
-    return Digraph(g.n, g.adj)
-
-
-def distance(d: Digraph, u: int, v: int) -> DistanceValue:
-    """Length of a shortest directed path from ``u`` to ``v`` (INFINITE if none)."""
-    if not (0 <= u < d.n and 0 <= v < d.n):
-        raise ValueError(f"vertex out of range: ({u}, {v}) with n={d.n}")
-    if u == v:
-        return 0
-    seen = 1 << u
-    frontier = seen
-    steps = 0
-    while frontier:
-        nxt = 0
-        for w in bits(frontier):
-            nxt |= d.out[w]
-        nxt &= ~seen
-        steps += 1
-        if nxt >> v & 1:
-            return steps
-        seen |= nxt
-        frontier = nxt
-    return INFINITE
-
-
 def eccentricity(d: Digraph, u: int) -> DistanceValue:
     """Largest distance from ``u`` to any other vertex."""
     full = (1 << d.n) - 1
@@ -369,7 +337,7 @@ def diameter(d: Digraph) -> DistanceValue:
 
 
 def undirected_diameter(g: Graph) -> DistanceValue:
-    return diameter(as_digraph(g))
+    return diameter(Digraph(g.n, g.adj))
 
 
 def reach(rows: tuple[int, ...], start: int) -> int:

@@ -21,6 +21,7 @@ from .graphs import (
     DistanceValue,
     Graph,
     Orientation,
+    _unchecked,
     complement,
     components,
     diameter,
@@ -310,7 +311,7 @@ def enumerate_blue(n: int, max_edges: int):
 
     def lay_out(start: int, size: int, m: int, rows: tuple[int, ...]) -> None:
         isolated = n - size
-        levels[m].append(Graph(n, (0,) * isolated + tuple([row << isolated for row in rows])))
+        levels[m].append(_unchecked(n, (0,) * isolated + tuple([row << isolated for row in rows])))
         for i in range(start, len(pieces)):
             piece_size, piece_rows, piece_m = pieces[i]
             if size + piece_size > n:

@@ -163,6 +163,20 @@ class TestBatches:
         code, out, err = run_cli(capsys, monkeypatch, [command, "--file", str(path)])
         assert code == 2 and out == single * 2
         assert err.startswith("error: line 2: ") and err.count("\n") == 1
+        assert "bad length byte 195" in err  # the first byte of the UTF-8 'é'
+
+    def test_non_ascii_stdin_line_is_reported_and_skipped(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        k5 = emit_graph6(complete_graph(5))
+        _, single, _ = run_cli(capsys, monkeypatch, ["orient"], k5 + "\n")
+        raw = f"{k5}\n".encode() + b"\xff\n" + f"{k5}\n".encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="strict"))
+        code = cli.main(["orient"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == single * 2
+        assert err == "error: line 2: bad length byte 255\n"
 
     def test_internal_error_exit_3_and_the_batch_goes_on(self, capsys, monkeypatch):
         k5 = emit_graph6(complete_graph(5))

@@ -88,6 +88,11 @@ class TestGraph6:
         with pytest.raises(GraphFormatError):
             parse_graph6(text)
 
+    def test_escaped_payload_byte_is_reported_as_read(self):
+        # a byte that is not ASCII arrives as its surrogate escape, U+DC80..U+DCFF
+        with pytest.raises(GraphFormatError, match="byte 195 outside"):
+            parse_graph6("D\udcc3?")
+
     def test_lying_header_rejected_by_length(self):
         # a 12345-vertex header over a one-byte payload fails the length check
         with pytest.raises(GraphFormatError, match="expected"):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import complete_graph, cycle_graph, dumbbell, path_graph
 import orient2.graphs as graphs_module
+from orient2.codec import emit_graph6, parse_graph6
 from orient2.construct import orient_diameter_two
 from orient2.graphs import (
     INFINITE,
@@ -14,12 +15,10 @@ from orient2.graphs import (
     Orientation,
     _transpose,
     _within_two,
-    as_digraph,
     bits,
     complement,
     components,
     diameter,
-    distance,
     eccentricity,
     in_rows,
     is_bridgeless,
@@ -62,6 +61,10 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match=match):
             Graph(n, rows)
 
+    def test_from_edges_rejects_a_negative_order(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Graph.from_edges(-1, [])
+
     def test_edges_sorted(self):
         g = Graph.from_edges(4, [(2, 3), (0, 1), (1, 3)])
         assert g.edges() == [(0, 1), (1, 3), (2, 3)]
@@ -79,8 +82,10 @@ class TestGraphBasics:
     @given(graphs(), st.data())
     def test_derived_graphs_equal_validated_rebuilds(self, g, data):
         vs = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
-        for derived in (complement(g), g.induced(vs)):
+        built = (complement(g), g.induced(vs), Graph.from_edges(g.n, g.edges()), parse_graph6(emit_graph6(g)))
+        for derived in built:
             assert derived == Graph(derived.n, derived.adj)
+        assert built[2] == built[3] == g
         assert complement(g).adj == tuple(
             sum(1 << v for v in range(g.n) if v != u and not g.has_edge(u, v)) for u in range(g.n)
         )
@@ -117,21 +122,12 @@ class TestComplement:
 class TestDistances:
     def test_directed_triangle(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-        assert distance(d, 0, 2) == 2
         assert diameter(d) == 2
-
-    def test_distance_to_self(self):
-        d = Digraph.from_arcs(4, [(0, 1)])
-        assert distance(d, 2, 2) == 0
 
     def test_unreachable(self):
         d = Digraph.from_arcs(2, [(0, 1)])
-        assert distance(d, 1, 0) == INFINITE
-
-    def test_out_of_range_vertex(self):
-        d = Digraph.from_arcs(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            distance(d, 0, 5)
+        assert eccentricity(d, 0) == 1
+        assert eccentricity(d, 1) == INFINITE
 
     def test_diameter_isolated_vertex(self):
         d = Digraph.from_arcs(3, [(0, 1), (1, 0)])
@@ -159,8 +155,7 @@ class TestDistances:
         smaller = [a for a in arcs if rng.random() < 0.7]
         partial = Digraph.from_arcs(g.n, smaller)
         for u in range(g.n):
-            for v in range(g.n):
-                assert distance(base, u, v) <= distance(partial, u, v)
+            assert eccentricity(base, u) <= eccentricity(partial, u)
 
 
 class TestComponentsAndBridges:
@@ -203,11 +198,6 @@ class TestOrientation:
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ValueError):
             Orientation.from_arcs(g, [(0, 1), (1, 2)])
-
-    def test_as_digraph_symmetric(self):
-        g = cycle_graph(4)
-        d = as_digraph(g)
-        assert distance(d, 0, 2) == 2
 
 
 # ---------------------------------------------------------------------------

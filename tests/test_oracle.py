@@ -667,6 +667,10 @@ class TestEnumeration:
             for g in enumerate_blue(n, n - 5):
                 assert canonical_form(g) == g
 
+    def test_every_graph_equals_its_validated_rebuild(self):
+        graphs = list(enumerate_blue(9, 4))
+        assert graphs and all(g == Graph(g.n, g.adj) for g in graphs)
+
     def test_canonical_form_iso_invariant(self):
         rng = random.Random(7)
         g = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
