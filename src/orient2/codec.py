@@ -33,6 +33,11 @@ def _byte(ch: str) -> int:
     return code - 0xDC00 if 0xDC80 <= code <= 0xDCFF else code
 
 
+def _shown(text: str) -> str:
+    """``text`` quoted, each character outside printable ASCII as ``\\x`` and the hex of its `_byte`."""
+    return "'" + "".join([ch if " " <= ch <= "~" else f"\\x{_byte(ch):02x}" for ch in text]) + "'"
+
+
 def _pack_bits(bitstring: str) -> str:
     bitstring += "0" * (-len(bitstring) % 6)
     return "".join([_BYTES[bitstring[i : i + 6]] for i in range(0, len(bitstring), 6)])
@@ -74,7 +79,7 @@ def _decode_order(text: str) -> tuple[int, str]:
         raise GraphFormatError(f"graphs with more than {MAX_VERTICES} vertices are not supported")
     head = text[1:4]
     if len(head) < 3 or not all(63 <= ord(ch) <= 126 for ch in head):
-        raise GraphFormatError(f"bad long order header {text[:4]!r}")
+        raise GraphFormatError(f"bad long order header {_shown(text[:4])}")
     n = 0
     for ch in head:
         n = n << 6 | ord(ch) - 63
@@ -128,10 +133,12 @@ def parse_edgelist(text: str) -> Graph:
     tokens = text.split()
     if len(tokens) < 2:
         raise GraphFormatError("edge list needs at least 'n m' header values")
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise GraphFormatError(f"non-integer token in edge list: {exc}") from exc
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise GraphFormatError(f"non-integer token in edge list: {_shown(token)}") from None
     n, m = values[0], values[1]
     if n < 0 or m < 0:
         raise GraphFormatError("negative vertex or edge count")

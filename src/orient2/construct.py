@@ -149,19 +149,22 @@ def _paths_blue(key: tuple[int, int, int, int]) -> Graph:
     return Graph.from_edges(sum(sizes), edges)
 
 
+# the stored orientations' arcs, decoded once
+_TABLE_ARCS = {key: parse_digraph6(encoded).arcs() for key, encoded in TABLE.items()}
+
+
 def _serve_table(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     """Out-rows of the stored orientation for these path components, relabelled onto ``blue``."""
     counts = Counter(len(c) for c in comps)
     key = (counts.get(1, 0), counts.get(2, 0), counts.get(3, 0), counts.get(4, 0))
-    encoded = TABLE.get(key)
-    if encoded is None:
+    arcs = _TABLE_ARCS.get(key)
+    if arcs is None:
         return None
-    stored = parse_digraph6(encoded)
     phi: list[int] = []
     for comp in sorted(comps, key=lambda c: (-len(c), c[0])):
         phi.extend(_path_sequence(blue, comp))
     rows = [0] * blue.n
-    for u, v in stored.arcs():
+    for u, v in arcs:
         rows[phi[u]] |= 1 << phi[v]
     return tuple(rows)
 

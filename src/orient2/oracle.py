@@ -9,7 +9,6 @@ import os
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, permutations, product
 from operator import attrgetter
 from typing import Iterator
 
@@ -22,6 +21,7 @@ from .graphs import (
     Graph,
     Orientation,
     _unchecked,
+    bits,
     complement,
     components,
     diameter,
@@ -200,36 +200,99 @@ def _twin_classes(cell: list[int], adj: tuple[int, ...]) -> list[list[int]]:
     return classes + list(by_closed.values())
 
 
-def _orders_up_to_twins(classes: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """One vertex order of the union of ``classes`` per arrangement of the
-    classes' labels; each class contributes its vertices in listed order."""
-    if all(len(cls) == 1 for cls in classes):
-        yield from permutations([cls[0] for cls in classes])
-        return
-    for i, cls in enumerate(classes):
-        rest = classes[:i] + ([cls[1:]] if len(cls) > 1 else []) + classes[i + 1 :]
-        for tail in _orders_up_to_twins(rest):
-            yield (cls[0], *tail)
+def _tied_prefixes(sub: Graph, classes: list[list[int]]) -> Iterator[list[tuple[int, ...]]]:
+    """After each position, every prefix of a vertex order whose rows
+    tie the minimum over the orders that lay out the refined cells in
+    colour order and permute inside each cell.
+
+    Unplaced vertices sit in ordered blocks, starting from the refined
+    cells; each block's positions follow the previous block's.  At each
+    position the search tries each vertex of the first block, one per
+    twin class of ``classes``, and scores its row with its unplaced
+    neighbours at the front of every block: the least row that order
+    can still reach.  Placed vertices give every candidate the same
+    lower bits, since every block lies inside or outside each placed
+    neighbourhood.  Prefixes that tie the least score are kept, with
+    each block split into the vertex's neighbours, then the rest.
+    """
+    adj = sub.adj
+    twin = {u: 1 << cls[0] for cls in classes for u in cls}
+    cells = _refined_cells([sub.neighbors(u) for u in range(sub.n)])
+    states = [((), [sum([1 << u for u in cell]) for cell in cells])]
+    for position in range(sub.n):
+        tries = []
+        for order, blocks in states:
+            tried = 0
+            for v in bits(blocks[0]):
+                if not tried & twin[v]:
+                    tried |= twin[v]
+                    tries.append((order, [blocks[0] ^ 1 << v, *blocks[1:]], v))
+        if len(tries) > 1:
+            scores = []
+            for _, blocks, v in tries:
+                score, start = 0, position + 1
+                for block in blocks:
+                    score |= ((1 << (adj[v] & block).bit_count()) - 1) << start
+                    start += block.bit_count()
+                scores.append(score)
+            best = min(scores)
+            tries = [t for t, score in zip(tries, scores) if score == best]
+        states = []
+        for order, blocks, v in tries:
+            split = []
+            for block in blocks:
+                inside = block & adj[v]
+                if inside and inside != block:
+                    split += (inside, block ^ inside)
+                elif block:
+                    split.append(block)
+            states.append((order + (v,), split))
+        yield [order for order, _ in states]
 
 
-def _canonical_component_rows(sub: Graph) -> tuple[int, ...]:
-    """Minimum adjacency-row tuple over the vertex orders that lay out the
-    refined cells in colour order and permute inside each cell, taking
-    one order per arrangement of each cell's twin classes."""
+def _canonical_search(sub: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The minimum adjacency-row tuple over the vertex orders that lay out
+    the refined cells in colour order and permute inside each cell, and
+    generators of the automorphism group as vertex maps.
+
+    Any two tied orders differ by an automorphism, and every minimum
+    order is a tied order moved by twin swaps, so the maps from the
+    first tied order to the others and the swaps of each twin with its
+    class's first vertex generate the group.
+    """
     if sub.n > _CANONICAL_COMPONENT_LIMIT:
         raise ValueError(
             f"component with {sub.n} vertices exceeds the canonical labeling limit"
         )
-    neighbours = [sub.neighbors(u) for u in range(sub.n)]
-    bit = [0] * sub.n
+    classes = _twin_classes(list(range(sub.n)), sub.adj)
+    *_, orders = _tied_prefixes(sub, classes)
+    position = {u: i for i, u in enumerate(orders[0])}
+    rows = tuple([sum([1 << position[w] for w in bits(sub.adj[u])]) for u in orders[0]])
+    generators = [[order[position[u]] for u in range(sub.n)] for order in orders[1:]]
+    generators += [[{a: w, w: a}.get(u, u) for u in range(sub.n)] for a, *twins in classes for w in twins]
+    return rows, generators
 
-    def rows(order: list[int]) -> tuple[int, ...]:
-        for i, u in enumerate(order):
-            bit[u] = 1 << i
-        return tuple([sum([bit[w] for w in neighbours[u]]) for u in order])
 
-    cells = [_orders_up_to_twins(_twin_classes(cell, sub.adj)) for cell in _refined_cells(neighbours)]
-    return min(rows(list(chain(*orders))) for orders in product(*cells))
+def _orbits(g: Graph) -> list[list[int]]:
+    """The orbits of the automorphism group of ``g`` on its vertices, then
+    on its non-edges, each vertex or non-edge a bit mask and each orbit
+    led by its least mask."""
+    generators = _canonical_search(g)[1]
+    points = [1 << u for u in range(g.n)]
+    points += [1 << u | 1 << v for v in range(g.n) for u in range(v) if not g.adj[u] >> v & 1]
+    found, seen = [], set()
+    for p in points:
+        if p not in seen:
+            orbit = [p]
+            seen.add(p)
+            for q in orbit:
+                for perm in generators:
+                    image = sum([1 << perm[u] for u in bits(q)])
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+            found.append(orbit)
+    return found
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -237,26 +300,22 @@ def canonical_form(g: Graph) -> Graph:
 
     Isolated vertices come first.  Every other component is canonicalized
     by the minimum of its adjacency rows over the vertex orders allowed by
-    colour refinement (`_canonical_component_rows`); components are then
-    sorted by (size, canonical rows) and laid out consecutively.
-    Isomorphic graphs get equal forms and non-isomorphic graphs different
-    ones.  Feasible because intended inputs have small components.
+    colour refinement (`_canonical_search`); components are then sorted
+    by (size, canonical rows) and laid out consecutively, as
+    `enumerate_blue` lays them out.  Isomorphic graphs get equal forms
+    and non-isomorphic graphs different ones.  Feasible because intended
+    inputs have small components.
     """
-    isolated = sum(1 for row in g.adj if not row)
-    pieces = []
-    for comp in components(g):
-        if len(comp) > 1:
-            pieces.append((len(comp), _canonical_component_rows(g.induced(comp))))
-    pieces.sort()
-    edges = []
-    offset = isolated
-    for size, rows in pieces:
-        for u in range(size):
-            for v in range(u + 1, size):
-                if rows[u] >> v & 1:
-                    edges.append((offset + u, offset + v))
-        offset += size
-    return Graph.from_edges(offset, edges)
+    rows = [0] * sum(1 for row in g.adj if not row)
+    pieces = sorted(
+        (len(comp), _canonical_search(g if len(comp) == g.n else g.induced(comp))[0])
+        for comp in components(g)
+        if len(comp) > 1
+    )
+    for _, piece in pieces:
+        offset = len(rows)
+        rows += [row << offset for row in piece]
+    return _unchecked(len(rows), tuple(rows))
 
 
 def _connected_catalogue(n: int, max_edges: int) -> list[list[Graph]]:
@@ -267,19 +326,23 @@ def _connected_catalogue(n: int, max_edges: int) -> list[list[Graph]]:
     Level e grows from level e - 1 by adding a missing edge or a pendant
     vertex, deduplicated through `canonical_form`.  That reaches every
     class: deleting a cycle edge of a connected graph, or a leaf edge of a
-    tree, leaves a connected graph with one edge fewer.
+    tree, leaves a connected graph with one edge fewer.  Growths in one
+    orbit of the parent's automorphism group give isomorphic graphs, so
+    each parent grows one pendant per vertex orbit and one edge per
+    non-edge orbit.
     """
     levels = [[Graph(1, (0,))]]
     for _ in range(max_edges):
         grown = set()
         for g in levels[-1]:
-            edges = g.edges()
-            for u in range(g.n):
-                for v in range(u + 1, g.n):
-                    if not g.has_edge(u, v):
-                        grown.add(canonical_form(g.with_edge(u, v)))
-                if g.n < n:
-                    grown.add(canonical_form(Graph.from_edges(g.n + 1, edges + [(u, g.n)])))
+            for leader, *_ in _orbits(g):
+                if leader & leader - 1:
+                    grown.add(canonical_form(g.with_edge(*bits(leader))))
+                elif g.n < n:
+                    u = leader.bit_length() - 1
+                    rows = [*g.adj, leader]
+                    rows[u] |= 1 << g.n
+                    grown.add(canonical_form(_unchecked(g.n + 1, tuple(rows))))
         levels.append(sorted(grown, key=attrgetter("n", "adj")))
     return levels
 

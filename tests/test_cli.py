@@ -178,6 +178,24 @@ class TestBatches:
         assert code == 2 and out == single * 2
         assert err == "error: line 2: bad length byte 255\n"
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"~\xff??\n", "bad long order header '~\\xff??'"),
+            (b"3 1\n0 \xff\n", "non-integer token in edge list: '\\xff'"),
+        ],
+        ids=["long-header", "edge-list-token"],
+    )
+    def test_non_ascii_bytes_are_shown_as_bytes(self, capsys, monkeypatch, raw, message):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="strict"))
+        code = cli.main(["classify"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: line 1: {message}\n"
+
     def test_internal_error_exit_3_and_the_batch_goes_on(self, capsys, monkeypatch):
         k5 = emit_graph6(complete_graph(5))
         _, single, _ = run_cli(capsys, monkeypatch, ["orient"], k5 + "\n")

@@ -23,10 +23,11 @@ from orient2.graphs import (
 from orient2.oracle import (
     SearchBudget,
     SearchStatus,
-    _canonical_component_rows,
+    _canonical_search,
     _connected_catalogue,
-    _orders_up_to_twins,
+    _orbits,
     _refined_cells,
+    _tied_prefixes,
     _twin_classes,
     canonical_form,
     enumerate_blue,
@@ -716,6 +717,10 @@ class TestConnectedCatalogue:
         levels = _connected_catalogue(9, 8)
         assert [len(level) for level in levels] == [1, 1, 1, 3, 5, 12, 30, 79, 227]
 
+    def test_nine_edge_term_of_oeis_a002905(self):
+        # reaches C9, whose one refined cell has no twins to prune
+        assert len(_connected_catalogue(10, 9)[9]) == 710
+
     def test_levels_are_canonical_connected_and_sorted(self):
         for m, level in enumerate(_connected_catalogue(6, 6)):
             assert level == sorted(level, key=attrgetter("n", "adj"))
@@ -800,8 +805,8 @@ class TestCanonicalLabelling:
 
 
 def _every_cell_order_rows(sub: Graph) -> tuple[int, ...]:
-    """`_canonical_component_rows` before the twin shortcut: the minimum
-    over every order of every refined cell."""
+    """The rows `_canonical_search` must return: the minimum over every
+    order of every refined cell."""
     neighbours = [sub.neighbors(u) for u in range(sub.n)]
     bit = [0] * sub.n
 
@@ -841,27 +846,81 @@ class TestTwinShortcut:
     def test_forms_equal_every_order_minimum(self, g):
         rng = random.Random(g.n)
         for h in (g, _shuffled(g, rng), _shuffled(g, rng)):
-            assert _canonical_component_rows(h) == _every_cell_order_rows(h)
+            assert _canonical_search(h)[0] == _every_cell_order_rows(h)
 
     def test_classes_of_false_and_true_twins(self):
         assert sorted(map(sorted, _twin_classes([0, 1, 2], _k4_leaf().adj))) == [[0, 1, 2]]
         assert sorted(map(sorted, _twin_classes(list(range(6)), _k24().adj))) == [[0, 1], [2, 3, 4, 5]]
         assert sorted(map(sorted, _twin_classes(list(range(6)), cycle_graph(6).adj))) == [[u] for u in range(6)]
 
-    def test_one_order_per_arrangement_of_the_classes(self):
-        orders = list(_orders_up_to_twins([[0, 1], [2], [3, 4, 5]]))
-        # 6! / (2! 3!) arrangements, each class in its listed order
-        assert len(orders) == len(set(orders)) == 60
-        assert all(o.index(0) < o.index(1) and o.index(3) < o.index(4) < o.index(5) for o in orders)
+    def test_one_branch_per_twin_class(self):
+        # a hub joined to three centres with two leaves each: the six leaves
+        # form the first cell and three twin classes, and all of them tie
+        g = Graph.from_edges(10, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)])
+        classes = _twin_classes(list(range(10)), g.adj)
+        assert next(_tied_prefixes(g, classes)) == [(4,), (6,), (8,)]
+        assert len(next(_tied_prefixes(g, [[u] for u in range(10)]))) == 6
+        h = _shuffled(g, random.Random(3))
+        first = next(_tied_prefixes(h, _twin_classes(list(range(10)), h.adj)))
+        assert len(first) == 3 and len({h.adj[u] for (u,) in first}) == 3
 
     def test_k19_takes_one_leaf_order_and_is_relabelling_invariant(self):
         star = _star(9)
-        assert len(list(_orders_up_to_twins(_twin_classes(list(range(1, 10)), star.adj)))) == 1
+        prefixes = list(_tied_prefixes(star, _twin_classes(list(range(10)), star.adj)))
+        assert len(prefixes) == 10 and all(len(tied) == 1 for tied in prefixes)
         form = canonical_form(star)
         assert form.adj == (1 << 9,) * 9 + ((1 << 9) - 1,)
         rng = random.Random(9)
         for _ in range(4):
             assert canonical_form(_shuffled(star, rng)) == form
+
+
+def _random_small_graphs(count: int, seed: int) -> list[Graph]:
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        p = rng.uniform(0.15, 0.7)
+        graphs.append(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    return graphs
+
+
+def _brute_force_orbits(g: Graph) -> set[frozenset[int]]:
+    """Orbits on the vertices and on the non-edges of ``g``, as bit masks,
+    under every permutation that maps edges to edges."""
+    edges = g.edges()
+    autos = [p for p in permutations(range(g.n)) if all(g.has_edge(p[u], p[v]) for u, v in edges)]
+    points = [(u,) for u in range(g.n)] + [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    return {frozenset(sum(1 << p[u] for u in point) for p in autos) for point in points}
+
+
+class TestCanonicalSearch:
+    def test_rows_equal_every_order_minimum_on_random_graphs(self):
+        for g in _random_small_graphs(300, 2014):
+            assert _canonical_search(g)[0] == _every_cell_order_rows(g), emit_graph6(g)
+
+    def test_rows_equal_every_order_minimum_on_relabelled_catalogue(self):
+        rng = random.Random(1998)
+        for level in _connected_catalogue(7, 6):
+            for g in level:
+                h = _shuffled(g, rng)
+                assert _canonical_search(h)[0] == _every_cell_order_rows(h) == g.adj
+
+    def test_generators_map_edges_to_edges(self):
+        catalogue = [g for level in _connected_catalogue(9, 8) for g in level]
+        for g in catalogue + _random_small_graphs(100, 7):
+            for perm in _canonical_search(g)[1]:
+                assert sorted(perm) == list(range(g.n))
+                assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+
+    def test_orbits_equal_brute_force_orbits(self):
+        rng = random.Random(1998)
+        for level in _connected_catalogue(7, 8):
+            for g in level:
+                for h in (g, _shuffled(g, rng)):
+                    orbits = _orbits(h)
+                    assert {frozenset(orbit) for orbit in orbits} == _brute_force_orbits(h)
+                    assert all(orbit[0] == min(orbit) for orbit in orbits)
 
 
 class TestExtremalFamily:

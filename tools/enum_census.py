@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Census of the threshold sweep: per-edge-count counts of
-`enumerate_blue(n, n - 5)` and the times of it and of `verify_theorem(n)`.
+`enumerate_blue(n, n - 5)` and the times of it, of the connected-component
+catalogue it lays out (`_connected_catalogue(n, n - 5)`, which the
+enumeration time includes), and of `verify_theorem(n)`.
 
 Exits with status 1 if a total differs from the known number of graphs on
 n vertices with at most n - 5 edges (OEIS A000664 partial sums, less the
@@ -18,12 +20,15 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from orient2.oracle import enumerate_blue, verify_theorem
+from orient2.oracle import _connected_catalogue, enumerate_blue, verify_theorem
 
 KNOWN_TOTALS = {5: 1, 6: 2, 7: 4, 8: 9, 9: 20, 10: 46, 11: 113, 12: 289, 13: 782}
 
 
 def census(n: int) -> bool:
+    start = time.perf_counter()
+    _connected_catalogue(n, n - 5)
+    catalogue_s = time.perf_counter() - start
     start = time.perf_counter()
     counts = [0] * (n - 4)
     for g in enumerate_blue(n, n - 5):
@@ -36,7 +41,7 @@ def census(n: int) -> bool:
     ok = total == KNOWN_TOTALS[n] == report.instances_checked and report.ok and not report.fallback_count
     print(
         f"n={n} counts={counts} total={total} (known {KNOWN_TOTALS[n]}) "
-        f"enumerate_blue={enum_s:.3f}s verify_theorem={sweep_s:.3f}s "
+        f"catalogue={catalogue_s:.3f}s enumerate_blue={enum_s:.3f}s verify_theorem={sweep_s:.3f}s "
         f"instances={report.instances_checked} failures={len(report.failures)} "
         f"fallbacks={report.fallback_count} {'ok' if ok else 'MISMATCH'}",
         flush=True,
