@@ -15,13 +15,18 @@ three moves always applies:
 
 Contractions recurse on a strictly smaller instance; expansions replay
 the certificates to lift the small solution's out-rows back up.  The
-trace step is the one record of a level: a reduce step is the
-`ReductionPlan` itself, certificate record included, and a base case or
-fallback holds its orientation's out-rows.  Replay checks each recorded
-step against its level; the driver's own steps are correct by
-construction, and its one check is the final orientation's.  If no move
-applies (which would contradict the case analysis) an exhaustive search
-is used as a safety valve and the event is recorded in the trace.
+descent edits one `LiveBlue` in place: kept vertices keep their labels,
+contracted ones take fresh labels above them, and each level does work
+local to its step and keeps only what its lift needs.  Trace steps
+record ranks among the live labels, which are the labels a level would
+have if relabelled 0..n-1.  The trace step is the one record of a
+level: a reduce step is the `ReductionPlan` itself, certificate record
+included, and a base case or fallback holds its orientation's out-rows.
+Replay checks each recorded step against its level; the driver's own
+steps are correct by construction, and its one check is the final
+orientation's.  If no move applies (which would contradict the case
+analysis) an exhaustive search is used as a safety valve and the event
+is recorded in the trace.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._basecase_table import TABLE
 from .certs import GoodOrientationCert, combine, verify_cert
@@ -40,16 +45,14 @@ from .graphs import (
     Edge,
     Graph,
     Orientation,
-    _spread,
-    _unchecked,
     bits,
     complement,
-    components,
     diameter,
 )
 from .structure import (
     ComponentClass,
     ComponentKind,
+    LiveBlue,
     ReductionPlan,
     TripleStep,
     _certify_union,
@@ -115,10 +118,6 @@ class ConstructionTrace:
             else:
                 out.append({"kind": "fallback-oracle", "reason": step.reason})
         return out
-
-
-# a level of the descent: the padding deleted, the padded blue graph and its non-pad step
-Level = tuple[tuple[Edge, ...], Graph, TraceStep]
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +194,18 @@ _FAMILY4_CORES = {
 _FAMILY_SIZE_BOUNDS = {5: (4, 4), **{count: (7, 2) for count in range(6, 10)}}
 
 
+def _family_may_fit(blue: LiveBlue) -> bool:
+    """Whether the level ``blue`` passes the size gate with as many non-tree
+    components as a family has: none among five paths, one core among six
+    to nine components (every core has a cycle)."""
+    non_trees, trees = blue.non_trees, blue.trees
+    count = len(non_trees) + len(trees)
+    if count not in _FAMILY_SIZE_BOUNDS or len(non_trees) != (count > 5):
+        return False
+    second, largest = sorted([key[0] for key in non_trees] + [-key[0] for key in trees[:2]])[-2:]
+    return largest <= _FAMILY_SIZE_BOUNDS[count][0] and second <= _FAMILY_SIZE_BOUNDS[count][1]
+
+
 def _family_signature(classes: list[ComponentClass]) -> str | None:
     """Structural id when the component multiset is directly orientable, else None."""
     paths = Counter()
@@ -204,26 +215,19 @@ def _family_signature(classes: list[ComponentClass]) -> str | None:
             paths[cls.params[0]] += 1
         else:
             cores.append(cls)
-    label = "+".join(sorted(str(c) for c in classes))
     if not cores:
-        if sum(paths.values()) == 5 and max(paths, default=1) <= 4:
-            return label
-        return None
-    if len(cores) != 1:
-        return None
-    core = cores[0]
-    singles = paths.get(1, 0)
-    twos = paths.get(2, 0)
-    only_12 = set(paths) <= {1, 2}
-    if core in _FAMILY1_CORES and paths == Counter({1: 7}):
-        return label
-    if core == _FAMILY2_CORE and paths == Counter({1: 8}):
-        return label
-    if core in _FAMILY3_CORES and (paths == Counter({1: 6}) or paths == Counter({1: 5, 2: 1})):
-        return label
-    if core in _FAMILY4_CORES and only_12 and singles + twos == 5:
-        return label
-    return None
+        fits = sum(paths.values()) == 5 and max(paths, default=1) <= 4
+    elif len(cores) != 1:
+        fits = False
+    else:
+        core = cores[0]
+        fits = (
+            (core in _FAMILY1_CORES and paths == Counter({1: 7}))
+            or (core == _FAMILY2_CORE and paths == Counter({1: 8}))
+            or (core in _FAMILY3_CORES and paths in (Counter({1: 6}), Counter({1: 5, 2: 1})))
+            or (core in _FAMILY4_CORES and set(paths) <= {1, 2} and sum(paths.values()) == 5)
+        )
+    return "+".join(sorted(str(c) for c in classes)) if fits else None
 
 
 def _quadruple_search(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
@@ -287,134 +291,112 @@ def _base_case_with_family(
 
 # ---------------------------------------------------------------------------
 # contraction / expansion
+#
+# A level is contracted in place on the descent's `LiveBlue`: the labels a
+# contraction removes retire, and the vertices it makes take fresh labels.
+# What the lift of a level needs is one small record.
 
 
-def _removed_and_kept(n: int, vertices: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The sorted ``vertices`` a contraction removes and the sorted labels it keeps."""
-    removed = tuple(sorted(vertices))
-    return removed, tuple([v for v in range(n) if v not in removed])  # see graphs.complement
+class TripleLift(NamedTuple):
+    triple: tuple[int, int, int]  # the identified labels, ascending
+    rows: tuple[int, int, int]  # their blue rows at the level
+    merged: int  # the label they became
 
 
-def _contract_reduction(level: Graph, plan: ReductionPlan) -> Graph:
-    """The padded blue graph ``level`` with ``plan.w`` contracted to the
-    super-vertices ``len(kept)`` and ``len(kept) + 1``.  Both contractions
-    trust their step and build the result unchecked from the valid ``level``."""
-    removed, kept = _removed_and_kept(level.n, plan.w)
-    k = len(kept)
-    rows = list(level.induced(kept).adj) + [1 << (k + 1), 1 << k]
-    return _unchecked(k + 2, tuple(rows))
+class ReductionLift(NamedTuple):
+    w: tuple[int, ...]  # the contracted labels, ascending
+    cert: GoodOrientationCert  # local to w
+    first: int  # the super-vertices are first and first + 1
 
 
-def _contract_triple(level: Graph, step: TripleStep) -> Graph:
-    """The padded blue graph ``level`` with the step's triple identified into
-    the vertex ``len(kept)``.
-
-    Each kept row drops the triple's three bit positions by shifting the
-    bits above each of them down one place, highest first, and gains the
-    merged vertex when it meets the triple."""
-    removed, kept = _removed_and_kept(level.n, (step.x1, step.x2, step.x3))
-    x1, x2, x3 = removed
-    k = len(kept)
-    triple_mask = 1 << x1 | 1 << x2 | 1 << x3
-    low1, low2, low3 = (1 << x1) - 1, (1 << x2) - 1, (1 << x3) - 1
-    merged = 1 << k
-    rows = []
-    join = 0
-    adj = level.adj
-    for i, u in enumerate(kept):
-        row = adj[u]
-        squeezed = row & low3 | row >> x3 + 1 << x3
-        squeezed = squeezed & low2 | squeezed >> x2 + 1 << x2
-        squeezed = squeezed & low1 | squeezed >> x1 + 1 << x1
-        if row & triple_mask:
-            squeezed |= merged
-            join |= 1 << i
-        rows.append(squeezed)
-    rows.append(join)
-    return _unchecked(k + 1, tuple(rows))
+def _relabel(row: int, labels: Sequence[int]) -> int:
+    """The mask ``row`` over 0..len(labels)-1 moved to ``labels``, bit i to ``labels[i]``."""
+    out = 0
+    for i in bits(row):
+        out |= 1 << labels[i]
+    return out
 
 
-def _lift_kept(
-    star: Sequence[int], kept: tuple[int, ...], removed: tuple[int, ...], targets: tuple[int, ...]
-) -> list[int]:
-    """Out-rows over the uncontracted labels that hold the kept vertices'
-    arcs: a kept-kept arc is relabelled, and an arc to the contracted vertex
-    ``len(kept) + i`` becomes arcs to every vertex of the mask ``targets[i]``."""
-    k = len(kept)
-    rows = [0] * (k + len(removed))
-    for label, row in zip(kept, star):
-        lifted = _spread(row & ((1 << k) - 1), removed)
-        for i, mask in enumerate(targets):
-            if row >> (k + i) & 1:
-                lifted |= mask
-        rows[label] = lifted
-    return rows
+def _contract_reduction(blue: LiveBlue, w: tuple[int, ...], cert: GoodOrientationCert) -> ReductionLift:
+    """Contract the ascending labels ``w`` of ``blue``, a union of whole
+    components that ``cert`` certifies, to two fresh adjacent super-vertices."""
+    return ReductionLift(w, cert, blue.replace(w))
 
 
-def expand_reduction(star: Sequence[int], level: Graph, plan: ReductionPlan) -> list[int]:
-    """Lift out-rows of an orientation of the contracted graph over the set
-    ``plan.w`` that `_contract_reduction` removed from ``level``.
-
-    Edges inside the removed set follow the plan's certificate; edges
-    between a kept vertex and a certificate class copy the direction that
-    vertex chose toward the class's super-vertex.  The lift of a diameter-2
-    orientation has diameter 2, so nothing here is checked."""
-    removed, kept = _removed_and_kept(level.n, plan.w)
-    k = len(kept)
-    cert = plan.cert
-    classes = tuple(sum(1 << removed[i] for i in c) for c in (cert.first, cert.second))
-    rows = _lift_kept(star, kept, removed, classes)
-    for i, cls in enumerate(classes):
-        super_out = _spread(star[k + i], removed)
-        for x in bits(cls):
-            rows[x] |= super_out
-    for a, row in enumerate(cert.rows):
-        rows[removed[a]] |= _spread(row, kept)
-    return rows
+def _contract_triple(blue: LiveBlue, triple: Sequence[int]) -> TripleLift:
+    """Identify the independent ``triple`` of labels of ``blue`` into one fresh label."""
+    x1, x2, x3 = sorted(triple)
+    rows = blue.adj[x1], blue.adj[x2], blue.adj[x3]
+    return TripleLift((x1, x2, x3), rows, blue.identify(x1, x2, x3))
 
 
-def expand_triple_contraction(star: Sequence[int], level: Graph, step: TripleStep) -> list[int]:
-    """Lift out-rows of an orientation over the triple that `_contract_triple`
-    identified in ``level``.
+def _point_into(rows: list[int], neighbours: int, label: int, targets: int) -> int:
+    """Turn each arc into ``label``, whose red neighbours are the mask
+    ``neighbours``, into arcs to every vertex of ``targets``; returns and
+    clears ``label``'s out-row."""
+    swap = 1 << label | targets
+    for u in bits(neighbours & ~rows[label]):
+        rows[u] ^= swap
+    out, rows[label] = rows[label], 0
+    return out
+
+
+def expand_reduction(rows: list[int], live: int, lift: ReductionLift) -> int:
+    """Lift, in place, out-rows over labels of an orientation of the level
+    that a reduction contracted, whose live labels are ``live``, over the
+    set ``lift.w``; returns the live labels of the level it came from.
+
+    Edges inside the set follow the certificate; edges between a kept
+    vertex and a certificate class copy the direction that vertex chose
+    toward the class's super-vertex.  The lift of a diameter-2 orientation
+    has diameter 2, so nothing here is checked."""
+    w, cert, first = lift
+    kept = live & ~(3 << first)  # both super-vertices are red-adjacent to every kept vertex
+    for label, cls in zip((first, first + 1), (cert.first, cert.second)):
+        out = _point_into(rows, kept, label, sum(1 << w[i] for i in cls))
+        for i in cls:
+            rows[w[i]] |= out
+    for x, row in zip(w, cert.rows):
+        rows[x] |= _relabel(row, w)
+    return kept | sum(1 << x for x in w)
+
+
+def expand_triple_contraction(rows: list[int], live: int, lift: TripleLift) -> int:
+    """Lift, in place, out-rows over labels of an orientation of the level
+    that identified ``lift.triple``, whose live labels are ``live``; returns
+    the live labels of the level it came from.
 
     The triple becomes a directed 3-cycle; every kept vertex that kept all
     three edges copies its direction toward the merged vertex, and partial
     remnants are oriented low label to high label.  Unchecked, as above."""
-    removed, kept = _removed_and_kept(level.n, (step.x1, step.x2, step.x3))
-    x1, x2, x3 = removed
-    triple = (1 << x1) | (1 << x2) | (1 << x3)
-    full = (1 << level.n) - 1
-    red = [full & ~level.adj[x] & ~(1 << x) for x in removed]
-    rows = _lift_kept(star, kept, removed, (triple,))
-    merged_out = _spread(star[len(kept)], removed)
-    whole = red[0] & red[1] & red[2]
-    for (x, nxt), adj in zip(((x1, x2), (x2, x3), (x3, x1)), red):
-        remnants = adj & ~triple & ~whole
-        rows[x] |= merged_out | (1 << nxt) | (remnants >> (x + 1) << (x + 1))
-        for u in bits(remnants & ((1 << x) - 1)):
+    (x1, x2, x3), blue_rows, merged = lift
+    triple = 1 << x1 | 1 << x2 | 1 << x3
+    met = blue_rows[0] | blue_rows[1] | blue_rows[2]  # the kept vertices missing an edge to the triple
+    kept = live & ~(1 << merged)
+    merged_out = _point_into(rows, kept & ~met, merged, triple)
+    for x, nxt, blue_x in zip((x1, x2, x3), (x2, x3, x1), blue_rows):
+        remnants = met & ~blue_x  # red to x, blue to another vertex of the triple
+        rows[x] |= merged_out | 1 << nxt | remnants >> x + 1 << x + 1
+        for u in bits(remnants & (1 << x) - 1):
             rows[u] |= 1 << x
-    return rows
+    return kept | triple
 
 
 # ---------------------------------------------------------------------------
 # the driver
 
 
-def _delete_red_pairs(blue: Graph, deleted: tuple[Edge, ...]) -> Graph:
-    """``blue`` with each deleted red edge added as a blue edge.
+def _delete_red_pairs(blue: LiveBlue, deleted: tuple[Edge, ...]) -> None:
+    """Add each deleted red edge, given by the ranks of its ends, to ``blue``
+    as a blue edge.
 
     Raises ValueError naming the first pair that is not an edge of the
-    complement of ``blue`` once the pairs before it are deleted; pairs that
-    pass keep the graph valid, so it is built unchecked."""
-    if not deleted:
-        return blue
-    rows = list(blue.adj)
+    complement of ``blue`` once the pairs before it are deleted."""
     for u, v in deleted:
-        if not (0 <= u < blue.n and 0 <= v < blue.n) or u == v or rows[u] >> v & 1:
+        n, labels = blue.order, blue.labels
+        if not (0 <= u < n and 0 <= v < n) or u == v or blue.adj[labels[u]] >> labels[v] & 1:
             raise ValueError(f"pad pair {(u, v)} is not an edge of the level's graph")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return _unchecked(blue.n, tuple(rows))
+        blue.add_edge(labels[u], labels[v])
 
 
 def _restore_padding(rows: list[int], deleted: tuple[Edge, ...]) -> None:
@@ -438,18 +420,19 @@ def _oracle_fallback(norm: Graph) -> Orientation:
     return outcome.orientation
 
 
-def _checked_cert(level: Graph, step: ReductionPlan) -> GoodOrientationCert:
+def _checked_cert(blue: LiveBlue, step: ReductionPlan) -> GoodOrientationCert:
     """The certificate ``step`` records; raises ValueError unless ``w`` is a proper
     union of blue components with a non-trivial certificate of its red graph."""
+    n, labels = blue.order, blue.labels
     w = tuple(sorted(set(step.w)))
-    inside = sum(1 << v for v in w if 0 <= v < level.n)
-    whole = inside.bit_count() == len(w) == len(step.w) and 0 < len(w) < level.n
-    if not whole or any(level.adj[v] & ~inside for v in w):
+    inside = sum(1 << labels[v] for v in w if 0 <= v < n)
+    whole = inside.bit_count() == len(w) == len(step.w) and 0 < len(w) < n
+    if not whole or any(blue.adj[labels[v]] & ~inside for v in w):
         raise ValueError(f"reduce step's set {step.w} is not a proper union of blue components")
     cert = step.cert
     if not cert.nontrivial:
         raise ValueError(f"reduce step's certificate on {step.w} is trivial")
-    if cert.world != complement(level.induced(w)):
+    if cert.world != complement(blue.induced([labels[v] for v in w])):
         raise ValueError(f"reduce step's certificate world is not the red graph on {step.w}")
     if not verify_cert(cert):
         raise ValueError(f"reduce step's certificate on {step.w} fails its distance conditions")
@@ -457,82 +440,94 @@ def _checked_cert(level: Graph, step: ReductionPlan) -> GoodOrientationCert:
 
 
 def _execute(
-    g: Graph, next_step: Callable[[Graph], Level]
+    g: Graph, next_step: Callable[[LiveBlue], tuple[tuple[Edge, ...], TraceStep]]
 ) -> tuple[Orientation, ConstructionTrace]:
-    """Descend on the complement through the levels ``next_step`` hands out
-    for each blue graph, then lift the innermost orientation's out-rows back
-    through every contraction and padding.
+    """Descend on the complement through the steps ``next_step`` hands out,
+    then lift the innermost orientation's out-rows back through every
+    contraction and padding.
 
-    Each level is contracted and expanded from its step and padded graph
-    alone, so the driver runs exactly the trace it records.  Only the
-    output is checked: a bad one raises InternalVerificationError."""
-    levels: list[Level] = []
-    blue = complement(g)
+    ``next_step`` pads the level, ``blue``, by the pairs it returns and
+    returns the level's step; both are in ranks, which ``blue.labels``
+    maps to labels.  Each level is contracted in place and lifted from its
+    record alone, so the driver runs exactly the trace it records.  Only
+    the output is checked: a bad one raises InternalVerificationError."""
+    blue = LiveBlue(complement(g))
+    steps: list[TraceStep] = []
+    lifts: list[tuple[tuple[Edge, ...], TripleLift | ReductionLift]] = []
     while True:
-        levels.append(next_step(blue))
-        _, level, step = levels[-1]
+        deleted, step = next_step(blue)
+        labels = blue.labels
+        if deleted:
+            steps.append(PadStep(deleted))
+        steps.append(step)
+        pads = tuple([(labels[u], labels[v]) for u, v in deleted])
         if isinstance(step, ReductionPlan):
-            blue = _contract_reduction(level, step)
+            lifts.append((pads, _contract_reduction(blue, tuple([labels[v] for v in step.w]), step.cert)))
         elif isinstance(step, TripleStep):
-            blue = _contract_triple(level, step)
+            lifts.append((pads, _contract_triple(blue, [labels[step.x1], labels[step.x2], labels[step.x3]])))
         else:
             break
-    rows = list(step.rows)
-    for deleted, level, step in reversed(levels):
-        if isinstance(step, ReductionPlan):
-            rows = expand_reduction(rows, level, step)
-        elif isinstance(step, TripleStep):
-            rows = expand_triple_contraction(rows, level, step)
-        _restore_padding(rows, deleted)
+    rows = [0] * len(blue.adj)
+    for label, row in zip(labels, blue.labelled(step.rows)):
+        rows[label] = row
+    _restore_padding(rows, pads)
+    live = blue.live
+    for pads, lift in reversed(lifts):
+        if isinstance(lift, ReductionLift):
+            live = expand_reduction(rows, live, lift)
+        else:
+            live = expand_triple_contraction(rows, live, lift)
+        _restore_padding(rows, pads)
     try:
-        o = Orientation(g, Digraph(g.n, tuple(rows)))
+        o = Orientation(g, Digraph(g.n, tuple(rows[: g.n])))
     except ValueError as exc:
         raise InternalVerificationError(f"lifted rows do not orient the input: {exc}") from exc
     if diameter(o.dir) > 2:
         raise InternalVerificationError("final orientation failed its diameter check")
-    steps: list[TraceStep] = []
-    for deleted, _, step in levels:
-        if deleted:
-            steps.append(PadStep(deleted))
-        steps.append(step)
     return o, ConstructionTrace(tuple(steps))
 
 
-def _first_red_pairs(blue: Graph, count: int) -> tuple[Edge, ...]:
-    """The first ``count`` pairs u < v with no blue edge, in lexicographic order."""
-    full = (1 << blue.n) - 1
-    pairs = ((u, v) for u in range(blue.n) for v in bits(full & ~blue.adj[u] >> (u + 1) << (u + 1)))
+def _first_red_pairs(blue: LiveBlue, count: int) -> tuple[Edge, ...]:
+    """The first ``count`` pairs u < v of ranks with no blue edge, in lexicographic order."""
+    if not count:
+        return ()
+    live = blue.live
+    pairs = (
+        (i, blue.rank(v))
+        for i, u in enumerate(blue.labels)
+        for v in bits(live & ~blue.adj[u] >> (u + 1) << (u + 1))
+    )
     return tuple(islice(pairs, count))
 
 
-def _choose_move(blue: Graph) -> Level:
+def _choose_move(blue: LiveBlue) -> tuple[tuple[Edge, ...], TraceStep]:
     """The constructor's decision at one level, read from its blue graph: trim
     the red graph to the threshold by deleting its lexicographically first
     edges, then take the first of base case, reduction, violating triple and
-    exhaustive fallback.  The level's components are computed once, for
-    the base-case gate and the reduction search."""
-    n = blue.n
+    exhaustive fallback.  The level is relabelled by rank only where a base
+    case may apply, or to fall back."""
+    n = blue.order
     if n < 5:
         raise ValueError(f"need at least 5 vertices, got {n}")
     red_m = comb(n, 2) - blue.m
     if red_m < threshold_size(n):
         raise ValueError(f"graph of order {n} has {red_m} edges; {threshold_size(n)} are required")
     deleted = _first_red_pairs(blue, red_m - threshold_size(n))
-    level = _delete_red_pairs(blue, deleted)
-    comps = components(level)
-    base = _base_case_with_family(level, comps)
-    if base is not None:
-        rows, family = base
-        return deleted, level, BaseCaseStep(family, rows)
-    plan = find_reduction(level, comps)
+    _delete_red_pairs(blue, deleted)
+    if _family_may_fit(blue):
+        base = _base_case_with_family(*blue.compact())
+        if base is not None:
+            rows, family = base
+            return deleted, BaseCaseStep(family, rows)
+    plan = find_reduction(blue)
     if plan is not None:
-        return deleted, level, plan
-    triple = find_violating_triple(level)
+        return deleted, plan
+    triple = find_violating_triple(blue)
     if triple is not None:
-        return deleted, level, triple
-    orientation = _oracle_fallback(complement(level))
+        return deleted, triple
+    orientation = _oracle_fallback(complement(blue.compact()[0]))
     reason = "no base case, contractible set, or triple applied"
-    return deleted, level, FallbackStep(reason, orientation.dir.out)
+    return deleted, FallbackStep(reason, orientation.dir.out)
 
 
 def orient_diameter_two(g: Graph) -> tuple[Orientation, ConstructionTrace]:
@@ -548,7 +543,7 @@ def replay_trace(g: Graph, trace: ConstructionTrace) -> Orientation:
     step, continues after one, or holds a step that does not fit its level."""
     steps = iter(trace.steps)
 
-    def recorded(blue: Graph) -> Level:
+    def recorded(blue: LiveBlue) -> tuple[tuple[Edge, ...], TraceStep]:
         step = next(steps, None)
         deleted: tuple[Edge, ...] = ()
         if isinstance(step, PadStep):
@@ -556,26 +551,26 @@ def replay_trace(g: Graph, trace: ConstructionTrace) -> Orientation:
             step = next(steps, None)
         if step is None:
             raise ValueError("trace ends before its base-case or fallback step")
-        level = _delete_red_pairs(blue, deleted)
-        n, missing = level.n, level.m
+        _delete_red_pairs(blue, deleted)
+        n, missing = blue.order, blue.m
         if n < 5 or missing != n - 5:
             raise ValueError(
                 f"padded level of order {n} misses {missing} edges; n >= 5 and n - 5 are required"
             )
         if isinstance(step, (BaseCaseStep, FallbackStep)):
-            inner = Orientation(complement(level), Digraph(n, step.rows))
+            inner = Orientation(complement(blue.compact()[0]), Digraph(n, step.rows))
             if diameter(inner.dir) > 2:
                 raise ValueError(f"innermost orientation of order {n} has diameter above 2")
         elif isinstance(step, ReductionPlan):
-            _checked_cert(level, step)
+            _checked_cert(blue, step)
         elif isinstance(step, TripleStep):
             triple = (step.x1, step.x2, step.x3)
-            inside = sum(1 << x for x in set(triple) if 0 <= x < n)
-            if inside.bit_count() != 3 or any(level.adj[x] & inside for x in triple):
+            inside = sum(1 << blue.labels[x] for x in set(triple) if 0 <= x < n)
+            if inside.bit_count() != 3 or any(blue.adj[blue.labels[x]] & inside for x in triple):
                 raise ValueError(f"triple {triple} is not independent in the level's blue graph")
         else:
             raise ValueError(f"unexpected trace step {step!r}")
-        return deleted, level, step
+        return deleted, step
 
     o, _ = _execute(g, recorded)
     extra = sum(1 for _ in steps)

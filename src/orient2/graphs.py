@@ -217,13 +217,19 @@ class Graph:
         if vs and not (0 <= vs[0] and vs[-1] < self.n):
             bad = vs[0] if vs[0] < 0 else vs[-1]
             raise ValueError(f"vertex {bad} outside 0..{self.n - 1}")
-        index = {v: i for i, v in enumerate(vs)}
-        inside = sum(1 << v for v in vs)
-        rows = [0] * len(vs)
-        for i, v in enumerate(vs):
-            for w in bits(self.adj[v] & inside):
-                rows[i] |= 1 << index[w]
-        return _unchecked(len(vs), tuple(rows))
+        return _induced(self.adj, vs)
+
+
+def _induced(adj: Sequence[int], vs: Sequence[int]) -> Graph:
+    """The graph the symmetric rows ``adj`` induce on the sorted labels ``vs``,
+    relabelled 0..len(vs)-1 in that order."""
+    index = {v: i for i, v in enumerate(vs)}
+    inside = sum(1 << v for v in vs)
+    rows = [0] * len(vs)
+    for i, v in enumerate(vs):
+        for w in bits(adj[v] & inside):
+            rows[i] |= 1 << index[w]
+    return _unchecked(len(vs), tuple(rows))
 
 
 def _unchecked(n: int, rows: tuple[int, ...]) -> Graph:

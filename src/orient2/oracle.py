@@ -167,7 +167,7 @@ def _refined_cells(neighbours: list[tuple[int, ...]]) -> list[list[int]]:
     colour = [0] * len(neighbours)
     cells = 1
     while True:
-        sigs = [(colour[u], tuple(sorted(colour[w] for w in nbrs))) for u, nbrs in enumerate(neighbours)]
+        sigs = [(colour[u], tuple(sorted([colour[w] for w in nbrs]))) for u, nbrs in enumerate(neighbours)]
         rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         colour = [rank[sig] for sig in sigs]
         if len(rank) == cells:
@@ -250,10 +250,11 @@ def _tied_prefixes(sub: Graph, classes: list[list[int]]) -> Iterator[list[tuple[
         yield [order for order, _ in states]
 
 
-def _canonical_search(sub: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
+def _canonical_search(sub: Graph) -> tuple[tuple[int, ...], list[list[int]], list[int]]:
     """The minimum adjacency-row tuple over the vertex orders that lay out
-    the refined cells in colour order and permute inside each cell, and
-    generators of the automorphism group as vertex maps.
+    the refined cells in colour order and permute inside each cell,
+    generators of the automorphism group as vertex maps, and the first
+    order that gives those rows.
 
     Any two tied orders differ by an automorphism, and every minimum
     order is a tied order moved by twin swaps, so the maps from the
@@ -270,14 +271,14 @@ def _canonical_search(sub: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
     rows = tuple([sum([1 << position[w] for w in bits(sub.adj[u])]) for u in orders[0]])
     generators = [[order[position[u]] for u in range(sub.n)] for order in orders[1:]]
     generators += [[{a: w, w: a}.get(u, u) for u in range(sub.n)] for a, *twins in classes for w in twins]
-    return rows, generators
+    return rows, generators, orders[0]
 
 
-def _orbits(g: Graph) -> list[list[int]]:
-    """The orbits of the automorphism group of ``g`` on its vertices, then
-    on its non-edges, each vertex or non-edge a bit mask and each orbit
-    led by its least mask."""
-    generators = _canonical_search(g)[1]
+def _orbits(g: Graph, generators: list[list[int]]) -> list[list[int]]:
+    """The orbits of the group that ``generators`` (vertex maps) generate,
+    the automorphism group of ``g``, on its vertices, then on its
+    non-edges, each vertex or non-edge a bit mask and each orbit led by
+    its least mask."""
     points = [1 << u for u in range(g.n)]
     points += [1 << u | 1 << v for v in range(g.n) for u in range(v) if not g.adj[u] >> v & 1]
     found, seen = [], set()
@@ -295,7 +296,7 @@ def _orbits(g: Graph) -> list[list[int]]:
     return found
 
 
-def canonical_form(g: Graph) -> Graph:
+def canonical_form(g: Graph, generators: list[list[int]] | None = None) -> Graph:
     """Canonical representative of the isomorphism class of ``g``.
 
     Isolated vertices come first.  Every other component is canonicalized
@@ -305,8 +306,19 @@ def canonical_form(g: Graph) -> Graph:
     `enumerate_blue` lays them out.  Isomorphic graphs get equal forms
     and non-isomorphic graphs different ones.  Feasible because intended
     inputs have small components.
+
+    For a connected ``g`` with at least two vertices, a ``generators``
+    list receives the search's generators of the automorphism group,
+    moved onto the form's labels.
     """
     rows = [0] * sum(1 for row in g.adj if not row)
+    if generators is not None:
+        if rows or len(components(g)) != 1:
+            raise ValueError("automorphism generators are kept only for a connected graph")
+        piece, found, order = _canonical_search(g)
+        position = {u: i for i, u in enumerate(order)}
+        generators += [[position[perm[u]] for u in order] for perm in found]
+        return _unchecked(g.n, piece)
     pieces = sorted(
         (len(comp), _canonical_search(g if len(comp) == g.n else g.induced(comp))[0])
         for comp in components(g)
@@ -329,21 +341,28 @@ def _connected_catalogue(n: int, max_edges: int) -> list[list[Graph]]:
     tree, leaves a connected graph with one edge fewer.  Growths in one
     orbit of the parent's automorphism group give isomorphic graphs, so
     each parent grows one pendant per vertex orbit and one edge per
-    non-edge orbit.
+    non-edge orbit.  The group's generators are the ones `canonical_form`
+    found for the first candidate that gave the parent.
     """
     levels = [[Graph(1, (0,))]]
+    generators: dict[Graph, list[list[int]]] = {levels[0][0]: []}
     for _ in range(max_edges):
-        grown = set()
+        grown: dict[Graph, list[list[int]]] = {}
         for g in levels[-1]:
-            for leader, *_ in _orbits(g):
+            for leader, *_ in _orbits(g, generators[g]):
                 if leader & leader - 1:
-                    grown.add(canonical_form(g.with_edge(*bits(leader))))
+                    candidate = g.with_edge(*bits(leader))
                 elif g.n < n:
                     u = leader.bit_length() - 1
                     rows = [*g.adj, leader]
                     rows[u] |= 1 << g.n
-                    grown.add(canonical_form(_unchecked(g.n + 1, tuple(rows))))
+                    candidate = _unchecked(g.n + 1, tuple(rows))
+                else:
+                    continue
+                found: list[list[int]] = []
+                grown.setdefault(canonical_form(candidate, found), found)
         levels.append(sorted(grown, key=attrgetter("n", "adj")))
+        generators = grown
     return levels
 
 

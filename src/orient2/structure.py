@@ -8,7 +8,7 @@ function of the blue graph.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -16,7 +16,7 @@ from itertools import accumulate, combinations
 from typing import Iterator, Sequence
 
 from .certs import GoodOrientationCert, split_cert, split_sizes_ok
-from .graphs import Graph, bits, complement, components, reach
+from .graphs import Graph, _induced, _unchecked, bits, complement, components, reach
 
 
 class ComponentKind(Enum):
@@ -109,7 +109,11 @@ def classify_component(g: Graph, comp: Sequence[int]) -> ComponentClass:
     dumbbell; anything else is OTHER.  Raises if ``comp`` is not a
     component of ``g``.
     """
-    mask = sum(1 << v for v in set(comp) if 0 <= v < g.n)
+    mask = 0
+    for v in comp:
+        if not 0 <= v < g.n:
+            raise ValueError("vertex set is not a connected component")
+        mask |= 1 << v
     if not mask or len(comp) != mask.bit_count() or reach(g.adj, mask & -mask) != mask:
         raise ValueError("vertex set is not a connected component")
     degs = [g.adj[v].bit_count() for v in bits(mask)]
@@ -130,9 +134,219 @@ def classify_component(g: Graph, comp: Sequence[int]) -> ComponentClass:
     return ComponentClass(ComponentKind.OTHER)
 
 
-def find_violating_triple(b: Graph) -> TripleStep | None:
+class LiveBlue:
+    """A blue graph that a descent edits in place, over labels that never change.
+
+    Padding adds blue edges between live labels.  A contraction retires the
+    labels it removes and gives each vertex it makes a fresh label above
+    every label so far, so kept vertices keep their order and new ones come
+    last, as they would if every level were relabelled 0..n-1.  A label's
+    rank among the live ones (`rank`, its index in ``labels``) is therefore
+    its label in that relabelled level, and every choice the driver makes
+    depends on ranks alone.  A retired label's row keeps its last value.
+
+    Each edit also updates, only where it changed the graph, what the
+    driver's searches read: the edge count ``m``; the components, split
+    into ``trees`` (keys ``(-size, smallest label, mask)``, largest first)
+    and ``non_trees`` (keys ``(size, smallest label, mask, excess)``, in
+    `components` order) and joined by a union-find; and the common-neighbour
+    masks of `find_violating_triple`, recounted when next asked for at the
+    labels an edit marked.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.adj = list(g.adj)
+        self.live = (1 << g.n) - 1
+        self.labels = list(range(g.n))
+        self.m = 0
+        self.trees: list[tuple[int, int, int]] = []
+        self.non_trees: list[tuple[int, int, int, int]] = []
+        self._parent = list(range(g.n))
+        self._info: dict[int, tuple[int, int, int, int]] = {}  # root: size, smallest label, mask, edges
+        self._co: list[int] = []
+        self._dbl: list[int] = []
+        self._doubled = 0  # the labels x with dbl[x] nonempty
+        self._stale = self.live  # the labels whose co and dbl may have changed since last counted
+        self._given: tuple[Graph, list[tuple[int, ...]]] | None = (g, components(g))  # until the first edit
+        adj, parent, info = self.adj, self._parent, self._info
+        for comp in self._given[1]:
+            low = comp[0]
+            mask = degrees = 0
+            for v in comp:
+                parent[v] = low
+                mask |= 1 << v
+                degrees += adj[v].bit_count()
+            size, edges = len(comp), degrees // 2
+            self.m += edges
+            info[low] = (size, low, mask, edges)
+            if edges < size:
+                self.trees.append((-size, low, mask))
+            else:
+                self.non_trees.append((size, low, mask, edges - size))  # in `components` order
+        self.trees.sort()
+
+    @property
+    def order(self) -> int:
+        return len(self.labels)
+
+    def rank(self, label: int) -> int:
+        return bisect_left(self.labels, label)
+
+    def induced(self, vertices: Sequence[int]) -> Graph:
+        """The graph induced on the live ``vertices``, relabelled by their sorted order."""
+        return _induced(self.adj, sorted(vertices))
+
+    def _gaps(self) -> list[tuple[int, int]]:
+        """The runs of retired labels below the highest live one, as (first
+        label, length), ascending; live labels separate them, so there are
+        at most ``order`` of them."""
+        runs = []
+        after = 0
+        for v in self.labels:
+            if v > after:
+                runs.append((after, v - after))
+            after = v + 1
+        return runs
+
+    def compact(self) -> tuple[Graph, list[tuple[int, ...]]]:
+        """The level relabelled by rank, and its components there in `components` order."""
+        if self._given is not None:
+            return self._given
+        gaps = self._gaps()[::-1]  # highest first, so lower gaps keep their place
+        keys = sorted([key[:3] for key in self.non_trees] + [(-s, low, mask) for s, low, mask in self.trees])
+        masks = [mask for _, _, mask in keys] + [self.adj[v] for v in self.labels]
+        for first, length in gaps:
+            masks = [mask & (1 << first) - 1 | mask >> first + length << first for mask in masks]
+        comps = [tuple(list(bits(mask))) for mask in masks[: len(keys)]]
+        return _unchecked(self.order, tuple(masks[len(keys) :])), comps
+
+    def labelled(self, masks: Sequence[int]) -> list[int]:
+        """The ``masks`` over ranks moved to the labels they rank."""
+        for first, length in self._gaps():  # lowest first, so each gap opens where its labels go
+            masks = [mask & (1 << first) - 1 | mask >> first << first + length for mask in masks]
+        return list(masks)
+
+    def _root(self, x: int) -> int:
+        parent = self._parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def _put(self, root: int, size: int, mask: int, edges: int) -> None:
+        low = (mask & -mask).bit_length() - 1
+        self._info[root] = (size, low, mask, edges)
+        if edges < size:  # a component has at least size - 1 edges, exactly that many when a tree
+            insort(self.trees, (-size, low, mask))
+        else:
+            insort(self.non_trees, (size, low, mask, edges - size))
+
+    def _take(self, x: int) -> tuple[int, int, int, int]:
+        """Remove the component of ``x`` from the split; returns its root, size, mask and edges."""
+        root = self._root(x)
+        size, low, mask, edges = self._info.pop(root)
+        if edges < size:
+            del self.trees[bisect_left(self.trees, (-size, low))]
+        else:
+            del self.non_trees[bisect_left(self.non_trees, (size, low))]
+        return root, size, mask, edges
+
+    def add_edge(self, u: int, v: int) -> None:
+        """Add the blue edge u-v between two live labels that are not adjacent."""
+        adj = self.adj
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        self.m += 1
+        self._given = None
+        root, size, mask, edges = self._take(u)
+        if self._root(v) != root:
+            other, size_v, mask_v, edges_v = self._take(v)
+            self._parent[other] = root
+            size, mask, edges = size + size_v, mask | mask_v, edges + edges_v
+        self._put(root, size, mask, edges + 1)
+        self._stale |= 1 << u | 1 << v | adj[u] | adj[v]
+
+    def identify(self, x1: int, x2: int, x3: int) -> int:
+        """Identify the independent live labels x1, x2, x3 into one fresh
+        label, joined to every vertex that meets them; returns that label.
+
+        Only rows within blue distance 1 of the triple change, so common
+        neighbours change only within distance 2; those are marked."""
+        adj = self.adj
+        z = len(adj)
+        bit = 1 << z
+        self._given = None
+        triple = 1 << x1 | 1 << x2 | 1 << x3
+        rows = adj[x1], adj[x2], adj[x3]
+        joined = rows[0] | rows[1] | rows[2]
+        near = joined | bit
+        for u in bits(joined):
+            row = adj[u] & ~triple | bit
+            adj[u] = row
+            near |= row
+        adj.append(joined)
+        lost = sum(row.bit_count() for row in rows) - joined.bit_count()
+        self.m -= lost
+        self.live = self.live & ~triple | bit
+        for x in (x1, x2, x3):
+            del self.labels[bisect_left(self.labels, x)]
+        self.labels.append(z)
+        self._parent.append(z)
+        size, mask, edges = 1, bit, -lost
+        for x in (x1, x2, x3):
+            if self._root(x) != z:
+                root, size_x, mask_x, edges_x = self._take(x)
+                self._parent[root] = z
+                size, mask, edges = size + size_x, mask | mask_x, edges + edges_x
+        self._put(z, size - 3, mask & ~triple, edges)
+        self._stale |= near
+        return z
+
+    def replace(self, w: Sequence[int]) -> int:
+        """Replace the live labels ``w``, a union of whole components, by two
+        fresh labels joined by one edge; returns the first of them."""
+        s = len(self.adj)
+        gone = 0
+        self._given = None
+        for x in w:
+            gone |= 1 << x
+            if self._root(x) in self._info:
+                self.m -= self._take(x)[3]
+            del self.labels[bisect_left(self.labels, x)]
+        self.adj += [1 << s + 1, 1 << s]
+        self.m += 1
+        self.live = self.live & ~gone | 3 << s
+        self.labels += [s, s + 1]
+        self._parent += [s, s]
+        self._put(s, 2, 3 << s, 1)
+        self._stale |= 3 << s  # no common neighbour outside w involves w
+        return s
+
+    def common_neighbours(self) -> tuple[list[int], list[int], int]:
+        """``co``, ``dbl`` and the mask of the labels with ``dbl`` nonempty
+        (see `find_violating_triple`), recounted at the live labels that
+        edits marked since the last call, all of them on the first."""
+        adj, co, dbl, live = self.adj, self._co, self._dbl, self.live
+        co += [0] * (len(adj) - len(co))
+        dbl += [0] * (len(adj) - len(dbl))
+        doubled = self._doubled & live
+        for x in bits(self._stale & live):
+            once = twice = 0
+            for v in bits(adj[x]):
+                row = adj[v]
+                twice |= once & row
+                once |= row
+            bit = 1 << x
+            co[x] = once & ~bit
+            dbl[x] = twice = twice & ~bit
+            doubled = doubled | bit if twice else doubled & ~bit
+        self._doubled, self._stale = doubled, 0
+        return co, dbl, doubled
+
+
+def find_violating_triple(b: Graph | LiveBlue) -> TripleStep | None:
     """First independent triple (lexicographic) with |N2| >= 2 or N3 nonempty,
-    as the trace step that contracts it.
+    as the trace step that contracts it, in ranks.
 
     N_i collects the outside vertices with exactly i neighbors in the
     triple.  Returns None when every independent triple satisfies
@@ -156,27 +370,16 @@ def find_violating_triple(b: Graph) -> TripleStep | None:
     The mask can only be nonempty when ``dbl[x1]`` has a vertex after x1,
     or x2 lies in ``co[x1]``, or ``dbl[x2]`` is nonempty, or ``co[x2]``
     meets ``co[x1]``, that is x2 lies in ``co[y]`` for some y in
-    ``co[x1]``; the scan visits only those x2.
+    ``co[x1]``; the scan visits only those x2.  A `LiveBlue` keeps ``co``
+    and ``dbl`` from level to level.
     """
-    adj = b.adj
-    co = []
-    dbl = []
-    doubled = 0  # the vertices x with dbl[x] nonempty
-    for x in range(b.n):
-        once = twice = 0
-        for v in bits(adj[x]):
-            row = adj[v]
-            twice |= once & row
-            once |= row
-        co.append(once & ~(1 << x))
-        twice &= ~(1 << x)
-        dbl.append(twice)
-        if twice:
-            doubled |= 1 << x
-    full = (1 << b.n) - 1
-    for x1 in range(b.n):
+    if isinstance(b, Graph):
+        b = LiveBlue(b)
+    co, dbl, doubled = b.common_neighbours()
+    adj, live = b.adj, b.live
+    for x1 in bits(live):
         a1, co1 = adj[x1], co[x1]
-        after1 = full & ~a1 >> x1 + 1 << x1 + 1
+        after1 = live & ~a1 >> x1 + 1 << x1 + 1
         dbl1 = dbl[x1] & after1
         if dbl1:
             seconds = after1
@@ -195,7 +398,8 @@ def find_violating_triple(b: Graph) -> TripleStep | None:
             a2 = adj[x2]
             thirds = mask & after1 & ~a2 >> x2 + 1 << x2 + 1
             if thirds:
-                return TripleStep(x1, x2, (thirds & -thirds).bit_length() - 1)
+                x3 = (thirds & -thirds).bit_length() - 1
+                return TripleStep(b.rank(x1), b.rank(x2), b.rank(x3))
     return None
 
 
@@ -210,11 +414,6 @@ def _candidate_splits(parts: Sequence[tuple[int, ...]]) -> Iterator[tuple[list[i
         yield side_a, side_b
 
 
-def _union_excess(b: Graph, vertices: Sequence[int]) -> int:
-    """Excess of a union of whole components, which keeps all of their edges."""
-    return sum(b.adj[v].bit_count() for v in vertices) // 2 - len(vertices)
-
-
 @lru_cache(maxsize=4096)
 def _splittable(sizes: tuple[int, ...]) -> bool:
     """Whether whole parts of these (sorted) sizes split into two sides that
@@ -227,7 +426,8 @@ def _splittable(sizes: tuple[int, ...]) -> bool:
     sums = 1  # bit s: some subset of the parts has s vertices
     for size in sizes:
         sums |= sums << size
-    return any(sums >> a & 1 and split_sizes_ok(a, total - a) for a in range(1, total // 2 + 1))
+    smaller = sums & (1 << total // 2 + 1) - 2  # the sums 1..total//2
+    return any(split_sizes_ok(a, total - a) for a in bits(smaller))
 
 
 @lru_cache(maxsize=4096)
@@ -282,7 +482,7 @@ def _shaped_combinations(
         yield from walk(0, (), ())
 
 
-def _certify_union(b: Graph, parts: Sequence[tuple[int, ...]]) -> GoodOrientationCert | None:
+def _certify_union(b: Graph | LiveBlue, parts: Sequence[tuple[int, ...]]) -> GoodOrientationCert | None:
     """First non-trivial certificate of the red graph on the union of the
     whole blue components ``parts``, over their two-colorings in
     `_candidate_splits` order; labels are local to the sorted union."""
@@ -298,16 +498,20 @@ def _certify_union(b: Graph, parts: Sequence[tuple[int, ...]]) -> GoodOrientatio
     return None
 
 
-def _validated_plan(
-    b: Graph, parts: Sequence[tuple[int, ...]], recipe: str
-) -> ReductionPlan | None:
-    w = tuple(sorted(v for part in parts for v in part))
-    if len(w) == b.n:
+def _validated_plan(b: LiveBlue, parts: Sequence[int], excess: int, recipe: str) -> ReductionPlan | None:
+    """The plan contracting the union of the component masks ``parts``, whose
+    blue excess is ``excess``, when it is a proper subset with excess at
+    least -1 and a certificate; its set is recorded in ranks."""
+    sizes = [part.bit_count() for part in parts]
+    if excess < -1 or sum(sizes) == b.order or not _splittable(tuple(sorted(sizes))):
         return None  # a contractible set must be a proper subset
-    if _union_excess(b, w) < -1:
+    cert = _certify_union(b, [tuple(bits(part)) for part in parts])
+    if cert is None:
         return None
-    cert = _certify_union(b, parts)
-    return None if cert is None else ReductionPlan(w, recipe, cert)
+    union = 0
+    for part in parts:
+        union |= part
+    return ReductionPlan(tuple([b.rank(v) for v in bits(union)]), recipe, cert)
 
 
 # tree sizes that fit recipe 3's small forest (at most six vertices), largest first
@@ -320,92 +524,80 @@ _SMALL_FOREST_SIZES = (6, 5, 4, 3, 2, 1)
 _SMALL_FOREST_LIMIT = max(b for b in range(6, 64) if split_sizes_ok(6, b))
 
 
-def find_reduction(
-    b: Graph, comps: Sequence[tuple[int, ...]] | None = None
-) -> ReductionPlan | None:
+def find_reduction(b: Graph | LiveBlue) -> ReductionPlan | None:
     """Search the fixed recipe list for a contractible union of components.
 
     Candidates are unions of whole blue components; each is validated by
     building a non-trivial certificate for the complement restricted to it
     and checking that the blue excess stays at least -1.  The first
     validated candidate wins, so results are deterministic.  Candidates
-    whose part sizes admit no certifiable split are skipped unbuilt.
-    ``comps`` are the components of ``b`` in `components` order, computed
-    when not given.
+    whose part sizes admit no certifiable split are skipped unbuilt.  The
+    components are read from a `LiveBlue`'s split, built for a `Graph`.
     """
-    if comps is None:
-        comps = components(b)
-    non_trees: list[tuple[int, ...]] = []
-    non_tree_excess: list[int] = []
-    trees: list[tuple[int, ...]] = []
-    for comp in comps:
-        ex = _union_excess(b, comp)
-        if ex == -1:  # a component has excess at least -1, exactly -1 when it is a tree
-            trees.append(comp)
-        else:
-            non_trees.append(comp)
-            non_tree_excess.append(ex)
-    trees_big_first = sorted(trees, key=lambda c: (-len(c), c[0]))
-    tree_sizes = [len(c) for c in trees_big_first]
+    if isinstance(b, Graph):
+        b = LiveBlue(b)
+    non_trees = b.non_trees
+    trees = [mask for _, _, mask in b.trees]  # largest first
+    neg_sizes = [key[0] for key in b.trees]
+    tree_sizes = [-size for size in neg_sizes]
     distinct_sizes = tuple(sorted(set(tree_sizes), reverse=True))
     covered = list(accumulate(tree_sizes))
 
+    def trees_of_size(size: int) -> list[int]:
+        return trees[bisect_left(neg_sizes, -size) : bisect_right(neg_sizes, -size)]
+
     # recipe 1: one non-tree component plus the fewest largest trees covering t vertices
-    for comp in non_trees:
+    for size, _, comp, ex in non_trees:
         tried: set[int] = set()
-        for t in (len(comp) - 2, 5):
+        for t in (size - 2, 5):
             if t < 1 or len(trees) < t:
                 continue
             count = bisect_left(covered, t) + 1
             if count in tried:
                 continue
             tried.add(count)
-            plan = _validated_plan(b, [comp, *trees_big_first[:count]], "non-tree+forest")
+            plan = _validated_plan(b, [comp, *trees[:count]], ex - count, "non-tree+forest")
             if plan is not None:
                 return plan
 
     # recipe 2: two non-tree components, possibly with one or two tree components
-    for ca, cb in combinations(non_trees, 2):
-        plan = _validated_plan(b, [ca, cb], "two-non-trees")
+    for (size_a, _, ca, ex_a), (size_b, _, cb, ex_b) in combinations(non_trees, 2):
+        plan = _validated_plan(b, [ca, cb], ex_a + ex_b, "two-non-trees")
         if plan is not None:
             return plan
         for count in (1, 2):
             # `count` trees never exceed this bound, so it keys the cache
             # without the level's order whenever the trees are small
-            hi = min(b.n, count * max(distinct_sizes, default=0))
-            shapes = _tree_shapes((len(ca), len(cb)), distinct_sizes, count, 0, hi)
+            hi = min(b.order, count * max(distinct_sizes, default=0))
+            shapes = _tree_shapes((size_a, size_b), distinct_sizes, count, 0, hi)
             for combo in _shaped_combinations(tree_sizes, count, shapes):
-                parts = [ca, cb, *(trees_big_first[i] for i in combo)]
-                plan = _validated_plan(b, parts, "two-non-trees+trees")
+                parts = [ca, cb, *(trees[i] for i in combo)]
+                plan = _validated_plan(b, parts, ex_a + ex_b - count, "two-non-trees+trees")
                 if plan is not None:
                     return plan
 
     # recipe 3: non-tree plus a four-vertex tree, then non-tree plus a small forest
-    for comp, ex1 in zip(non_trees, non_tree_excess):
-        for tree in trees_big_first:
-            if len(tree) == 4:
-                plan = _validated_plan(b, [comp, tree], "non-tree+tree4")
-                if plan is not None:
-                    return plan
-        if len(comp) > _SMALL_FOREST_LIMIT:
+    for size, _, comp, ex in non_trees:
+        for tree in trees_of_size(4):
+            plan = _validated_plan(b, [comp, tree], ex - 1, "non-tree+tree4")
+            if plan is not None:
+                return plan
+        if size > _SMALL_FOREST_LIMIT:
             continue
-        lo = min(4, len(comp))
+        lo = min(4, size)
         # a forest of at most six vertices has at most six trees
-        for count in range(1, min(len(trees), ex1 + 1, 6) + 1):
-            shapes = _tree_shapes((len(comp),), _SMALL_FOREST_SIZES, count, lo, 6)
+        for count in range(1, min(len(trees), ex + 1, 6) + 1):
+            shapes = _tree_shapes((size,), _SMALL_FOREST_SIZES, count, lo, 6)
             for combo in _shaped_combinations(tree_sizes, count, shapes):
-                parts = [comp, *(trees_big_first[i] for i in combo)]
-                plan = _validated_plan(b, parts, "non-tree+small-forest")
+                plan = _validated_plan(b, [comp, *(trees[i] for i in combo)], ex - count, "non-tree+small-forest")
                 if plan is not None:
                     return plan
 
     # recipe 4: small non-tree plus a three-vertex tree
-    for comp in non_trees:
-        if not 4 <= len(comp) <= 6:
-            continue
-        for tree in trees_big_first:
-            if len(tree) == 3:
-                plan = _validated_plan(b, [comp, tree], "non-tree+tree3")
+    for size, _, comp, ex in non_trees:
+        if 4 <= size <= 6:
+            for tree in trees_of_size(3):
+                plan = _validated_plan(b, [comp, tree], ex - 1, "non-tree+tree3")
                 if plan is not None:
                     return plan
 

@@ -32,7 +32,7 @@ from orient2.construct import (
 )
 from orient2.graphs import Digraph, Graph, Orientation, bits, complement, components, diameter
 from orient2.oracle import enumerate_blue
-from orient2.structure import ComponentKind, ReductionPlan, classify_component, find_reduction
+from orient2.structure import ComponentKind, LiveBlue, ReductionPlan, classify_component, find_reduction
 
 
 def disjoint_union(*parts: Graph) -> Graph:
@@ -233,6 +233,7 @@ class TestBaseCases:
         for blue in blues:
             comps = components(blue)
             assert construct._family_signature([classify_component(blue, c) for c in comps]) is not None
+            assert construct._family_may_fit(LiveBlue(blue))  # the driver's prefilter admits every family
             rows, family = _base_case_with_family(blue, comps)
             o = Orientation(complement(blue), Digraph(blue.n, rows))
             assert diameter(o.dir) <= 2, family
@@ -276,7 +277,8 @@ def ungated_base_case(blue: Graph) -> tuple[tuple[int, ...], str] | None:
 
 
 class TestBaseCaseSizeGate:
-    """The size gate returns what classifying every component would."""
+    """The size gate returns what classifying every component would, and
+    the driver's prefilter skips no level that has a base case."""
 
     def test_every_small_blue_graph(self):
         found = 0
@@ -284,18 +286,22 @@ class TestBaseCaseSizeGate:
             for blue in enumerate_blue(n, n - 5):
                 expected = ungated_base_case(blue)
                 assert base_case(blue) == expected, blue
+                assert expected is None or construct._family_may_fit(LiveBlue(blue))
                 found += expected is not None
         assert found > 0
 
     def test_every_level_of_seeded_threshold_instances(self, monkeypatch):
+        # every padded level, whether or not the driver's size gate let it
+        # reach `_base_case_with_family`
         levels = []
         gated = construct._base_case_with_family
+        pad = construct._delete_red_pairs
 
-        def recorded(blue, comps):
-            levels.append(blue)
-            return gated(blue, comps)
+        def recorded(blue, deleted):
+            pad(blue, deleted)
+            levels.append(blue.compact()[0])
 
-        monkeypatch.setattr(construct, "_base_case_with_family", recorded)
+        monkeypatch.setattr(construct, "_delete_red_pairs", recorded)
         rng = random.Random(14)
         for i in range(200):
             n = 20 + i % 21
@@ -304,6 +310,7 @@ class TestBaseCaseSizeGate:
         for blue in levels:
             expected = ungated_base_case(blue)
             assert gated(blue, components(blue)) == expected, blue
+            assert expected is None or construct._family_may_fit(LiveBlue(blue))
             found += expected is not None
         assert found > 0 and len(levels) > 200
 
@@ -344,24 +351,42 @@ def reduction_labels(n: int, plan: ReductionPlan):
     return kept, removed, classes
 
 
+def contracted_orientation(live: LiveBlue) -> tuple[Orientation, list[int]]:
+    """A diameter-2 orientation of the complement of the contracted level
+    ``live``, over its ranks, and its out-rows moved to ``live``'s labels."""
+    o_star, _ = orient_diameter_two(complement(live.compact()[0]))
+    rows = [0] * len(live.adj)
+    for label, row in zip(live.labels, o_star.dir.out):
+        rows[label] = sum(1 << live.labels[i] for i in bits(row))
+    return o_star, rows
+
+
 class TestExpansion:
+    """One reduce step, on a level whose labels are its ranks: the two
+    super-vertices take the fresh labels n and n + 1."""
+
     def _reduction_setup(self):
         blue = disjoint_union(dumbbell(3, 3), paths_union([3]), *singletons(5))
         red = complement(blue)
         assert red.m == threshold_size(red.n)
         plan = find_reduction(blue)
         assert plan is not None
-        return red, blue, plan, complement(_contract_reduction(blue, plan))
+        live = LiveBlue(blue)
+        lift = _contract_reduction(live, plan.w, plan.cert)
+        assert lift.first == blue.n and live.labels[-2:] == [blue.n, blue.n + 1]
+        return red, blue, plan, live, lift
 
     def test_contracted_instance_stays_above_threshold(self):
-        _, _, _, contracted = self._reduction_setup()
+        _, _, _, live, _ = self._reduction_setup()
+        contracted = complement(live.compact()[0])
         assert contracted.m >= threshold_size(contracted.n)
 
     def test_expansion_preserves_outside_arcs(self):
-        red, blue, plan, contracted = self._reduction_setup()
-        o_star, _ = orient_diameter_two(contracted)
-        rows = expand_reduction(o_star.dir.out, blue, plan)
-        expanded = Orientation(red, Digraph(red.n, tuple(rows)))
+        red, blue, plan, live, lift = self._reduction_setup()
+        o_star, rows = contracted_orientation(live)
+        assert expand_reduction(rows, live.live, lift) == (1 << red.n) - 1
+        assert not any(rows[red.n :])
+        expanded = Orientation(red, Digraph(red.n, tuple(rows[: red.n])))
         assert diameter(expanded.dir) <= 2
         kept, _, _ = reduction_labels(blue.n, plan)
         k = len(kept)
@@ -370,17 +395,17 @@ class TestExpansion:
                 assert expanded.dir.out[kept[a]] >> kept[b] & 1
 
     def test_classes_copy_their_super_vertex_directions(self):
-        red, blue, plan, contracted = self._reduction_setup()
-        o_star, _ = orient_diameter_two(contracted)
-        rows = expand_reduction(o_star.dir.out, blue, plan)
+        red, blue, plan, live, lift = self._reduction_setup()
+        o_star, rows = contracted_orientation(live)
+        expand_reduction(rows, live.live, lift)
         kept, removed, classes = reduction_labels(blue.n, plan)
         k = len(kept)
         assert sorted(bits(classes[0] | classes[1])) == removed
         for a, u in enumerate(kept):
-            for super_label, cls in zip((k, k + 1), classes):
+            for super_rank, cls in zip((k, k + 1), classes):
                 for x in bits(cls):
-                    assert rows[u] >> x & 1 == o_star.dir.out[a] >> super_label & 1
-                    assert rows[x] >> u & 1 == o_star.dir.out[super_label] >> a & 1
+                    assert rows[u] >> x & 1 == o_star.dir.out[a] >> super_rank & 1
+                    assert rows[x] >> u & 1 == o_star.dir.out[super_rank] >> a & 1
 
 
 class TestTripleContraction:
@@ -395,23 +420,29 @@ class TestTripleContraction:
         assert isinstance(step, TripleStep)
         removed = tuple(sorted((step.x1, step.x2, step.x3)))
         kept = tuple(v for v in range(blue.n) if v not in removed)
-        return blue, red, step, removed, kept, _contract_triple(blue, step)
+        live = LiveBlue(blue)
+        lift = _contract_triple(live, removed)
+        return blue, red, removed, kept, live, lift
 
     def test_merged_vertex_joins_the_kept_vertices_blue_into_the_triple(self):
-        blue, red, step, removed, kept, contracted_blue = self._setup()
+        blue, red, removed, kept, live, lift = self._setup()
         k = len(kept)
         triple = sum(1 << x for x in removed)
         assert removed == (1, 4, 8)
+        assert lift.merged == blue.n and live.labels == [*kept, blue.n]
+        contracted_blue = live.compact()[0]
         assert contracted_blue.n == k + 1
         assert contracted_blue.induced(range(k)) == blue.induced(kept)
         joined = [kept[i] for i in contracted_blue.neighbors(k)]
         assert joined == [u for u in kept if blue.adj[u] & triple] == [3, 5, 7]
 
     def test_expansion_lifts_kept_arcs_cycle_and_remnants(self):
-        blue, red, step, removed, kept, contracted_blue = self._setup()
-        o_star, _ = orient_diameter_two(complement(contracted_blue))
-        rows = expand_triple_contraction(o_star.dir.out, blue, step)
-        expanded = Orientation(red, Digraph(red.n, tuple(rows)))
+        blue, red, removed, kept, live, lift = self._setup()
+        contracted_blue = live.compact()[0]
+        o_star, rows = contracted_orientation(live)
+        assert expand_triple_contraction(rows, live.live, lift) == (1 << red.n) - 1
+        assert not any(rows[red.n :])
+        expanded = Orientation(red, Digraph(red.n, tuple(rows[: red.n])))
         assert diameter(expanded.dir) <= 2
         k = len(kept)
         x1, x2, x3 = removed
@@ -434,8 +465,8 @@ class TestTripleContraction:
 
 
 def induced_contract_triple(blue: Graph, triple) -> Graph:
-    """The contraction `_contract_triple` replaced: the induced graph on the
-    kept vertices plus one vertex joined to every kept vertex that meets the triple."""
+    """The compact contraction: the induced graph on the kept vertices plus
+    one vertex joined to every kept vertex that meets the triple."""
     removed = sorted(triple)
     kept = [v for v in range(blue.n) if v not in removed]
     k = len(kept)
@@ -458,13 +489,16 @@ class TestLevels:
             triple = tuple(rng.sample(range(n), 3))
             if any(blue.has_edge(u, v) for u, v in combinations(triple, 2)):
                 continue
-            assert _contract_triple(blue, TripleStep(*triple)) == induced_contract_triple(blue, triple)
-            removed, kept = construct._removed_and_kept(blue.n, triple)
-            assert removed == tuple(sorted(triple)) and set(kept) == set(range(n)) - set(triple)
+            live = LiveBlue(blue)
+            lift = _contract_triple(live, triple)
+            assert live.compact()[0] == induced_contract_triple(blue, triple)
+            kept = [v for v in range(n) if v not in triple]
+            assert lift.triple == tuple(sorted(triple)) and live.labels == [*kept, n]
+            assert lift.rows == tuple(blue.adj[x] for x in lift.triple)
             checked += 1
         assert checked > 400
 
-    def test_components_run_once_per_level(self, monkeypatch):
+    def test_components_run_once_per_construction(self, monkeypatch):
         calls = []
 
         def counted(g):
@@ -472,14 +506,14 @@ class TestLevels:
             return components(g)
 
         for module in (construct, structure):
-            monkeypatch.setattr(module, "components", counted)
+            monkeypatch.setattr(module, "components", counted, raising=False)
         rng = random.Random(1904)
         for n in (20, 40, 80, 120):
             calls.clear()
             _, trace = orient_diameter_two(complement(random_blue(rng, n, n - 5)))
             levels = [s for s in trace.steps if not isinstance(s, PadStep)]
             assert len(levels) > 3
-            assert len(calls) == len(levels)
+            assert calls == [n]
 
     @pytest.mark.parametrize(
         "corrupt, match",

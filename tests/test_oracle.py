@@ -918,9 +918,29 @@ class TestCanonicalSearch:
         for level in _connected_catalogue(7, 8):
             for g in level:
                 for h in (g, _shuffled(g, rng)):
-                    orbits = _orbits(h)
+                    orbits = _orbits(h, _canonical_search(h)[1])
                     assert {frozenset(orbit) for orbit in orbits} == _brute_force_orbits(h)
                     assert all(orbit[0] == min(orbit) for orbit in orbits)
+
+    def test_form_keeps_the_generators_of_its_automorphism_group(self):
+        # the catalogue grows each graph from the generators `canonical_form`
+        # kept for a relabelled copy of it, moved onto the form's labels
+        rng = random.Random(2602)
+        for level in _connected_catalogue(7, 8):
+            for g in level:
+                if g.n < 2:
+                    continue
+                generators = []
+                assert canonical_form(_shuffled(g, rng), generators) == g
+                for perm in generators:
+                    assert sorted(perm) == list(range(g.n))
+                    assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+                assert {frozenset(orbit) for orbit in _orbits(g, generators)} == _brute_force_orbits(g)
+
+    def test_generators_only_for_a_connected_graph(self):
+        for g in (Graph(1, (0,)), Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(3, [(0, 1)])):
+            with pytest.raises(ValueError, match="only for a connected graph"):
+                canonical_form(g, [])
 
 
 class TestExtremalFamily:

@@ -21,6 +21,7 @@ from orient2.graphs import Graph, bits, complement, components
 from orient2.structure import (
     ComponentClass,
     ComponentKind,
+    LiveBlue,
     TripleStep,
     _candidate_splits,
     _certify_union,
@@ -337,13 +338,16 @@ def scan_triple(b: Graph):
 
 
 def seeded_triple_levels(monkeypatch, orders, seeds):
-    """The blue graphs `find_violating_triple` is called on while seeded
-    threshold instances of these orders are constructed."""
+    """The levels `find_violating_triple` is called on while seeded
+    threshold instances of these orders are constructed, relabelled by
+    rank, each with the step it returned from the masks its `LiveBlue`
+    kept from level to level."""
     levels = []
 
     def recorded(b):
-        levels.append(b)
-        return find_violating_triple(b)
+        step = find_violating_triple(b)
+        levels.append((b.compact()[0], step))
+        return step
 
     monkeypatch.setattr(construct, "find_violating_triple", recorded)
     for n in orders:
@@ -433,12 +437,86 @@ class TestTripleAgainstReference:
 
     def test_recorded_levels_of_seeded_constructions(self, monkeypatch):
         levels = seeded_triple_levels(monkeypatch, (100, 150, 200), (1, 2, 3))
-        assert len(levels) > 500 and max(b.n for b in levels) == 200
-        for b in levels:
+        assert len(levels) > 500 and max(b.n for b, _ in levels) == 200
+        for b, kept in levels:
             got = find_violating_triple(b)
-            assert got == scan_triple(b)
+            assert got == kept == scan_triple(b)
             if got is not None:
                 assert_violates(b, got)
+
+
+def live_summary(live: LiveBlue):
+    """What the searches read from ``live``, relabelled by rank: the edge
+    count, the component split and the common-neighbour masks."""
+    rank = {v: i for i, v in enumerate(live.labels)}
+
+    def ranked(mask):
+        return sum(1 << rank[v] for v in bits(mask))
+
+    co, dbl, doubled = live.common_neighbours()
+    return (
+        live.order,
+        live.m,
+        [(size, rank[low], ranked(mask)) for size, low, mask in live.trees],
+        [(size, rank[low], ranked(mask), ex) for size, low, mask, ex in live.non_trees],
+        [ranked(co[v]) for v in live.labels],
+        [ranked(dbl[v]) for v in live.labels],
+        ranked(doubled),
+    )
+
+
+class TestLiveBlue:
+    """Edits in place keep everything a `LiveBlue` maintains equal to a
+    rebuild from the level relabelled by rank."""
+
+    @staticmethod
+    def random_edit(rng: random.Random, live: LiveBlue) -> bool:
+        labels = live.labels
+        kind = rng.randrange(3)
+        if kind == 0:
+            pairs = [(u, v) for u, v in combinations(labels, 2) if not live.adj[u] >> v & 1]
+            if not pairs:
+                return False
+            live.add_edge(*rng.choice(pairs))
+        elif kind == 1:
+            triples = [t for t in combinations(labels, 3) if not any(live.adj[u] >> v & 1 for u, v in combinations(t, 2))]
+            if not triples:
+                return False
+            live.identify(*rng.choice(triples))
+        else:
+            comps = [key[2] for key in live.trees] + [key[2] for key in live.non_trees]
+            if len(comps) < 2:
+                return False
+            chosen = rng.sample(comps, rng.randint(1, len(comps) - 1))
+            live.replace(sorted(v for mask in chosen for v in bits(mask)))
+        return True
+
+    def test_edits_match_a_rebuild(self):
+        rng = random.Random(2601)
+        edits = 0
+        for _ in range(200):
+            n = rng.randint(3, 16)
+            pairs = list(combinations(range(n), 2))
+            blue = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, min(2 * n, len(pairs)))))
+            live = LiveBlue(blue)
+            if rng.random() < 0.5:
+                live.common_neighbours()  # masks kept from the start, or first counted later
+            for _ in range(rng.randint(1, 8)):
+                if live.order < 3 or not self.random_edit(rng, live):
+                    break
+                edits += 1
+                assert live.labels == sorted(live.labels) and live.live == sum(1 << v for v in live.labels)
+                if rng.random() < 0.5:
+                    assert live_summary(live) == live_summary(LiveBlue(live.compact()[0]))
+            assert live_summary(live) == live_summary(LiveBlue(live.compact()[0]))
+        assert edits > 400
+
+    def test_fresh_labels_come_last(self):
+        live = LiveBlue(Graph.from_edges(6, [(0, 1), (2, 3)]))
+        assert live.identify(0, 2, 4) == 6 and live.labels == [1, 3, 5, 6]
+        assert live.rank(6) == 3 and live.adj[6] == 1 << 1 | 1 << 3
+        assert live.replace([1, 3, 6]) == 7 and live.labels == [5, 7, 8]
+        assert live.adj[7] == 1 << 8 and live.m == 1 and [key[0] for key in live.trees] == [-2, -1]
 
 
 def filtered_combinations(sizes, count, keep):
@@ -582,6 +660,22 @@ class TestSizePrefilter:
                 # the parts cover the world, so its labels are the union's local labels
                 assert _certify_union(complement(world), parts) == first
         assert (rejected, accepted) == (41, 218)  # of the 259 tuples with at least two parts
+
+    def test_subset_sum_walk_matches_every_split_size(self):
+        """Walking the set bits of the subset-sum mask decides what trying
+        every smaller side size a did."""
+        from orient2.certs import split_sizes_ok
+
+        checked = 0
+        for total in range(1, 25):
+            for sizes in integer_partitions(total):
+                sums = 1
+                for size in sizes:
+                    sums |= sums << size
+                every_a = any(sums >> a & 1 and split_sizes_ok(a, total - a) for a in range(1, total // 2 + 1))
+                assert _splittable.__wrapped__(tuple(sorted(sizes))) == every_a, sizes
+                checked += 1
+        assert checked == sum(1 for t in range(1, 25) for _ in integer_partitions(t))
 
     def test_single_part_is_rejected(self):
         assert not _splittable((6,))

@@ -78,3 +78,22 @@ def test_construct_scale_digest_at_order_200():
         o, trace = orient_diameter_two(tool.threshold_instance(200, seed))
         digest = tool.fold_digest(digest, o, trace)
     assert f"{digest:08x}" == "a689d353"
+
+
+@pytest.mark.skipif(not CONSTRUCT_SCALE.is_file(), reason="tools/construct_scale.py is absent")
+def test_construct_scale_digest_and_replay_at_order_400():
+    # traces about 190 levels deep, recorded by rank: replay maps the ranks
+    # back to labels and must rebuild each seed's orientation
+    from orient2.construct import orient_diameter_two, replay_trace
+
+    spec = importlib.util.spec_from_file_location("construct_scale", CONSTRUCT_SCALE)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    digest = 0
+    for seed in range(1, 6):
+        g = tool.threshold_instance(400, seed)
+        o, trace = orient_diameter_two(g)
+        assert len(trace.steps) > 150 and trace.fallback_count() == 0
+        assert replay_trace(g, trace) == o
+        digest = tool.fold_digest(digest, o, trace)
+    assert f"{digest:08x}" == "072b6871"

@@ -4,9 +4,12 @@
 A threshold instance of order n is the complement of a uniformly random
 blue graph with n - 5 edges, drawn from ``random.Random("construct-scale:n:seed")``.
 For each order the tool prints the median and the largest time over the
-seeds, the tally of the construction moves and reduction recipes, and a
-CRC-32 of every seed's orientation and trace (its ``to_json()`` form), so
-two checkouts that build the same orientations print the same digest.
+seeds, how much the process's peak RSS grew while that order ran
+(``resource.getrusage``; the peak never falls, so run orders ascending to
+see each order's own growth), the tally of the construction moves and
+reduction recipes, and a CRC-32 of every seed's orientation and trace (its
+``to_json()`` form), so two checkouts that build the same orientations
+print the same digest.
 
 Exits with status 1 if some construction falls back to the exhaustive
 oracle.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import random
+import resource
 import statistics
 import sys
 import time
@@ -29,7 +33,7 @@ from collections import Counter
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from orient2.construct import ConstructionTrace, orient_diameter_two
-from orient2.graphs import Graph, Orientation, complement
+from orient2.graphs import Graph, Orientation, bits, complement
 
 
 def threshold_instance(n: int, seed: int) -> Graph:
@@ -43,11 +47,26 @@ def threshold_instance(n: int, seed: int) -> Graph:
 
 
 def fold_digest(digest: int, o: Orientation, trace: ConstructionTrace) -> int:
-    """``digest`` continued by the CRC-32 of one construction's sorted arcs and trace."""
-    return zlib.crc32(repr((sorted(o.dir.arcs()), trace.to_json())).encode(), digest)
+    """``digest`` continued by the CRC-32 of one construction's sorted arcs and trace.
+
+    The text is ``repr((sorted(o.dir.arcs()), trace.to_json()))``, fed to
+    the CRC one out-row at a time: a list of every arc would hold far more
+    memory than the construction does."""
+    digest = zlib.crc32(b"([", digest)
+    sep = ""
+    for u, row in enumerate(o.dir.out):
+        if row:
+            digest = zlib.crc32((sep + ", ".join([f"({u}, {v})" for v in bits(row)])).encode(), digest)
+            sep = ", "
+    return zlib.crc32(f"], {trace.to_json()!r})".encode(), digest)
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
 
 
 def scale(n: int, seeds: int) -> bool:
+    peak = peak_rss_mb()
     times = []
     moves: Counter = Counter()
     digest = 0
@@ -64,7 +83,7 @@ def scale(n: int, seeds: int) -> bool:
     tally = " ".join(f"{name}={count}" for name, count in sorted(moves.items()))
     print(
         f"n={n} seeds={seeds} median={statistics.median(times):.3f}s max={max(times):.3f}s "
-        f"digest={digest:08x} {tally}",
+        f"rss_growth={peak_rss_mb() - peak:.1f}MB digest={digest:08x} {tally}",
         flush=True,
     )
     return not moves["fallback-oracle"]
