@@ -16,17 +16,21 @@ to a small remainder with no missing edges in between, producing the
 out-rows of a full diameter-2 orientation: it joins the subset's two
 classes and the remainder's two classes, those of the remainder's own
 certificate or its two vertices, in one directed cycle of four classes.
+It checks its inputs: the cross edges, and each certificate's world
+against its part of the red graph and its verdict.
 
 A certificate is one record: its world, the out-rows that orient it
 (``rows[u]`` is the bitmask of u's out-neighbors) and its two classes in
 their recorded order.  Each construction writes the arcs it fixes into
 the rows and orients every other edge of its world from the lower label
-to the higher one; `verify_cert` is the one check of a certificate.
+to the higher one; `verify_cert` is the one check of a certificate, and
+since a certificate is immutable it records its verdict there, so each
+certificate is verified once however often it is asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -44,6 +48,7 @@ class GoodOrientationCert:
     first: tuple[int, ...]
     second: tuple[int, ...]
     nontrivial: bool
+    _verdict: bool | None = field(default=None, init=False, compare=False, repr=False)  # see `verify_cert`
 
 
 def matchjoin_graph(a: int, k: int) -> Graph:
@@ -88,7 +93,15 @@ def verify_cert(c: GoodOrientationCert) -> bool:
 
     Raises ValueError when the rows do not orient ``world`` exactly or the
     classes do not partition its vertices; otherwise returns whether the
-    distance conditions hold."""
+    distance conditions hold.  A certificate is immutable, so the verdict
+    is recorded on it and each certificate is checked once; a malformed
+    one records nothing and raises on every call."""
+    if c._verdict is None:
+        object.__setattr__(c, "_verdict", _check(c))
+    return c._verdict
+
+
+def _check(c: GoodOrientationCert) -> bool:
     n, out = c.world.n, c.rows
     if len(out) != n or any(row >> n for row in out):
         raise ValueError(
@@ -199,7 +212,7 @@ def _embed_into_matchjoin(pattern_blue: Graph, a: int, k: int) -> list[int] | No
                     queue.append(w)
     placement = [-1] * pattern_blue.n
 
-    def extend(idx: int, free: int) -> bool:
+    def extend(order: list[int], idx: int, free: int) -> bool:
         """Place ``order[idx:]`` on the positions of the mask ``free``, lowest first."""
         if idx == len(order):
             return True
@@ -211,13 +224,20 @@ def _embed_into_matchjoin(pattern_blue: Graph, a: int, k: int) -> list[int] | No
         while options:
             low = options & -options
             placement[v] = low.bit_length() - 1
-            if extend(idx + 1, free ^ low):
+            if extend(order, idx + 1, free ^ low):
                 return True
             options ^= low
         placement[v] = -1
         return False
 
-    return placement if extend(0, (1 << b) - 1) else None
+    # an isolated vertex fits any free position, so the other vertices alone
+    # decide whether an embedding exists; the first one found is the full search's
+    core = [v for v in order if degrees[v]]
+    if len(core) < len(order):
+        if not extend(core, 0, (1 << b) - 1):
+            return None
+        placement[:] = [-1] * pattern_blue.n
+    return placement if extend(order, 0, (1 << b) - 1) else None
 
 
 def matchjoin_cert(world: Graph, side_x: Sequence[int], side_y: Sequence[int]) -> GoodOrientationCert | None:
@@ -283,7 +303,11 @@ def _lay_out(
     i-th label outside the sorted ``others``; returns the certificate's two
     classes as masks over those labels.  Raises ValueError unless ``cert`` is
     a verified non-trivial certificate of ``red``'s graph on ``labels``."""
-    if red.induced(labels) != cert.world:
+    inside = _mask(labels)
+    world = cert.world.adj
+    if len(world) != len(labels) or any(
+        _spread(row, others) != red.adj[label] & inside for label, row in zip(labels, world)
+    ):
         raise ValueError("certificate world does not match its part of the red graph")
     if not cert.nontrivial or not verify_cert(cert):
         raise ValueError("a certified part needs a verified non-trivial certificate")

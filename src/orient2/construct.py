@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
 from typing import Callable, NamedTuple, Sequence
@@ -206,6 +207,16 @@ def _family_may_fit(blue: LiveBlue) -> bool:
     return largest <= _FAMILY_SIZE_BOUNDS[count][0] and second <= _FAMILY_SIZE_BOUNDS[count][1]
 
 
+# the path multisets each family takes with its core, as `_family_signature` counts them
+_FAMILY1_PATHS, _FAMILY2_PATHS = Counter({1: 7}), Counter({1: 8})
+_FAMILY3_PATHS = (Counter({1: 6}), Counter({1: 5, 2: 1}))
+
+# a component of one or two vertices is a path, so only larger ones are classified
+_SHORT_PATHS = {size: ComponentClass(ComponentKind.PATH, (size,)) for size in (1, 2)}
+
+_class_name = lru_cache(maxsize=None)(str)  # the few classes a family holds, each named once
+
+
 def _family_signature(classes: list[ComponentClass]) -> str | None:
     """Structural id when the component multiset is directly orientable, else None."""
     paths = Counter()
@@ -222,12 +233,12 @@ def _family_signature(classes: list[ComponentClass]) -> str | None:
     else:
         core = cores[0]
         fits = (
-            (core in _FAMILY1_CORES and paths == Counter({1: 7}))
-            or (core == _FAMILY2_CORE and paths == Counter({1: 8}))
-            or (core in _FAMILY3_CORES and paths in (Counter({1: 6}), Counter({1: 5, 2: 1})))
+            (core in _FAMILY1_CORES and paths == _FAMILY1_PATHS)
+            or (core == _FAMILY2_CORE and paths == _FAMILY2_PATHS)
+            or (core in _FAMILY3_CORES and paths in _FAMILY3_PATHS)
             or (core in _FAMILY4_CORES and set(paths) <= {1, 2} and sum(paths.values()) == 5)
         )
-    return "+".join(sorted(str(c) for c in classes)) if fits else None
+    return "+".join(sorted(map(_class_name, classes))) if fits else None
 
 
 def _quadruple_search(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
@@ -275,7 +286,7 @@ def _base_case_with_family(
     bounds = _FAMILY_SIZE_BOUNDS.get(len(comps))
     if bounds is None or len(comps[-1]) > bounds[0] or len(comps[-2]) > bounds[1]:
         return None
-    classes = [classify_component(blue, c) for c in comps]
+    classes = [_SHORT_PATHS.get(len(c)) or classify_component(blue, c) for c in comps]
     family = _family_signature(classes)
     if family is None:
         return None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .certs import GoodOrientationCert, split_cert, split_sizes_ok
 from .graphs import Graph, _induced, _unchecked, bits, complement, components, reach
@@ -403,10 +403,20 @@ def find_violating_triple(b: Graph | LiveBlue) -> TripleStep | None:
     return None
 
 
-def _candidate_splits(parts: Sequence[tuple[int, ...]]) -> Iterator[tuple[list[int], list[int]]]:
-    """Unordered two-colorings of whole parts into nonempty sides, smallest mask first."""
+def _candidate_splits(
+    parts: Sequence[Sequence[int]], fits: Callable[[int, int], bool] | None = None
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Unordered two-colorings of whole parts into nonempty sides, smallest
+    mask first; with ``fits``, only those whose side sizes, smaller first, pass it."""
     r = len(parts)
+    total = sum(len(part) for part in parts)
+    sums = [0]  # sums[mask]: the size of the side the mask colors
+    for part in parts[:-1]:
+        sums += [size + len(part) for size in sums]
     for mask in range(1, 1 << (r - 1)):
+        size = sums[mask]
+        if fits is not None and not fits(min(size, total - size), max(size, total - size)):
+            continue
         side_a: list[int] = []
         side_b: list[int] = []
         for i, part in enumerate(parts):
@@ -485,14 +495,15 @@ def _shaped_combinations(
 def _certify_union(b: Graph | LiveBlue, parts: Sequence[tuple[int, ...]]) -> GoodOrientationCert | None:
     """First non-trivial certificate of the red graph on the union of the
     whole blue components ``parts``, over their two-colorings in
-    `_candidate_splits` order; labels are local to the sorted union."""
+    `_candidate_splits` order, skipping unbuilt those whose side sizes fail
+    `split_sizes_ok`; labels are local to the sorted union."""
     if not _splittable(tuple(sorted(len(part) for part in parts))):
         return None
     w = sorted(v for part in parts for v in part)
     world = complement(b.induced(w))
     local = {v: i for i, v in enumerate(w)}
-    for side_a, side_b in _candidate_splits(parts):
-        cert = split_cert(world, [local[v] for v in side_a], [local[v] for v in side_b])
+    for side_a, side_b in _candidate_splits([[local[v] for v in part] for part in parts], split_sizes_ok):
+        cert = split_cert(world, side_a, side_b)
         if cert is not None:
             return cert
     return None

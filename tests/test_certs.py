@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import comb
 
@@ -10,6 +11,7 @@ from conftest import (
     cycle_graph,
     paths_union,
 )
+from orient2 import certs
 from orient2.certs import (
     GoodOrientationCert,
     _embed_into_matchjoin,
@@ -103,6 +105,43 @@ class TestVerifyCert:
         cert = GoodOrientationCert(k_ab(2, 2), FOUR_CYCLE, (0, 1, 2), (2, 3), False)
         with pytest.raises(ValueError, match="do not partition"):
             verify_cert(cert)
+
+    @staticmethod
+    def counted_checks(monkeypatch):
+        """The certificates `verify_cert` checks from now on, one entry per check."""
+        checked = []
+
+        def counted(cert):
+            checked.append(cert)
+            return check(cert)
+
+        check = certs._check
+        monkeypatch.setattr(certs, "_check", counted)
+        return checked
+
+    @pytest.mark.parametrize("nontrivial, verdict", [(True, True), (False, False)])
+    def test_verdict_is_recorded(self, monkeypatch, nontrivial, verdict):
+        # the four-cycle passes non-trivially; with every arc one way the check fails
+        rows = FOUR_CYCLE if verdict else rows_of(4, [(x, y) for x in range(2) for y in range(2, 4)])
+        checked = self.counted_checks(monkeypatch)
+        cert = GoodOrientationCert(k_ab(2, 2), rows, (0, 1), (2, 3), nontrivial)
+        assert verify_cert(cert) is verdict and verify_cert(cert) is verdict
+        assert checked == [cert]
+        fresh = GoodOrientationCert(k_ab(2, 2), rows, (0, 1), (2, 3), nontrivial)
+        assert fresh == cert and hash(fresh) == hash(cert)
+        assert verify_cert(fresh) is verdict and checked == [cert, fresh]
+        # an edited copy records no verdict of its own: the four-cycle also
+        # passes trivially, and arcs all one way also fail non-trivially
+        edited = dataclasses.replace(cert, nontrivial=not nontrivial)
+        assert verify_cert(edited) is verdict and checked == [cert, fresh, edited]
+
+    def test_malformed_certificate_raises_every_time(self, monkeypatch):
+        checked = self.counted_checks(monkeypatch)
+        cert = GoodOrientationCert(k_ab(2, 2), FOUR_CYCLE[:3], (0, 1), (2, 3), True)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="expected 4 out-rows"):
+                verify_cert(cert)
+        assert checked == [cert, cert]
 
 
 class TestWindowConstruction:
@@ -265,6 +304,30 @@ class TestCombine:
         cert_w, z, cert_z = (trivial, [2, 3, 4, 5], good) if part == "w" else (good, [4, 5], trivial)
         with pytest.raises(ValueError, match="non-trivial certificate"):
             combine(red, cert_w, z, cert_z)
+
+    def test_certificate_of_another_world_rejected(self):
+        # a certificate of K6, laid on a part of the red graph that misses two triangles
+        blue = Graph.from_edges(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7)])
+        cert = split_cert(complete_graph(6), [0, 1, 2], [3, 4, 5])
+        assert cert is not None and verify_cert(cert)
+        with pytest.raises(ValueError, match="does not match its part"):
+            combine(complement(blue), cert, [6, 7])
+        # K5 and an isolated vertex: its rows match the red K5 on 0..4, but it has a vertex too many
+        world = Graph.from_edges(6, [(u, v) for v in range(5) for u in range(v)])
+        longer = GoodOrientationCert(world, certs._orient_rest(world, [0] * 6), (0, 1, 2), (3, 4, 5), True)
+        with pytest.raises(ValueError, match="does not match its part"):
+            combine(complete_graph(7), longer, [5, 6])
+
+    @pytest.mark.parametrize("part", ["w", "z"])
+    def test_certificate_failing_its_distance_conditions_rejected(self, part):
+        # the red K4 oriented low to high, claimed non-trivial: vertex 0 has no in-neighbour
+        world = complete_graph(4)
+        failing = GoodOrientationCert(world, certs._orient_rest(world, [0] * 4), (0, 1), (2, 3), True)
+        good = split_cert(world, [0, 1], [2, 3])
+        assert not verify_cert(failing) and verify_cert(good)
+        cert_w, cert_z = (failing, good) if part == "w" else (good, failing)
+        with pytest.raises(ValueError, match="verified non-trivial"):
+            combine(complete_graph(8), cert_w, [4, 5, 6, 7], cert_z)
 
     @pytest.mark.parametrize("leftovers", [3, 4])
     def test_leftovers_without_certificate_rejected(self, leftovers):
@@ -520,14 +583,18 @@ class TestAgainstArcDictReference:
             assert cert.rows == ref_matchjoin(world, xs, ys).dir.out, (a, b)
 
     def test_embedding_on_small_patterns(self):
-        # every graph on at most 6 vertices, and seeded sparse ones on 7 and 8
-        # (the complements the constructor hands over are sparse), against
-        # every clique pair with 3 <= a <= a + k <= min(2a, 8)
+        # every graph on at most 6 vertices, alone and with one to three
+        # isolated vertices added up to 8 vertices (the first search places
+        # the rest without them), and seeded sparse ones on 7 and 8 (the
+        # complements the constructor hands over are sparse), against every
+        # clique pair with 3 <= a <= a + k <= min(2a, 8)
         nx = pytest.importorskip("networkx")
+        atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() <= 6]
         patterns = [
-            Graph.from_edges(g.number_of_nodes(), g.edges())
-            for g in nx.graph_atlas_g()
-            if g.number_of_nodes() <= 6
+            Graph.from_edges(g.number_of_nodes() + extra, g.edges())
+            for g in atlas
+            for extra in range(4)
+            if g.number_of_nodes() + extra <= 8
         ]
         rng = random.Random(7400)
         for n in (7, 8):
@@ -541,6 +608,11 @@ class TestAgainstArcDictReference:
                 assert _embed_into_matchjoin(pattern, a, k) == expected, (pattern, a, k)
                 embedded += expected is not None
         assert 0 < embedded < len(patterns) * len(shapes)
+
+    def test_k4_with_two_isolated_vertices_does_not_embed(self):
+        # K4 needs four pairwise adjacent positions, which the pair (3, 3) lacks
+        k4_2k1 = Graph.from_edges(6, [(u, v) for v in range(4) for u in range(v)])
+        assert _embed_into_matchjoin(k4_2k1, 3, 3) is None is ref_embedding(k4_2k1, 3, 3)
 
     @pytest.mark.parametrize("shape", COMBINE_SHAPES)
     def test_combine_cases(self, shape):

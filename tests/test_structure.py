@@ -661,6 +661,32 @@ class TestSizePrefilter:
                 assert _certify_union(complement(world), parts) == first
         assert (rejected, accepted) == (41, 218)  # of the 259 tuples with at least two parts
 
+    def test_certify_union_tries_only_splits_of_certifiable_sizes(self, monkeypatch):
+        """`_certify_union` tries the `_candidate_splits` whose side sizes pass
+        `split_sizes_ok`, in that order, and no other."""
+        from orient2.certs import split_sizes_ok
+
+        tried = []
+
+        def never(world, side_a, side_b):
+            tried.append((side_a, side_b))
+            return None
+
+        monkeypatch.setattr(structure, "split_cert", never)
+        rng = random.Random(31)
+        for total in range(2, 13):
+            for sizes in integer_partitions(total):
+                world, parts = seeded_world(rng, sizes)
+                tried.clear()
+                assert _certify_union(complement(world), parts) is None
+                expected = [
+                    (side_a, side_b)
+                    for side_a, side_b in _candidate_splits(parts)
+                    if split_sizes_ok(*sorted((len(side_a), len(side_b))))
+                ]
+                assert tried == expected, sizes
+                assert bool(expected) == _splittable(tuple(sorted(sizes))), sizes
+
     def test_subset_sum_walk_matches_every_split_size(self):
         """Walking the set bits of the subset-sum mask decides what trying
         every smaller side size a did."""
