@@ -22,6 +22,7 @@ from .graphs import (
     Orientation,
     _unchecked,
     bits,
+    bridges,
     complement,
     components,
     diameter,
@@ -160,13 +161,13 @@ def _refined_cells(neighbours: list[tuple[int, ...]]) -> list[list[int]]:
 
     Every vertex starts with one colour; each round recolours a vertex by
     the rank of (its colour, its sorted neighbour colours) among the
-    distinct signatures, until the number of cells stops growing.  Ranks
-    depend only on the signatures, so the cells and their order are
-    invariant under relabelling.
+    distinct signatures, until the number of cells stops growing or each
+    vertex has its own.  Ranks depend only on the signatures, so the
+    cells and their order are invariant under relabelling.
     """
     colour = [0] * len(neighbours)
-    cells = 1
-    while True:
+    cells = min(1, len(neighbours))
+    while cells < len(neighbours):
         sigs = [(colour[u], tuple(sorted([colour[w] for w in nbrs]))) for u, nbrs in enumerate(neighbours)]
         rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         colour = [rank[sig] for sig in sigs]
@@ -209,11 +210,14 @@ def _tied_prefixes(sub: Graph, classes: list[list[int]]) -> Iterator[list[tuple[
     cells; each block's positions follow the previous block's.  At each
     position the search tries each vertex of the first block, one per
     twin class of ``classes``, and scores its row with its unplaced
-    neighbours at the front of every block: the least row that order
-    can still reach.  Placed vertices give every candidate the same
-    lower bits, since every block lies inside or outside each placed
-    neighbourhood.  Prefixes that tie the least score are kept, with
-    each block split into the vertex's neighbours, then the rest.
+    neighbours at the front of every block of its state, itself still
+    in the first.  Tied scores split blocks alike, so every state at a
+    position has the same block sizes, and the scores order candidates
+    as the least rows their orders can still reach.  Placed vertices
+    give every candidate the same lower bits, since every block lies
+    inside or outside each placed neighbourhood.  Prefixes that tie the
+    least score are kept, with each block, less the vertex, split into
+    its neighbours, then the rest.
     """
     adj = sub.adj
     twin = {u: 1 << cls[0] for cls in classes for u in cls}
@@ -226,11 +230,11 @@ def _tied_prefixes(sub: Graph, classes: list[list[int]]) -> Iterator[list[tuple[
             for v in bits(blocks[0]):
                 if not tried & twin[v]:
                     tried |= twin[v]
-                    tries.append((order, [blocks[0] ^ 1 << v, *blocks[1:]], v))
+                    tries.append((order, blocks, v))
         if len(tries) > 1:
             scores = []
             for _, blocks, v in tries:
-                score, start = 0, position + 1
+                score, start = 0, position
                 for block in blocks:
                     score |= ((1 << (adj[v] & block).bit_count()) - 1) << start
                     start += block.bit_count()
@@ -239,8 +243,9 @@ def _tied_prefixes(sub: Graph, classes: list[list[int]]) -> Iterator[list[tuple[
             tries = [t for t, score in zip(tries, scores) if score == best]
         states = []
         for order, blocks, v in tries:
-            split = []
+            split, others = [], ~(1 << v)
             for block in blocks:
+                block &= others
                 inside = block & adj[v]
                 if inside and inside != block:
                     split += (inside, block ^ inside)
@@ -330,6 +335,32 @@ def canonical_form(g: Graph, generators: list[list[int]] | None = None) -> Graph
     return _unchecked(len(rows), tuple(rows))
 
 
+def _outranked(rows: list[int], u: int, v: int) -> bool:
+    """Whether the connected graph on ``rows``, grown from its parent by
+    the edge uv (a pendant edge when ``v`` is a new leaf), has a deletable
+    element that ranks above the one just added.
+
+    Deleting a leaf, or an edge that is not a bridge, leaves a connected
+    graph one edge smaller.  Every leaf ranks above every edge, a leaf by
+    its neighbour's degree and an edge by (degree sum, common
+    neighbours); each rank is an isomorphism invariant.
+    """
+    degree = [row.bit_count() for row in rows]
+    leaves = [degree[row.bit_length() - 1] for row in rows if not row & row - 1]
+    if rows[v] == 1 << u:
+        return max(leaves) > degree[u]
+    if leaves:
+        return True
+    rank = (degree[u] + degree[v], (rows[u] & rows[v]).bit_count())
+    above = {
+        (a, b)
+        for a, row in enumerate(rows)
+        for b in bits(row >> a << a)
+        if (degree[a] + degree[b], (row & rows[b]).bit_count()) > rank
+    }
+    return bool(above) and not above <= set(bridges(_unchecked(len(rows), tuple(rows))))
+
+
 def _connected_catalogue(n: int, max_edges: int) -> list[list[Graph]]:
     """Canonical forms of the connected graphs on at most ``n`` vertices,
     at index e those with e edges, for e = 0..max_edges, each level sorted
@@ -343,6 +374,11 @@ def _connected_catalogue(n: int, max_edges: int) -> list[list[Graph]]:
     each parent grows one pendant per vertex orbit and one edge per
     non-edge orbit.  The group's generators are the ones `canonical_form`
     found for the first candidate that gave the parent.
+
+    A candidate whose added element is `_outranked` is skipped with no
+    search (canonical augmentation's parent test).  No class is lost:
+    deleting a top-ranked element of a class leaves a parent whose growth
+    at the orbit leader of that element's image adds a top-ranked one.
     """
     levels = [[Graph(1, (0,))]]
     generators: dict[Graph, list[list[int]]] = {levels[0][0]: []}
@@ -351,16 +387,19 @@ def _connected_catalogue(n: int, max_edges: int) -> list[list[Graph]]:
         for g in levels[-1]:
             for leader, *_ in _orbits(g, generators[g]):
                 if leader & leader - 1:
-                    candidate = g.with_edge(*bits(leader))
+                    u, v = bits(leader)
+                    rows = [*g.adj]
+                    rows[v] |= 1 << u
                 elif g.n < n:
-                    u = leader.bit_length() - 1
+                    u, v = leader.bit_length() - 1, g.n
                     rows = [*g.adj, leader]
-                    rows[u] |= 1 << g.n
-                    candidate = _unchecked(g.n + 1, tuple(rows))
                 else:
                     continue
+                rows[u] |= 1 << v
+                if _outranked(rows, u, v):
+                    continue
                 found: list[list[int]] = []
-                grown.setdefault(canonical_form(candidate, found), found)
+                grown.setdefault(canonical_form(_unchecked(len(rows), tuple(rows)), found), found)
         levels.append(sorted(grown, key=attrgetter("n", "adj")))
         generators = grown
     return levels

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, path_graph, petersen, random_connected, relabel, slack_instances
-from orient2 import _backend, _pysearch
+from orient2 import _backend, _pysearch, oracle
 from orient2.codec import emit_graph6
 from orient2.graphs import (
     INFINITE,
@@ -26,6 +26,7 @@ from orient2.oracle import (
     _canonical_search,
     _connected_catalogue,
     _orbits,
+    _outranked,
     _refined_cells,
     _tied_prefixes,
     _twin_classes,
@@ -701,6 +702,7 @@ class TestEnumeration:
             (10, [1, 1, 2, 5, 11, 26]),
             (11, [1, 1, 2, 5, 11, 26, 67]),
             (12, [1, 1, 2, 5, 11, 26, 68, 175]),
+            (13, [1, 1, 2, 5, 11, 26, 68, 176, 492]),
         ],
     )
     def test_counts_per_level_match_oeis(self, n, counts):
@@ -738,6 +740,40 @@ class TestConnectedCatalogue:
                 g = Graph.from_edges(h.number_of_nodes(), h.edges())
                 forms[g.m].add(canonical_form(g))
         assert [set(level) for level in _connected_catalogue(n, 6)] == [forms[m] for m in range(7)]
+
+    def test_rank_test_loses_no_class(self, monkeypatch):
+        levels = _connected_catalogue(9, 8)
+        monkeypatch.setattr(oracle, "_outranked", lambda rows, u, v: False)
+        assert _connected_catalogue(9, 8) == levels
+
+    def test_about_one_canonical_search_per_class(self, monkeypatch):
+        # 1,068 classes above K1; a search of every grown candidate took 4,996
+        calls = []
+        search = oracle._canonical_search
+        monkeypatch.setattr(oracle, "_canonical_search", lambda sub: calls.append(sub) or search(sub))
+        assert sum(map(len, _connected_catalogue(10, 9)[1:])) == 1068
+        assert len(calls) <= 1250
+
+    def test_grown_edge_is_outranked_by_a_leaf(self):
+        # a triangle 0-1-2 with a leaf 3 at 2: grown by the edge 02 from the
+        # path 0-1-2-3, or by the leaf from the triangle
+        rows = list(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]).adj)
+        assert _outranked(rows, 0, 2)
+        assert not _outranked(rows, 2, 3)
+
+    def test_bridge_of_higher_rank_does_not_outrank_a_grown_edge(self):
+        # two triangles joined by the bridge 23, of rank (6, 0); the edge 02
+        # ties every other triangle edge next to the bridge at (5, 1)
+        rows = list(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]).adj)
+        assert not _outranked(rows, 0, 2)
+        assert not _outranked(rows, 3, 5)
+        assert _outranked(rows, 0, 1)
+
+    def test_leaf_next_to_a_higher_degree_vertex_outranks_a_grown_leaf(self):
+        # a star with centre 0 and leaves 1, 2, 3, and a leaf 4 at 1
+        rows = list(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)]).adj)
+        assert _outranked(rows, 1, 4)
+        assert not _outranked(rows, 0, 3)
 
 
 def _brute_force_form(g: Graph) -> tuple[int, ...]:
@@ -863,6 +899,18 @@ class TestTwinShortcut:
         h = _shuffled(g, random.Random(3))
         first = next(_tied_prefixes(h, _twin_classes(list(range(10)), h.adj)))
         assert len(first) == 3 and len({h.adj[u] for (u,) in first}) == 3
+
+    @pytest.mark.parametrize(
+        "g, ties",
+        [(cycle_graph(13), 26), (_star(12), 1), (complete_graph(13), 1)],
+        ids=["C13", "K1,12", "K13"],
+    )
+    def test_final_ties_on_symmetric_13_vertex_graphs(self, g, ties):
+        # every tied order of a connected graph is an automorphism image of
+        # the first, so C13 ties its 26 rotations and reflections; the twin
+        # classes leave one order of the star and of the clique
+        *_, orders = _tied_prefixes(g, _twin_classes(list(range(13)), g.adj))
+        assert len(orders) == ties
 
     def test_k19_takes_one_leaf_order_and_is_relabelling_invariant(self):
         star = _star(9)
