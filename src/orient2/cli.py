@@ -162,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(
         f"n={report.n}: checked {report.instances_checked} instances, "
         f"{len(report.failures)} failures, {report.fallback_count} oracle fallbacks, "
-        f"{report.wall_time:.2f}s"
+        f"{report.wall_time:.2f}s (enumeration {report.enumeration_time:.2f}s)"
     )
     for failure in report.failures:
         print(f"failure: {failure}")

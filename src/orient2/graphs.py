@@ -203,12 +203,6 @@ class Graph:
     def neighbors(self, u: int) -> tuple[int, ...]:
         return tuple(bits(self.adj[u]))
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        rows = list(self.adj)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
-
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, relabeled by the sorted order of ``vertices``.
 

@@ -262,13 +262,10 @@ class TestVerify:
         code, out, _ = run_cli(capsys, monkeypatch, ["verify", "--n", "7"])
         assert code == 0
         assert "0 failures" in out and "0 oracle fallbacks" in out
+        assert "s (enumeration " in out.splitlines()[0]
 
     def test_range_exit_2(self, capsys, monkeypatch):
-        code, _, err = run_cli(capsys, monkeypatch, ["verify", "--n", "4"])
-        assert code == 2
-
-    def test_above_range_exit_2(self, capsys, monkeypatch):
-        code, out, err = run_cli(capsys, monkeypatch, ["verify", "--n", "14"])
+        code, out, err = run_cli(capsys, monkeypatch, ["verify", "--n", "4"])
         assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_failure_lines_carry_the_reason(self, capsys, monkeypatch):
@@ -288,9 +285,13 @@ class TestSharpness:
         code, out, _ = run_cli(capsys, monkeypatch, ["sharpness", "--n", "6"])
         assert code == 0 and out.startswith("CONFIRMED")
 
+    def test_n14_confirmed(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, monkeypatch, ["sharpness", "--n", "14"])
+        assert code == 0 and out.startswith("CONFIRMED")
+
     def test_range_exit_2(self, capsys, monkeypatch):
-        code, _, _ = run_cli(capsys, monkeypatch, ["sharpness", "--n", "14"])
-        assert code == 2
+        code, out, err = run_cli(capsys, monkeypatch, ["sharpness", "--n", "4"])
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_budget_exhausted_indeterminate(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, monkeypatch, ["sharpness", "--n", "6", "--budget", "1"])

@@ -629,7 +629,7 @@ class TestDriver:
         # the complement is a star, which exercises repeated contraction
         from orient2.oracle import extremal_graph
 
-        g = extremal_graph(n).with_edge(3, n - 1)
+        g = Graph.from_edges(n, [*extremal_graph(n).edges(), (3, n - 1)])
         assert g.m == threshold_size(n)
         o, trace = orient_diameter_two(g)
         assert diameter(o.dir) <= 2

@@ -611,7 +611,7 @@ def _grown_level_by_level(n: int, max_edges: int):
     yield from sorted(level, key=attrgetter("adj"))
     for _ in range(max_edges):
         level = {
-            canonical_form(g.with_edge(u, v))
+            canonical_form(Graph.from_edges(n, [*g.edges(), (u, v)]))
             for g in level
             for u in range(n)
             for v in range(u + 1, n)
@@ -682,19 +682,20 @@ class TestEnumeration:
             assert canonical_form(relabel(g, perm)) == canonical_form(g)
 
     def test_limits(self):
-        with pytest.raises(ValueError):
-            list(enumerate_blue(14, 2))
-        with pytest.raises(ValueError):
-            list(enumerate_blue(6, 7))
+        # no upper limit on the order, nor on max_edges against it; only a
+        # negative max_edges is refused (test_negative_max_edges_rejected)
+        assert len(list(enumerate_blue(14, 2))) == 4
+        graphs = list(enumerate_blue(6, 7))
+        assert len(graphs) == 78 and graphs == list(_grown_level_by_level(6, 7))
 
     def test_negative_max_edges_rejected(self):
-        with pytest.raises(ValueError, match="0 <= max_edges"):
+        with pytest.raises(ValueError, match="max_edges must be at least 0"):
             next(enumerate_blue(6, -1))
 
-    def test_component_limit_checked_before_first_yield(self):
-        # 11-vertex components could appear; nothing is yielded before the error
-        with pytest.raises(ValueError):
-            next(enumerate_blue(12, 10))
+    def test_components_of_eleven_vertices(self):
+        graphs = list(enumerate_blue(12, 10))
+        assert len(graphs) == 6370
+        assert canonical_form(Graph.from_edges(12, [(u, u + 1) for u in range(10)])) in graphs
 
     @pytest.mark.parametrize(
         "n, counts",
@@ -703,10 +704,15 @@ class TestEnumeration:
             (11, [1, 1, 2, 5, 11, 26, 67]),
             (12, [1, 1, 2, 5, 11, 26, 68, 175]),
             (13, [1, 1, 2, 5, 11, 26, 68, 176, 492]),
+            (14, [1, 1, 2, 5, 11, 26, 68, 177, 495, 1464]),
+            (15, [1, 1, 2, 5, 11, 26, 68, 177, 496, 1471, 4583]),
         ],
     )
     def test_counts_per_level_match_oeis(self, n, counts):
-        # OEIS A000664 (graphs with m edges), less those needing more than n vertices
+        # OEIS A000664 (graphs with m edges), less those needing more than n
+        # vertices; at n = 15 its 497, 1,476 and 4,613 for 8, 9 and 10 edges
+        # lose 1, 5 and 30 graphs (8K2; five forests; 26 forests and 4
+        # unicyclic graphs), and the 10-edge trees are 11-vertex components
         per_level = [0] * (n - 4)
         for g in enumerate_blue(n, n - 5):
             per_level[g.m] += 1
@@ -859,6 +865,11 @@ def _star(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
+def _spider(legs: int) -> Graph:
+    """A centre with ``legs`` paths of length 2."""
+    return Graph.from_edges(2 * legs + 1, [e for i in range(1, 2 * legs, 2) for e in [(0, i), (i, i + 1)]])
+
+
 def _k24() -> Graph:
     return Graph.from_edges(6, [(u, v) for u in range(2) for v in range(2, 6)])
 
@@ -902,15 +913,30 @@ class TestTwinShortcut:
 
     @pytest.mark.parametrize(
         "g, ties",
-        [(cycle_graph(13), 26), (_star(12), 1), (complete_graph(13), 1)],
-        ids=["C13", "K1,12", "K13"],
+        [(cycle_graph(13), 26), (_star(12), 1), (complete_graph(13), 1), (_spider(6), 720)],
+        ids=["C13", "K1,12", "K13", "spider-6x2"],
     )
     def test_final_ties_on_symmetric_13_vertex_graphs(self, g, ties):
         # every tied order of a connected graph is an automorphism image of
-        # the first, so C13 ties its 26 rotations and reflections; the twin
-        # classes leave one order of the star and of the clique
+        # the first, so C13 ties its 26 rotations and reflections and the
+        # spider its 6! leg orders; the twin classes leave one order of the
+        # star and of the clique
         *_, orders = _tied_prefixes(g, _twin_classes(list(range(13)), g.adj))
         assert len(orders) == ties
+
+    def test_prefixes_can_outnumber_final_ties(self):
+        # the 5-cycle with a leaf at each vertex places its leaves first, and
+        # their 5! orders tie until the cycle rows tell them apart
+        sun = Graph.from_edges(10, [(u, u + 5) for u in range(5)] + [(5 + u, 5 + (u + 1) % 5) for u in range(5)])
+        ties = [len(tied) for tied in _tied_prefixes(sun, _twin_classes(list(range(10)), sun.adj))]
+        assert max(ties) == 120 and ties[-1] == 10
+
+    @pytest.mark.parametrize(
+        "g", [Graph.from_edges(11, [(u, u + 1) for u in range(10)]), _spider(5)], ids=["P11", "spider-5x2"]
+    )
+    def test_eleven_vertex_form_is_relabelling_invariant(self, g):
+        rng = random.Random(11)
+        assert canonical_form(_shuffled(g, rng)) == canonical_form(g)
 
     def test_k19_takes_one_leaf_order_and_is_relabelling_invariant(self):
         star = _star(9)
@@ -1044,13 +1070,17 @@ class TestHarnesses:
     def test_verify_theorem_range_check(self):
         with pytest.raises(ValueError):
             verify_theorem(4)
-        with pytest.raises(ValueError):
-            verify_theorem(14)
 
     def test_verify_theorem_n12(self):
         report = verify_theorem(12)
         assert report.instances_checked == 289 and report.ok
         assert report.fallback_count == 0
+
+    def test_verify_theorem_n14(self):
+        report = verify_theorem(14)
+        assert report.instances_checked == 2250 and report.ok
+        assert report.fallback_count == 0
+        assert 0 < report.enumeration_time < report.wall_time
 
     def test_verify_theorem_records_why_an_instance_failed(self, monkeypatch):
         import orient2.construct
@@ -1067,11 +1097,11 @@ class TestHarnesses:
     def test_sharpness_small(self):
         assert verify_sharpness(5)
         assert verify_sharpness(6)
-        assert all(verify_sharpness(n) for n in range(10, 14))  # up to the cap
+        assert all(verify_sharpness(n) for n in range(10, 31))
 
     def test_sharpness_range_check(self):
         with pytest.raises(ValueError):
-            verify_sharpness(14)
+            verify_sharpness(4)
 
     def test_sharpness_budget_raises(self):
         with pytest.raises(RuntimeError):
