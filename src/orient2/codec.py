@@ -129,7 +129,7 @@ def emit_orientation(o: Orientation) -> str:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Read the plain format ``n m`` on the first line then one ``u v`` per edge line."""
+    """Read the plain format ``n m`` on the first line then one ``u v`` per edge line, each edge once."""
     tokens = text.split()
     if len(tokens) < 2:
         raise GraphFormatError("edge list needs at least 'n m' header values")
@@ -148,9 +148,17 @@ def parse_edgelist(text: str) -> Graph:
         raise GraphFormatError(f"expected {2 * m} endpoint values, found {len(values) - 2}")
     pairs = list(zip(values[2::2], values[3::2]))
     try:
-        return Graph.from_edges(n, pairs)
+        g = Graph.from_edges(n, pairs)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
+    if g.m < m:  # some edge came twice; name the first repeat
+        seen: set[tuple[int, int]] = set()
+        for u, v in pairs:
+            edge = (min(u, v), max(u, v))
+            if edge in seen:
+                raise GraphFormatError(f"edge list repeats edge {edge[0]}-{edge[1]}")
+            seen.add(edge)
+    return g
 
 
 def is_edge_list(text: str) -> bool:

@@ -6,8 +6,8 @@ the threshold size, the complement has exactly n - 5 edges and one of
 three moves always applies:
 
 * the complement's component multiset is one of the directly orientable
-  families (served by an explicit partition recipe or the stored
-  small-case table),
+  families of the table `_FAMILIES` (served by the stored small-case
+  table or by gluing certified unions of components, `_quadruple_search`),
 * some union of whole complement components is contractible to a single
   certified pair of super-vertices (a reduction), or
 * some independent triple with two doubly-attached or one triply-attached
@@ -31,10 +31,8 @@ is recorded in the trace.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, combinations_with_replacement, islice
 from math import comb
 from typing import Callable, NamedTuple, Sequence
 
@@ -155,9 +153,7 @@ _TABLE_ARCS = {key: parse_digraph6(encoded).arcs() for key, encoded in TABLE.ite
 
 def _serve_table(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     """Out-rows of the stored orientation for these path components, relabelled onto ``blue``."""
-    counts = Counter(len(c) for c in comps)
-    key = (counts.get(1, 0), counts.get(2, 0), counts.get(3, 0), counts.get(4, 0))
-    arcs = _TABLE_ARCS.get(key)
+    arcs = _TABLE_ARCS.get(tuple([sum(len(c) == size for c in comps) for size in (1, 2, 3, 4)]))
     if arcs is None:
         return None
     phi: list[int] = []
@@ -169,76 +165,50 @@ def _serve_table(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] |
     return tuple(rows)
 
 
-_FAMILY1_CORES = {
-    ComponentClass(ComponentKind.COMPLETE, (4,)),
-    ComponentClass(ComponentKind.PROPER_DUMBBELL, (2, 4)),
-    ComponentClass(ComponentKind.PROPER_DUMBBELL, (1, 4)),
-}
-_FAMILY2_CORE = ComponentClass(ComponentKind.PROPER_DUMBBELL, (3, 4))
-_FAMILY3_CORES = {
-    ComponentClass(ComponentKind.PROPER_DUMBBELL, (3, 3)),
-    ComponentClass(ComponentKind.PROPER_SHORT_DUMBBELL, (3, 3)),
-}
-_FAMILY4_CORES = {
-    ComponentClass(ComponentKind.PROPER_DUMBBELL, (2, 3)),
-    ComponentClass(ComponentKind.FIVE_CYCLE),
-    ComponentClass(ComponentKind.PROPER_DUMBBELL, (1, 3)),
-    ComponentClass(ComponentKind.COMPLETE, (3,)),
-}
+_COMPLETE, _DUMBBELL = ComponentKind.COMPLETE, ComponentKind.PROPER_DUMBBELL
 
+# The directly orientable families, each as its component multiset: a core
+# (None for five paths of at most 4 vertices) and its path sizes, ascending.
+_FAMILIES: list[tuple[ComponentClass | None, tuple[int, ...]]] = [
+    (None, sizes) for sizes in combinations_with_replacement(range(1, 5), 5)
+] + [
+    (ComponentClass(kind, params), sizes)
+    for cores, shapes in (
+        # family 1: K4, D(2,4) or D(1,4) with seven singletons
+        ([(_COMPLETE, (4,)), (_DUMBBELL, (2, 4)), (_DUMBBELL, (1, 4))], [(1,) * 7]),
+        # family 2: D(3,4) with eight singletons
+        ([(_DUMBBELL, (3, 4))], [(1,) * 8]),
+        # family 3: D(3,3) or the short S(3,3) with six singletons, or five and a P2
+        ([(_DUMBBELL, (3, 3)), (ComponentKind.PROPER_SHORT_DUMBBELL, (3, 3))], [(1,) * 6, (1,) * 5 + (2,)]),
+        # family 4: D(2,3), C5, D(1,3) or K3 with five paths of at most 2 vertices
+        (
+            [(_DUMBBELL, (2, 3)), (ComponentKind.FIVE_CYCLE, ()), (_DUMBBELL, (1, 3)), (_COMPLETE, (3,))],
+            [(1,) * (5 - twos) + (2,) * twos for twos in range(6)],
+        ),
+    )
+    for kind, params in cores
+    for sizes in shapes
+]
 
-# What `_family_signature` accepts has 5 paths of at most 4 vertices, or one
-# core and 5 (family 4), 6 (family 3), 7 (family 1) or 8 (family 2) paths of
-# at most 2 vertices: 5 to 9 components.  The largest core is D(3,4), with 7
-# vertices.  So each component count bounds the sizes of the largest and the
-# second largest component.
-_FAMILY_SIZE_BOUNDS = {5: (4, 4), **{count: (7, 2) for count in range(6, 10)}}
+# a family's trace name joins its components' classes, sorted
+_FAMILY_NAMES = {
+    (core, sizes): "+".join(
+        sorted(str(cls) for cls in [core, *(ComponentClass(ComponentKind.PATH, (s,)) for s in sizes)] if cls)
+    )
+    for core, sizes in _FAMILIES
+}
+_FAMILY_SHAPES = {(core is not None, sizes) for core, sizes in _FAMILIES}
 
 
 def _family_may_fit(blue: LiveBlue) -> bool:
-    """Whether the level ``blue`` passes the size gate with as many non-tree
-    components as a family has: none among five paths, one core among six
-    to nine components (every core has a cycle)."""
+    """Whether the level ``blue`` may be a family: at most one non-tree
+    component, of at most 7 vertices (D(3,4) is the largest core), and trees
+    whose ascending sizes are the path sizes of a family that has a core
+    exactly when the level has a non-tree (every core has a cycle)."""
     non_trees, trees = blue.non_trees, blue.trees
-    count = len(non_trees) + len(trees)
-    if count not in _FAMILY_SIZE_BOUNDS or len(non_trees) != (count > 5):
+    if len(non_trees) > 1 or non_trees and non_trees[0][0] > 7 or len(trees) > 8:  # no family has 9 paths
         return False
-    second, largest = sorted([key[0] for key in non_trees] + [-key[0] for key in trees[:2]])[-2:]
-    return largest <= _FAMILY_SIZE_BOUNDS[count][0] and second <= _FAMILY_SIZE_BOUNDS[count][1]
-
-
-# the path multisets each family takes with its core, as `_family_signature` counts them
-_FAMILY1_PATHS, _FAMILY2_PATHS = Counter({1: 7}), Counter({1: 8})
-_FAMILY3_PATHS = (Counter({1: 6}), Counter({1: 5, 2: 1}))
-
-# a component of one or two vertices is a path, so only larger ones are classified
-_SHORT_PATHS = {size: ComponentClass(ComponentKind.PATH, (size,)) for size in (1, 2)}
-
-_class_name = lru_cache(maxsize=None)(str)  # the few classes a family holds, each named once
-
-
-def _family_signature(classes: list[ComponentClass]) -> str | None:
-    """Structural id when the component multiset is directly orientable, else None."""
-    paths = Counter()
-    cores: list[ComponentClass] = []
-    for cls in classes:
-        if cls.kind is ComponentKind.PATH:
-            paths[cls.params[0]] += 1
-        else:
-            cores.append(cls)
-    if not cores:
-        fits = sum(paths.values()) == 5 and max(paths, default=1) <= 4
-    elif len(cores) != 1:
-        fits = False
-    else:
-        core = cores[0]
-        fits = (
-            (core in _FAMILY1_CORES and paths == _FAMILY1_PATHS)
-            or (core == _FAMILY2_CORE and paths == _FAMILY2_PATHS)
-            or (core in _FAMILY3_CORES and paths in _FAMILY3_PATHS)
-            or (core in _FAMILY4_CORES and set(paths) <= {1, 2} and sum(paths.values()) == 5)
-        )
-    return "+".join(sorted(map(_class_name, classes))) if fits else None
+    return (bool(non_trees), tuple([-key[0] for key in reversed(trees)])) in _FAMILY_SHAPES
 
 
 def _quadruple_search(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
@@ -283,14 +253,19 @@ def _base_case_with_family(
     directly orientable families.
 
     The rows are not checked here: `_execute` checks the orientation they lift to."""
-    bounds = _FAMILY_SIZE_BOUNDS.get(len(comps))
-    if bounds is None or len(comps[-1]) > bounds[0] or len(comps[-2]) > bounds[1]:
-        return None
-    classes = [_SHORT_PATHS.get(len(c)) or classify_component(blue, c) for c in comps]
-    family = _family_signature(classes)
+    core, sizes = None, []
+    for comp in comps:  # a component of one or two vertices is a path
+        cls = classify_component(blue, comp) if len(comp) > 2 else None
+        if cls is None or cls.kind is ComponentKind.PATH:
+            sizes.append(len(comp))  # ascending, as `components` orders by size
+        elif core is None:
+            core = cls
+        else:
+            return None
+    family = _FAMILY_NAMES.get((core, tuple(sizes)))
     if family is None:
         return None
-    if all(cls.kind is ComponentKind.PATH for cls in classes):
+    if core is None:
         served = _serve_table(blue, comps)
         if served is not None:
             return served, f"table:{family}"

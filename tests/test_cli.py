@@ -7,7 +7,7 @@ import pytest
 from conftest import complete_graph, path_graph, petersen
 from orient2 import cli
 from orient2.codec import emit_graph6, parse_digraph6
-from orient2.construct import InternalVerificationError
+from orient2.construct import InternalVerificationError, orient_diameter_two
 from orient2.graphs import Graph, Orientation, complement, diameter
 from orient2.oracle import extremal_graph
 
@@ -82,6 +82,32 @@ class TestOrient:
         d = parse_digraph6(out.strip())
         Orientation(g, d)  # the arcs orient exactly the input edges
         assert diameter(d) <= 2
+
+    def test_text_trace_follows_each_orientation(self, capsys, monkeypatch):
+        rng = random.Random(20)
+        blue = Graph.from_edges(20, rng.sample(list(combinations(range(20), 2)), 15))
+        graphs = [complete_graph(8), complement(blue)]
+        stdin = "".join(emit_graph6(g) + "\n" for g in graphs)
+        code, out, err = run_cli(capsys, monkeypatch, ["orient", "--trace"], stdin)
+        assert code == 0 and not err
+        blocks = []  # each digraph6 line with the JSON of the '# ' lines below it
+        for line in out.splitlines():
+            if line.startswith("# "):
+                blocks[-1][1].append(json.loads(line[2:]))
+            else:
+                blocks.append((line, []))
+        assert len(blocks) == 2
+        for g, (encoded, entries) in zip(graphs, blocks):
+            o, trace = orient_diameter_two(g)
+            assert parse_digraph6(encoded) == o.dir
+            assert entries == trace.to_json() and len(entries) > 1
+
+    def test_order_below_five_exit_2_and_the_batch_goes_on(self, capsys, monkeypatch):
+        k5 = emit_graph6(complete_graph(5))
+        _, single, _ = run_cli(capsys, monkeypatch, ["orient"], k5 + "\n")
+        code, out, err = run_cli(capsys, monkeypatch, ["orient"], f"C~\n{k5}\n")
+        assert code == 2 and out == single
+        assert err == "error: line 1: need at least 5 vertices, got 4\n"
 
     def test_bad_budget_variable_fails_the_batch(self, capsys, monkeypatch):
         # with every constructor move refused, each line would reach the
@@ -248,6 +274,23 @@ class TestBatches:
         code, out, err = run_cli(capsys, monkeypatch, ["classify"], stdin)
         assert code == 2 and out == ""
         assert err == f"error: line 1: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # K5 with its first edge listed again, as 1 0
+            ("5 11 0 1 0 2 0 3 0 4 1 2 1 3 1 4 2 3 2 4 3 4 1 0", "edge list repeats edge 0-1"),
+            ("3 1 0 0", "self-loop at vertex 0"),
+            ("3 1 0 5", "edge 0-5 outside 0..2"),
+        ],
+        ids=["repeat", "self-loop", "out-of-range"],
+    )
+    def test_bad_edge_list_line_exit_2_and_the_batch_goes_on(self, capsys, monkeypatch, line, message):
+        k5 = emit_graph6(complete_graph(5))
+        _, single, _ = run_cli(capsys, monkeypatch, ["orient"], k5 + "\n")
+        code, out, err = run_cli(capsys, monkeypatch, ["orient"], f"{k5}\n{line}\n{k5}\n")
+        assert code == 2 and out == single * 2
+        assert err == f"error: line 2: {message}\n"
 
     @pytest.mark.parametrize("command", ["orient", "classify"])
     def test_missing_file_exit_2(self, capsys, monkeypatch, tmp_path, command):

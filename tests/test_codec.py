@@ -284,6 +284,22 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError):
             parse_edgelist("3 x\n0 1\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 2\n0 1\n0 1", "edge list repeats edge 0-1"),
+            ("3 2\n0 1\n1 0", "edge list repeats edge 0-1"),
+            ("4 3\n2 3\n0 1\n3 2", "edge list repeats edge 2-3"),
+            ("3 1\n0 0", "self-loop at vertex 0"),
+            ("3 1\n0 5", "edge 0-5 outside 0..2"),
+        ],
+    )
+    def test_bad_edges_rejected(self, text, message):
+        for parse in (parse_edgelist, parse_graph):
+            with pytest.raises(GraphFormatError) as exc:
+                parse(text)
+            assert str(exc.value) == message
+
     def test_order_limit_matches_graph6(self):
         assert parse_edgelist("63 1\n0 62\n").edges() == [(0, 62)]
         with pytest.raises(GraphFormatError, match="258047"):

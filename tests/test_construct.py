@@ -32,7 +32,32 @@ from orient2.construct import (
 )
 from orient2.graphs import Digraph, Graph, Orientation, bits, complement, components, diameter
 from orient2.oracle import enumerate_blue
-from orient2.structure import ComponentKind, LiveBlue, ReductionPlan, classify_component, find_reduction
+from orient2.structure import (
+    ComponentClass,
+    ComponentKind,
+    LiveBlue,
+    ReductionPlan,
+    classify_component,
+    find_reduction,
+)
+
+
+# The directly orientable families as (core, ascending path sizes): five
+# paths of at most 4 vertices, or one core with the paths its family takes.
+FAMILIES = [(None, sizes) for sizes in combinations_with_replacement(range(1, 5), 5)] + [
+    (ComponentClass(ComponentKind[kind], tuple(params)), sizes)
+    for cores, shapes in [
+        ([("COMPLETE", 4), ("PROPER_DUMBBELL", 2, 4), ("PROPER_DUMBBELL", 1, 4)], [(1, 1, 1, 1, 1, 1, 1)]),
+        ([("PROPER_DUMBBELL", 3, 4)], [(1, 1, 1, 1, 1, 1, 1, 1)]),
+        ([("PROPER_DUMBBELL", 3, 3), ("PROPER_SHORT_DUMBBELL", 3, 3)], [(1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 2)]),
+        (
+            [("PROPER_DUMBBELL", 2, 3), ("FIVE_CYCLE",), ("PROPER_DUMBBELL", 1, 3), ("COMPLETE", 3)],
+            [(1, 1, 1, 1, 1), (1, 1, 1, 1, 2), (1, 1, 1, 2, 2), (1, 1, 2, 2, 2), (1, 2, 2, 2, 2), (2, 2, 2, 2, 2)],
+        ),
+    ]
+    for kind, *params in cores
+    for sizes in shapes
+]
 
 
 def disjoint_union(*parts: Graph) -> Graph:
@@ -211,30 +236,25 @@ class TestBaseCases:
         assert diameter(o.dir) <= 2
 
     def test_every_accepted_multiset_gets_a_base_case(self):
-        # the component multisets `_family_signature` accepts: each core with
-        # its paths, and every five paths of at most 4 vertices
+        assert len(FAMILIES) == 88 and set(construct._FAMILIES) == set(FAMILIES)
         build = {
             ComponentKind.COMPLETE: complete_graph,
             ComponentKind.PROPER_DUMBBELL: dumbbell,
             ComponentKind.PROPER_SHORT_DUMBBELL: short_dumbbell,
             ComponentKind.FIVE_CYCLE: lambda: cycle_graph(5),
         }
-        tails = [(construct._FAMILY1_CORES, [[1] * 7]), ({construct._FAMILY2_CORE}, [[1] * 8])]
-        tails.append((construct._FAMILY3_CORES, [[1] * 6, [2] + [1] * 5]))
-        tails.append((construct._FAMILY4_CORES, [[2] * twos + [1] * (5 - twos) for twos in range(6)]))
-        blues = [
-            disjoint_union(build[core.kind](*core.params), paths_union(paths))
-            for cores, path_lists in tails
-            for core in sorted(cores, key=str)
-            for paths in path_lists
-        ]
-        blues += [paths_union(list(sizes)) for sizes in combinations_with_replacement(range(1, 5), 5)]
-        assert len(blues) == 88
-        for blue in blues:
+        for entry in FAMILIES:
+            core, sizes = entry
+            blue = paths_union(list(sizes))
+            if core is not None:
+                blue = disjoint_union(build[core.kind](*core.params), blue)
             comps = components(blue)
-            assert construct._family_signature([classify_component(blue, c) for c in comps]) is not None
-            assert construct._family_may_fit(LiveBlue(blue))  # the driver's prefilter admits every family
+            name = "+".join(sorted(str(classify_component(blue, c)) for c in comps))
+            assert construct._FAMILY_NAMES[entry] == name  # the trace names do not change
+            assert construct._family_may_fit(LiveBlue(blue))  # the driver's gate admits every family
             rows, family = _base_case_with_family(blue, comps)
+            served = core is None and tuple(sizes.count(k) for k in (1, 2, 3, 4)) in TABLE
+            assert family == ("table:" if served else "") + name
             o = Orientation(complement(blue), Digraph(blue.n, rows))
             assert diameter(o.dir) <= 2, family
 
@@ -259,16 +279,17 @@ class TestBaseCases:
 
 
 def ungated_base_case(blue: Graph) -> tuple[tuple[int, ...], str] | None:
-    """`_base_case_with_family` without its size gate: every blue graph with
-    5 to 9 components has all of them classified."""
+    """`_base_case_with_family` as a reference: every component is
+    classified and the multiset looked up in `FAMILIES`."""
     comps = components(blue)
-    if not 5 <= len(comps) <= 9:
-        return None
     classes = [classify_component(blue, c) for c in comps]
-    family = construct._family_signature(classes)
-    if family is None:
+    cores = [cls for cls in classes if cls.kind is not ComponentKind.PATH]
+    sizes = tuple(sorted(cls.params[0] for cls in classes if cls.kind is ComponentKind.PATH))
+    core = cores[0] if cores else None
+    if len(cores) > 1 or (core, sizes) not in FAMILIES:
         return None
-    if all(cls.kind is ComponentKind.PATH for cls in classes):
+    family = "+".join(sorted(map(str, classes)))
+    if core is None:
         served = construct._serve_table(blue, comps)
         if served is not None:
             return served, f"table:{family}"
@@ -277,8 +298,8 @@ def ungated_base_case(blue: Graph) -> tuple[tuple[int, ...], str] | None:
 
 
 class TestBaseCaseSizeGate:
-    """The size gate returns what classifying every component would, and
-    the driver's prefilter skips no level that has a base case."""
+    """The base case returns what classifying every component would, and
+    the driver's gate `_family_may_fit` skips no level that has a base case."""
 
     def test_every_small_blue_graph(self):
         found = 0
@@ -323,6 +344,10 @@ class TestBaseCaseSizeGate:
             (disjoint_union(complete_graph(3), paths_union([3]), *singletons(4)), None),
             # 5 paths including a P5: rejected
             (paths_union([5, 1, 1, 1, 1]), None),
+            # a non-tree of 8 vertices beside five singletons: rejected
+            (disjoint_union(cycle_graph(8), *singletons(5)), None),
+            # two non-trees beside five singletons: rejected
+            (disjoint_union(complete_graph(3), complete_graph(3), *singletons(5)), None),
         ],
     )
     def test_instances_at_the_gate_edges(self, monkeypatch, blue, family):
@@ -334,9 +359,11 @@ class TestBaseCaseSizeGate:
 
         monkeypatch.setattr(construct, "classify_component", counted)
         result = base_case(blue)
+        assert construct._family_may_fit(LiveBlue(blue)) is (family is not None)
         if family is None:
-            assert result is None and classified == []
+            assert result is None
         else:
+            assert classified == [components(blue)[-1]]  # the core alone
             o, found = checked_base_case(blue)
             assert family in found and diameter(o.dir) <= 2
         assert result == ungated_base_case(blue)

@@ -184,6 +184,24 @@ class TestComponentsAndBridges:
 
 
 class TestOrientation:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Digraph(3, (0, 0)), "expected one out-row per vertex"),
+            (lambda: Digraph(2, (0b100, 0)), "out-row mentions vertices outside 0..n-1"),
+            (lambda: Digraph(3, (0, 0b10, 0)), "self-arc at vertex 1"),
+            (lambda: Digraph.from_arcs(3, [(0, 1), (2, 2)]), "self-arc at vertex 2"),
+            (lambda: Digraph.from_arcs(3, [(0, 3)]), "arc 0->3 outside 0..2"),
+            (lambda: Orientation(Graph.from_edges(3, []), Digraph(2, (0, 0))),
+             "orientation and base graph have different vertex counts"),
+        ],
+        ids=["row-count", "row-past-n", "self-arc-row", "self-arc", "arc-out-of-range", "orders-differ"],
+    )
+    def test_input_errors(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_rejects_double_direction(self):
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):

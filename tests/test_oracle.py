@@ -77,6 +77,10 @@ class TestExactDiameter:
     def test_bridge_infinite(self):
         assert exact_oriented_diameter(path_graph(3)) == INFINITE
 
+    def test_empty_graph_and_k1_zero(self):
+        assert exact_oriented_diameter(Graph.from_edges(0, [])) == 0
+        assert exact_oriented_diameter(Graph.from_edges(1, [])) == 0
+
     def test_small_complete_graphs(self):
         # no tournament on 4 vertices reaches diameter 2; 3 and 5 both do
         assert exact_oriented_diameter(complete_graph(3)) == 2

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the stored small-case orientation table.
 
-For each five-path complement pattern that the partition recipes cannot
-reach (every pattern on fewer than 8 vertices, plus the 4-singletons +
-one-P4 pattern on 8), run the exhaustive search on the complement of the
-canonical layout and store the witness as a digraph6 string.
+For each stored five-path complement pattern (every pattern on fewer than
+8 vertices, plus the 4-singletons + one-P4 pattern on 8), run the
+exhaustive search on the complement of the canonical layout and store the
+witness as a digraph6 string.  `construct._quadruple_search` builds none
+of these patterns but (4, 1, 0, 0), which stays stored so that its pinned
+orientation does not change.
 
 Usage: python3 tools/gen_basecase_table.py  (rewrites src/orient2/_basecase_table.py)
 """
@@ -26,7 +28,7 @@ KEYS = [
     (4, 1, 0, 0),  # 6 vertices
     (3, 2, 0, 0),  # 7 vertices
     (4, 0, 1, 0),  # 7 vertices
-    (4, 0, 0, 1),  # 8 vertices, the one larger pattern with no partition recipe
+    (4, 0, 0, 1),  # 8 vertices
 ]
 
 HEADER = '''"""Generated by tools/gen_basecase_table.py; do not edit by hand.
