@@ -16,7 +16,7 @@ from typing import Callable
 
 from ._backend import backend_name
 from .codec import GraphFormatError, emit_graph6, emit_orientation, is_edge_list, parse_graph
-from .construct import InternalVerificationError, orient_diameter_two, threshold_size
+from .construct import InternalVerificationError, orient_diameter_two
 from .graphs import INFINITE, Graph, complement, components
 from .oracle import (
     SearchBudget,
@@ -103,16 +103,10 @@ def cmd_orient(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
 
     def orient(g: Graph) -> int:
-        if g.n < 5:
-            raise _LineError(EXIT_BAD_INPUT, f"need at least 5 vertices, got {g.n}")
-        if g.m < threshold_size(g.n):
-            raise _LineError(
-                EXIT_BAD_INPUT,
-                f"graph of order {g.n} has {g.m} edges; the guarantee "
-                f"needs at least {threshold_size(g.n)}",
-            )
         try:
             orientation, trace = orient_diameter_two(g)
+        except ValueError as exc:  # below order 5 or below the threshold, checked before any work
+            raise _LineError(EXIT_BAD_INPUT, str(exc)) from exc
         except InternalVerificationError as exc:
             raise _LineError(EXIT_VERIFY_FAILED, f"internal error: {exc}") from exc
         if args.json:

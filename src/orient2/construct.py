@@ -62,7 +62,7 @@ from .structure import (
 
 
 class InternalVerificationError(RuntimeError):
-    """A produced orientation failed its mandatory diameter re-check."""
+    """On a valid input, a step raised or the output failed its mandatory re-check."""
 
 
 def threshold_size(n: int) -> int:
@@ -134,17 +134,6 @@ def _path_sequence(blue: Graph, comp: tuple[int, ...]) -> list[int]:
         walk.append(nxt[0])
         seen.add(nxt[0])
     return walk
-
-
-def _paths_blue(key: tuple[int, int, int, int]) -> Graph:
-    a, b, c, d = key
-    sizes = [4] * d + [3] * c + [2] * b + [1] * a
-    edges: list[Edge] = []
-    start = 0
-    for size in sizes:
-        edges.extend((v, v + 1) for v in range(start, start + size - 1))
-        start += size
-    return Graph.from_edges(sum(sizes), edges)
 
 
 # the stored orientations' arcs, decoded once
@@ -492,13 +481,7 @@ def _choose_move(blue: LiveBlue) -> tuple[tuple[Edge, ...], TraceStep]:
     edges, then take the first of base case, reduction, violating triple and
     exhaustive fallback.  The level is relabelled by rank only where a base
     case may apply, or to fall back."""
-    n = blue.order
-    if n < 5:
-        raise ValueError(f"need at least 5 vertices, got {n}")
-    red_m = comb(n, 2) - blue.m
-    if red_m < threshold_size(n):
-        raise ValueError(f"graph of order {n} has {red_m} edges; {threshold_size(n)} are required")
-    deleted = _first_red_pairs(blue, red_m - threshold_size(n))
+    deleted = _first_red_pairs(blue, blue.order - 5 - blue.m)  # red edges over the threshold, which each level meets
     _delete_red_pairs(blue, deleted)
     if _family_may_fit(blue):
         base = _base_case_with_family(*blue.compact())
@@ -517,9 +500,16 @@ def _choose_move(blue: LiveBlue) -> tuple[tuple[Edge, ...], TraceStep]:
 
 
 def orient_diameter_two(g: Graph) -> tuple[Orientation, ConstructionTrace]:
-    """Diameter-2 orientation for any graph with n >= 5 and at least
-    C(n,2) - n + 5 edges, together with a replayable construction trace."""
-    return _execute(g, _choose_move)
+    """Diameter-2 orientation for any graph with n >= 5 and at least C(n,2) - n + 5
+    edges, with a replayable construction trace; ValueError, before any work, for any other graph."""
+    if g.n < 5:
+        raise ValueError(f"need at least 5 vertices, got {g.n}")
+    if g.m < threshold_size(g.n):
+        raise ValueError(f"graph of order {g.n} has {g.m} edges; {threshold_size(g.n)} are required")
+    try:
+        return _execute(g, _choose_move)
+    except ValueError as exc:  # the input met the rule, so a fault of the driver
+        raise InternalVerificationError(f"construction failed: {exc}") from exc
 
 
 def replay_trace(g: Graph, trace: ConstructionTrace) -> Orientation:

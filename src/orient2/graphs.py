@@ -5,12 +5,13 @@ mutate their inputs, so instances are safe to share across threads.
 Vertex labels are dense integers; all set-valued results come back sorted
 so that traces and tests are reproducible.
 
-Two private kernels check dense rows word-parallel:
+Two private kernels check dense rows word-parallel, at every order:
 
-* `_transpose` turns out-rows into in-rows.  It packs the rows into one
-  int as a W x W bit matrix, W the least power of two >= max(8, n), swaps
-  the off-diagonal blocks of every 2s x 2s block for s = W/2, ..., 1 with
-  one shift, xor and mask each, and unpacks the rows by byte slices.
+* `_transpose` turns out-rows into in-rows.  It cuts the bit matrix into
+  W x W tiles, W the least power of two >= max(8, n) up to 1,024, packs
+  each tile into one int, swaps the off-diagonal blocks of every 2s x 2s
+  block for s = W/2, ..., 1 with one shift, xor and mask each, and joins
+  each in-row from byte slices of its column's tiles.
 * `_within_two` decides whether every vertex reaches every other in at
   most two steps, by the method of Four Russians (Arlazarov, Dinic,
   Kronrod and Faradzev, 1970): a 16-entry table of the ORs of each 4
@@ -18,11 +19,10 @@ Two private kernels check dense rows word-parallel:
 
 `in_rows` (and through it `_exact_in_rows` and `Graph`'s symmetry check)
 uses the transpose only for rows holding at least n²/64 + 64 arcs; sparser
-rows keep the per-arc walk, which is faster there and allocates no W² bits.
+rows keep the per-arc walk, which is faster there and allocates no tiles.
 `diameter` answers from `_within_two` for rows holding at least n²/8 arcs
 and falls back to one BFS per source when it finds a pair three or more
-steps apart.  Neither kernel runs above order 2,048 (`_DENSE_MAX_N`),
-where the transpose's W²-bit ints would grow to many times the rows.
+steps apart.
 `eccentricity` is the plain BFS for a check independent of the kernels.
 """
 
@@ -57,16 +57,10 @@ def _spread(mask: int, gaps: Sequence[int]) -> int:
     return mask
 
 
-# Largest order the kernels take.  The transpose holds a few W x W-bit ints at
-# once: its peak RSS was 3-5 MB above the rows at n = 1,025 and 2,048 (W =
-# 2,048), but 12 MB at n = 2,049 and 50 MB at n = 4,097, for rows of 0.5 and 2 MB.
-_DENSE_MAX_N = 2048
-
-
 def _dense(n: int, arcs: int) -> bool:
     """Whether rows of order ``n`` holding ``arcs`` set bits go through
     `_transpose` rather than a per-arc walk (the cut was measured on both)."""
-    return n <= _DENSE_MAX_N and arcs * 64 >= n * n + 4096
+    return arcs * 64 >= n * n + 4096
 
 
 def _swap_rounds(w: int) -> Iterator[tuple[int, int]]:
@@ -81,21 +75,45 @@ def _swap_rounds(w: int) -> Iterator[tuple[int, int]]:
         s >>= 1
 
 
-# the rounds for small orders; larger ones are built per call, a round at a time
+# the rounds for small orders; larger ones are built per call (for one tile, a round at a time)
 _SMALL_ROUNDS = {w: tuple(_swap_rounds(w)) for w in (8, 16, 32, 64)}
 
 
+# Tile width of the transpose, measured on a 2 vCPU Xeon: every order up to 1,024
+# is one tile, and wider tiles are slower and hold more (at n = 6,400, 2,048-bit
+# tiles took 0.12 s and 24 MB of peak RSS growth, 1,024-bit ones 0.08 s and 15 MB).
+# One tile skips the tiled loop, which made each transpose twice as slow at n =
+# 20..64 and cost 3% of perfbench's orient-scale pass and 5% of cli-batch's.
+_TILE = 1024
+
+
 def _transpose(rows: Sequence[int]) -> list[int]:
-    """In-rows of the out-rows ``rows``, as a word-parallel bit-matrix transpose."""
+    """In-rows of the out-rows ``rows``, by a word-parallel transpose of each tile."""
     n = len(rows)
-    w = max(8, 1 << (n - 1).bit_length())
+    w = min(_TILE, max(8, 1 << (n - 1).bit_length()))
     stride = w >> 3
-    m = int.from_bytes(b"".join([row.to_bytes(stride, "little") for row in rows]), "little")
-    for shift, mask in _SMALL_ROUNDS.get(w) or _swap_rounds(w):
-        t = (m ^ m >> shift) & mask
-        m ^= t | t << shift
-    data = m.to_bytes(stride * w, "little")
-    return [int.from_bytes(data[i : i + stride], "little") for i in range(0, stride * n, stride)]
+    if n <= w:
+        m = int.from_bytes(b"".join([row.to_bytes(stride, "little") for row in rows]), "little")
+        for shift, mask in _SMALL_ROUNDS.get(w) or _swap_rounds(w):
+            t = (m ^ m >> shift) & mask
+            m ^= t | t << shift
+        data = m.to_bytes(stride * w, "little")
+        return [int.from_bytes(data[i : i + stride], "little") for i in range(0, stride * n, stride)]
+    rounds = tuple(_swap_rounds(w))
+    width = stride * -(-n // w)  # bytes per row, in whole tiles
+    cut = [row.to_bytes(width, "little") for row in rows]
+    into: list[int] = []
+    for j in range(0, width, stride):
+        tiles = []  # this column's tiles, transposed, in row order
+        for i in range(0, n, w):
+            m = int.from_bytes(b"".join([row[j : j + stride] for row in cut[i : i + w]]), "little")
+            for shift, mask in rounds:
+                t = (m ^ m >> shift) & mask
+                m ^= t | t << shift
+            tiles.append(m.to_bytes(stride * w, "little"))
+        for k in range(0, stride * min(w, n - 8 * j), stride):
+            into.append(int.from_bytes(b"".join([tile[k : k + stride] for tile in tiles]), "little"))
+    return into
 
 
 def _within_two(rows: Sequence[int]) -> bool:
@@ -324,7 +342,7 @@ def diameter(d: Digraph) -> DistanceValue:
     if d.n <= 1:
         return 0
     arcs = sum(map(int.bit_count, d.out))
-    if d.n <= _DENSE_MAX_N and arcs * 8 >= d.n * d.n and _within_two(d.out):
+    if arcs * 8 >= d.n * d.n and _within_two(d.out):
         return 1 if arcs == d.n * (d.n - 1) else 2
     worst: DistanceValue = 0
     for u in range(d.n):

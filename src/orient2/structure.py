@@ -408,13 +408,10 @@ def _candidate_splits(
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Unordered two-colorings of whole parts into nonempty sides, smallest
     mask first; with ``fits``, only those whose side sizes, smaller first, pass it."""
-    r = len(parts)
-    total = sum(len(part) for part in parts)
-    sums = [0]  # sums[mask]: the size of the side the mask colors
-    for part in parts[:-1]:
-        sums += [size + len(part) for size in sums]
-    for mask in range(1, 1 << (r - 1)):
-        size = sums[mask]
+    sizes = [len(part) for part in parts]
+    total = sum(sizes)
+    for mask in range(1, 1 << (len(sizes) - 1)):
+        size = sum([sizes[i] for i in bits(mask)])
         if fits is not None and not fits(min(size, total - size), max(size, total - size)):
             continue
         side_a: list[int] = []

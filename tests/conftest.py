@@ -1,9 +1,20 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from orient2.certs import matchjoin_cert, window_cert
 from orient2.graphs import Graph, complement
+
+
+def load_tool(name: str):
+    """The script ``tools/<name>.py``, loaded as a module without running its ``main``."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def complete_graph(n: int) -> Graph:

@@ -11,9 +11,9 @@ from math import comb
 
 import pytest
 
-from conftest import blue_matchjoin_cert, complete_bipartite_cert, petersen, random_connected
+from conftest import blue_matchjoin_cert, complete_bipartite_cert, load_tool, petersen, random_connected
 from orient2.certs import matchjoin_graph, verify_cert
-from orient2.construct import _base_case_with_family, _paths_blue
+from orient2.construct import _base_case_with_family
 from orient2.graphs import INFINITE, Digraph, Graph, Orientation, complement, components, diameter, is_bridgeless
 from orient2.oracle import (
     SearchStatus,
@@ -95,8 +95,9 @@ class TestAcceptance:
     def test_criterion_5_small_case_table(self):
         keys = [(5, 0, 0, 0), (4, 1, 0, 0), (3, 2, 0, 0), (4, 0, 1, 0), (4, 0, 0, 1)]
         ok = set(TABLE) == set(keys)
+        tool = load_tool("gen_basecase_table")
         for key in keys:
-            blue = _paths_blue(key)
+            blue = tool.paths_blue(key)
             red = complement(blue)
             outcome = exists_orientation_diameter2(red)
             ok = ok and outcome.status is SearchStatus.YES

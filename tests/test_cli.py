@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from conftest import complete_graph, path_graph, petersen
-from orient2 import cli
+from orient2 import cli, construct
 from orient2.codec import emit_graph6, parse_digraph6
 from orient2.construct import InternalVerificationError, orient_diameter_two
 from orient2.graphs import Graph, Orientation, complement, diameter
@@ -104,10 +104,36 @@ class TestOrient:
 
     def test_order_below_five_exit_2_and_the_batch_goes_on(self, capsys, monkeypatch):
         k5 = emit_graph6(complete_graph(5))
+        below = emit_graph6(extremal_graph(6))  # 13 edges, one below the threshold
         _, single, _ = run_cli(capsys, monkeypatch, ["orient"], k5 + "\n")
-        code, out, err = run_cli(capsys, monkeypatch, ["orient"], f"C~\n{k5}\n")
+        code, out, err = run_cli(capsys, monkeypatch, ["orient"], f"C~\n{below}\n{k5}\n")
         assert code == 2 and out == single
-        assert err == "error: line 1: need at least 5 vertices, got 4\n"
+        assert err == (
+            "error: line 1: need at least 5 vertices, got 4\n"
+            "error: line 2: graph of order 6 has 13 edges; 14 are required\n"
+        )
+
+    def test_large_line_below_threshold_is_rejected_before_any_work(self, capsys, monkeypatch):
+        # the rule reads the order and edge count alone: no complement of order 100,000 is built
+        def small_only(g):
+            assert g.n <= 5, f"complement built at order {g.n}"
+            return complement(g)
+
+        k5 = emit_graph6(complete_graph(5))
+        _, single, _ = run_cli(capsys, monkeypatch, ["orient"], k5 + "\n")
+        monkeypatch.setattr(construct, "complement", small_only)
+        code, out, err = run_cli(capsys, monkeypatch, ["orient"], f"{k5}\n100000 0\n{k5}\n")
+        assert code == 2 and out == single * 2
+        assert err == "error: line 2: graph of order 100000 has 0 edges; 4999850005 are required\n"
+
+    def test_a_fault_in_the_descent_is_not_bad_input(self, capsys, monkeypatch):
+        def faulty(blue, count):
+            raise ValueError("islice count out of range")
+
+        monkeypatch.setattr(construct, "_first_red_pairs", faulty)
+        code, out, err = run_cli(capsys, monkeypatch, ["orient"], emit_graph6(complete_graph(5)) + "\n")
+        assert code == cli.EXIT_VERIFY_FAILED and out == ""
+        assert err == "error: line 1: internal error: construction failed: islice count out of range\n"
 
     def test_bad_budget_variable_fails_the_batch(self, capsys, monkeypatch):
         # with every constructor move refused, each line would reach the

@@ -287,6 +287,15 @@ class TestKernels:
                 rows = random_rows(rng, n, p)
                 assert _transpose(rows) == walk_in_rows(rows), (n, p)
                 assert in_rows(rows) == walk_in_rows(rows), (n, p)
+        # one tile up to order 1,024; several above it, the last ones filled in part
+        for n in (1023, 1024, 1025, 2049):
+            for ands in (1, 3):  # densities 1/2 and 1/8
+                rows = [-1] * n
+                for _ in range(ands):
+                    rows = [row & rng.getrandbits(n) for row in rows]
+                rows = [row & ~(1 << u) for u, row in enumerate(rows)]
+                assert _transpose(rows) == walk_in_rows(rows), (n, ands)
+                assert in_rows(rows) == walk_in_rows(rows), (n, ands)
 
     def test_within_two_and_diameter_match_bfs(self):
         rng = random.Random(2302)
@@ -299,6 +308,9 @@ class TestKernels:
                 assert diameter(Digraph(n, tuple(rows))) == reference, (n, p)
                 verdicts.add(reference <= 2)
         assert verdicts == {False, True}
+        n = 2049  # the kernels run at every order, past any tile or word size
+        rows = [rng.getrandbits(n) & ~(1 << u) for u in range(n)]
+        assert _within_two(rows) and diameter(Digraph(n, tuple(rows))) == bfs_diameter(rows) == 2
 
     @pytest.mark.parametrize("n", WORD_BOUNDARIES)
     def test_constructed_orientations_pass(self, n, rows_path):
@@ -372,11 +384,6 @@ class TestKernels:
         Graph(g.n, g.adj)
         Orientation(g, Digraph(g.n, tuple(rows)))
         assert calls == [40, 40]
-
-    def test_kernels_stop_at_the_largest_measured_order(self):
-        top = graphs_module._DENSE_MAX_N
-        assert graphs_module._dense(top, top * (top - 1))
-        assert not graphs_module._dense(top + 1, (top + 1) * top)
 
     def test_empty_graph_at_the_largest_order_takes_the_walk(self, monkeypatch):
         def refused(rows):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -686,6 +687,22 @@ class TestSizePrefilter:
                 ]
                 assert tried == expected, sizes
                 assert bool(expected) == _splittable(tuple(sorted(sizes))), sizes
+
+    def test_first_split_comes_before_any_table_of_the_masks(self):
+        """24 singletons have 2^23 - 1 two-colorings; the first, with and
+        without the size filter, costs no memory proportional to them."""
+        from orient2.certs import split_sizes_ok
+
+        parts = [[v] for v in range(24)]
+        for fits, smaller in ((None, 1), (split_sizes_ok, 6)):  # 6 + 18 is the first window fit
+            tracemalloc.start()
+            try:
+                first = next(_candidate_splits(parts, fits))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert first == (list(range(smaller)), list(range(smaller, 24)))
+            assert peak < 1 << 20, peak
 
     def test_subset_sum_walk_matches_every_split_size(self):
         """Walking the set bits of the subset-sum mask decides what trying

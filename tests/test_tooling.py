@@ -13,10 +13,11 @@ digest.
 
 import ast
 import importlib
-import importlib.util
 from pathlib import Path
 
 import pytest
+
+from conftest import load_tool
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -70,9 +71,7 @@ def test_construct_scale_digest_at_order_200():
     # the golden corpus stops at n = 36; this pins seeds 1..5 of the tool at n = 200
     from orient2.construct import orient_diameter_two
 
-    spec = importlib.util.spec_from_file_location("construct_scale", CONSTRUCT_SCALE)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("construct_scale")
     digest = 0
     for seed in range(1, 6):
         o, trace = orient_diameter_two(tool.threshold_instance(200, seed))
@@ -86,9 +85,7 @@ def test_construct_scale_digest_and_replay_at_order_400():
     # back to labels and must rebuild each seed's orientation
     from orient2.construct import orient_diameter_two, replay_trace
 
-    spec = importlib.util.spec_from_file_location("construct_scale", CONSTRUCT_SCALE)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("construct_scale")
     digest = 0
     for seed in range(1, 6):
         g = tool.threshold_instance(400, seed)

@@ -19,8 +19,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from orient2.codec import emit_digraph6
-from orient2.construct import _paths_blue
-from orient2.graphs import complement, diameter
+from orient2.graphs import Graph, complement, diameter
 from orient2.oracle import SearchStatus, exists_orientation_diameter2
 
 KEYS = [
@@ -43,10 +42,22 @@ TABLE: dict[tuple[int, int, int, int], str] = {
 '''
 
 
+def paths_blue(key: tuple[int, int, int, int]) -> Graph:
+    """The canonical layout of a pattern: its paths, larger first, each on consecutive vertices."""
+    a, b, c, d = key
+    sizes = [4] * d + [3] * c + [2] * b + [1] * a
+    edges: list[tuple[int, int]] = []
+    start = 0
+    for size in sizes:
+        edges.extend((v, v + 1) for v in range(start, start + size - 1))
+        start += size
+    return Graph.from_edges(sum(sizes), edges)
+
+
 def main() -> None:
     lines = [HEADER]
     for key in KEYS:
-        blue = _paths_blue(key)
+        blue = paths_blue(key)
         red = complement(blue)
         outcome = exists_orientation_diameter2(red)
         assert outcome.status is SearchStatus.YES, key
