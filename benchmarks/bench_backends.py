@@ -10,6 +10,9 @@ Workloads:
 * bridgeless: `solve` at d = 2, 3, ... until YES on one seeded random
   connected bridgeless G(n, 0.3) per order n = 12..20, the exact part
   of perfbench's `oracle` workload,
+* census: the one-below-threshold census at n = 11, the decision of
+  `exists_orientation_diameter2` (`solve` at d = 2) on the complement of
+  every 7-edge graph from `enumerate_blue(11, 7)`: 172 graphs, one NO,
 * naive: brute-force enumeration of all 2^18 orientations of a fixed
   18-edge graph on 7 vertices (pure kernel only; there is no compiled
   naive kernel).
@@ -23,8 +26,8 @@ import time
 
 from orient2 import _pysearch
 from orient2._backend import ordered_edges
-from orient2.graphs import Graph, is_bridgeless, is_connected
-from orient2.oracle import extremal_graph
+from orient2.graphs import Graph, complement, is_bridgeless, is_connected, undirected_diameter
+from orient2.oracle import enumerate_blue, extremal_graph
 
 try:
     from orient2 import _speedups
@@ -56,6 +59,16 @@ def bridgeless_series() -> list[Graph]:
             if is_connected(g) and is_bridgeless(g):
                 graphs.append(g)
                 break
+    return graphs
+
+
+def census_series() -> list[Graph]:
+    """The graphs on 11 vertices with one edge fewer than the threshold
+    C(n,2) - n + 5, one per isomorphism class; each is connected,
+    bridgeless and of undirected diameter at most 2, so
+    `exists_orientation_diameter2` runs the kernel on every one."""
+    graphs = [complement(b) for b in enumerate_blue(11, 7) if b.m == 7]
+    assert all(is_connected(g) and is_bridgeless(g) and undirected_diameter(g) <= 2 for g in graphs)
     return graphs
 
 
@@ -98,10 +111,17 @@ def workloads(impl):
             found.append(d)
         return found
 
+    census = [(g.n, ordered_edges(g)) for g in census_series()]
+
+    def census_n11():
+        outcomes = [impl.solve(n, edges, 2, 10**8, None) for n, edges in census]
+        return ([status for status, _, _ in outcomes].count(0), sum(nodes for _, _, nodes in outcomes))
+
     jobs = [
         ("sharpness n=9 (m=31)", sharpness),
         ("petersen exact", petersen_exact),
         ("bridgeless n=12..20", bridgeless_levels),
+        ("census n=11 (172)", census_n11),
     ]
     if impl is _pysearch:  # there is no compiled naive kernel
         d7 = dense_seven()

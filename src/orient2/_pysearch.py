@@ -27,9 +27,10 @@ from u through a->b to c is longer than k + 1, since b alone is k + 1
 steps from u, so without the arc u reaches b via c within k + 2 steps,
 and any other vertex at most one step later than before, so within d.
 Any other hit source gets one breadth-first search with the arc cut,
-which stops once it has seen every vertex.  Tests only read the state;
-it changes only when an edge is forced or branched on, and ``slack`` is
-read once per state.
+which stops as soon as the rows it has expanded cover every vertex, in
+the middle of a level if need be.  Tests only read the state; it changes
+only when an edge is forced or branched on, and ``slack`` is read once
+per state.
 
 One table lives for the whole search.  Committing p->q changes only p's
 potential in-neighbours, so level k + 1 is recomputed for p and for the
@@ -153,41 +154,50 @@ def solve(
                         nxt[v] = once
                     two[v] = twice
 
+    # The rows removable reads, bound once, since refresh and undo_to write
+    # them in place: level d - 1, shared[1], and (reach[k], shared[k],
+    # shared[k + 1]) for 0 < k < d - 1.  Empty lists stand in for levels a
+    # small d lacks: no test runs at d = 0, and at d = 1 the first test of
+    # every arc fails.
+    last_reach = reach[d - 1]
+    last_shared = shared[d - 1] if d else []
+    second = shared[1] if d > 1 else []
+    middle = [(reach[k], shared[k], shared[k + 1]) for k in range(1, d - 1)]
+
     def removable(a: int, b: int) -> bool:
         # Does the current, feasible state stay feasible without the
         # potential arc a->b?  The module docstring gives the test.
         nonlocal slack
-        last = d - 1
-        if reach[last][a] & ~reach[last][b] & ~shared[last][b]:
+        if last_reach[a] & ~last_reach[b] & ~last_shared[b]:
             return False
         if slack is None:
             slack = full
-            for row in reach[last]:
+            for row in last_reach:
                 slack &= row
         abit = 1 << a
         # k = 0: a itself always loses its direct arc.  A source with slack
         # that reaches a second in-neighbour of b within k + 1 steps is safe.
-        hit = abit & ~(shared[1][b] & slack)
-        for k in range(1, last):
-            hit |= reach[k][a] & ~reach[k][b] & ~shared[k][b] & ~(shared[k + 1][b] & slack)
+        hit = abit & ~(second[b] & slack)
+        for row, two, near in middle:
+            hit |= row[a] & ~row[b] & ~two[b] & ~(near[b] & slack)
         cut = pout[a] & ~(1 << b)
         while hit:
             seen = frontier = hit & -hit
             hit ^= seen
             for _ in range(d):
-                nxt = 0
+                # nxt: seen and the rows expanded so far; a level stops as
+                # soon as it covers every vertex
+                nxt = seen
                 if frontier & abit:
-                    nxt = cut
+                    nxt |= cut
                     frontier ^= abit
-                while frontier:
+                while frontier and nxt != full:
                     bit = frontier & -frontier
                     nxt |= pout[bit.bit_length() - 1]
                     frontier ^= bit
-                frontier = nxt & ~seen
-                if not frontier:
-                    break
-                seen |= frontier
-                if seen == full:
+                frontier = nxt ^ seen
+                seen = nxt
+                if not frontier or seen == full:
                     break
             if seen != full:
                 return False

@@ -7,7 +7,8 @@
  * (within d - 1 steps of every vertex): a path through a->b to b's other
  * in-neighbour is longer than k + 1, so cutting the arc delays that source
  * by at most one step, which keeps it within d of every vertex.  A cut-arc
- * search stops once it has seen every vertex.  A vertex set is one 64-bit
+ * search stops as soon as the rows it has expanded cover every vertex,
+ * partway through a level if need be.  A vertex set is one 64-bit
  * word, so n is limited to 62; ``_backend`` routes larger inputs to the
  * pure kernel.  Budget exhaustion unwinds the search with longjmp, where
  * the pure kernel raises ``_BudgetExceeded``.
@@ -129,7 +130,7 @@ static int removable(Solver *s, int a, int b)
                 nxt = cut;
                 frontier ^= abit;
             }
-            while (frontier) {
+            while (frontier && (nxt | seen) != s->full) {
                 nxt |= s->pout[LOWEST(frontier)];
                 frontier &= frontier - 1;
             }

@@ -18,6 +18,7 @@ from .graphs import (
     INFINITE,
     Digraph,
     DistanceValue,
+    Edge,
     Graph,
     Orientation,
     _unchecked,
@@ -78,10 +79,10 @@ class VerificationReport:
         return not self.failures
 
 
-def _solve_bounded(g: Graph, d: int, budget: SearchBudget) -> DecisionOutcome:
+def _solve_bounded(g: Graph, edges: list[Edge], d: int, budget: SearchBudget) -> DecisionOutcome:
     """Decide "some orientation of ``g`` has diameter at most ``d``" with the
-    search kernel; a YES outcome carries its checked witness."""
-    edges = _backend.ordered_edges(g)
+    search kernel, branching over ``edges`` (`_backend.ordered_edges` of
+    ``g``); a YES outcome carries its checked witness."""
     status, dirs, nodes = _backend.solve_bounded_diameter(
         g.n, edges, d, budget.max_nodes, budget.time_limit
     )
@@ -113,7 +114,7 @@ def exists_orientation_diameter2(g: Graph, budget: SearchBudget | None = None) -
         return DecisionOutcome(SearchStatus.YES, Orientation.from_arcs(g, []))
     if not is_connected(g) or not is_bridgeless(g) or undirected_diameter(g) > 2:
         return DecisionOutcome(SearchStatus.NO)
-    return _solve_bounded(g, 2, budget)
+    return _solve_bounded(g, _backend.ordered_edges(g), 2, budget)
 
 
 def exact_oriented_diameter(
@@ -132,10 +133,11 @@ def exact_oriented_diameter(
     lower = max(2, int(undirected_diameter(g)))
     remaining = budget.max_nodes
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
+    edges = _backend.ordered_edges(g)
     for d in range(lower, g.n):
         time_left = None if deadline is None else max(0.0, deadline - time.monotonic())
         level_budget = SearchBudget(max_nodes=remaining, time_limit=time_left)
-        outcome = _solve_bounded(g, d, level_budget)
+        outcome = _solve_bounded(g, edges, d, level_budget)
         remaining -= outcome.nodes
         if outcome.status is SearchStatus.YES:
             return d

@@ -74,6 +74,14 @@ class TestExactDiameter:
     def test_petersen_is_six(self):
         assert exact_oriented_diameter(petersen()) == 6
 
+    def test_branching_order_computed_once_per_graph(self, monkeypatch):
+        # Petersen is searched at levels 2..6 on one branching order
+        calls = []
+        order = _backend.ordered_edges
+        monkeypatch.setattr(_backend, "ordered_edges", lambda g: calls.append(g) or order(g))
+        assert exact_oriented_diameter(petersen()) == 6
+        assert len(calls) == 1
+
     def test_bridge_infinite(self):
         assert exact_oriented_diameter(path_graph(3)) == INFINITE
 
@@ -122,7 +130,7 @@ class TestOneBelowThreshold:
     edges, decided exactly: only the extremal graph has no diameter-2
     orientation."""
 
-    @pytest.mark.parametrize("n, count, nodes", [(6, 2, 49), (7, 5, 174), (8, 11, 464), (9, 25, 1493)])
+    @pytest.mark.parametrize("n, count, nodes", [(6, 2, 49), (7, 5, 174), (8, 11, 464), (9, 25, 1493), (10, 66, 4595)])
     def test_census(self, n, count, nodes):
         instances = [complement(b) for b in enumerate_blue(n, n - 4) if b.m == n - 4]
         outcomes = [exists_orientation_diameter2(g) for g in instances]
