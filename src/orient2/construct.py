@@ -44,10 +44,13 @@ from .graphs import (
     Edge,
     Graph,
     Orientation,
+    _induced,
+    _relabel,
     bits,
     complement,
     diameter,
 )
+from .oracle import SearchStatus, default_budget, exists_orientation_diameter2
 from .structure import (
     ComponentClass,
     ComponentKind,
@@ -284,14 +287,6 @@ class ReductionLift(NamedTuple):
     first: int  # the super-vertices are first and first + 1
 
 
-def _relabel(row: int, labels: Sequence[int]) -> int:
-    """The mask ``row`` over 0..len(labels)-1 moved to ``labels``, bit i to ``labels[i]``."""
-    out = 0
-    for i in bits(row):
-        out |= 1 << labels[i]
-    return out
-
-
 def _contract_reduction(blue: LiveBlue, w: tuple[int, ...], cert: GoodOrientationCert) -> ReductionLift:
     """Contract the ascending labels ``w`` of ``blue``, a union of whole
     components that ``cert`` certifies, to two fresh adjacent super-vertices."""
@@ -381,9 +376,6 @@ def _restore_padding(rows: list[int], deleted: tuple[Edge, ...]) -> None:
 
 
 def _oracle_fallback(norm: Graph) -> Orientation:
-    # deferred: oracle imports this module
-    from .oracle import SearchStatus, default_budget, exists_orientation_diameter2
-
     budget = default_budget()
     outcome = exists_orientation_diameter2(norm, budget)
     if outcome.status is SearchStatus.INDETERMINATE:
@@ -407,7 +399,7 @@ def _checked_cert(blue: LiveBlue, step: ReductionPlan) -> GoodOrientationCert:
     cert = step.cert
     if not cert.nontrivial:
         raise ValueError(f"reduce step's certificate on {step.w} is trivial")
-    if cert.world != complement(blue.induced([labels[v] for v in w])):
+    if cert.world != complement(_induced(blue.adj, [labels[v] for v in w])):
         raise ValueError(f"reduce step's certificate world is not the red graph on {step.w}")
     if not verify_cert(cert):
         raise ValueError(f"reduce step's certificate on {step.w} fails its distance conditions")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Final, Iterable, Iterator, Sequence
 
 INFINITE: Final = math.inf
@@ -63,20 +64,19 @@ def _dense(n: int, arcs: int) -> bool:
     return arcs * 64 >= n * n + 4096
 
 
-def _swap_rounds(w: int) -> Iterator[tuple[int, int]]:
+@cache
+def _swap_rounds(w: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask) of each round of the w x w transpose, largest block first:
     ``mask`` holds bit j of row i, at i*w + j, where bit s of j is set and
     bit s of i is clear, and the shift moves it to row i + s, column j - s."""
+    rounds = []
     s = w >> 1
     while s:
         columns = (((1 << s) - 1) << s) * ((1 << w) - 1) // ((1 << 2 * s) - 1)
         block = columns.to_bytes(w >> 3, "little") * s + bytes((w >> 3) * s)
-        yield s * (w - 1), int.from_bytes(block * (w // (2 * s)), "little")
+        rounds.append((s * (w - 1), int.from_bytes(block * (w // (2 * s)), "little")))
         s >>= 1
-
-
-# the rounds for small orders; larger ones are built per call (for one tile, a round at a time)
-_SMALL_ROUNDS = {w: tuple(_swap_rounds(w)) for w in (8, 16, 32, 64)}
+    return tuple(rounds)
 
 
 # Tile width of the transpose, measured on a 2 vCPU Xeon: every order up to 1,024
@@ -92,14 +92,14 @@ def _transpose(rows: Sequence[int]) -> list[int]:
     n = len(rows)
     w = min(_TILE, max(8, 1 << (n - 1).bit_length()))
     stride = w >> 3
+    rounds = _swap_rounds(w)
     if n <= w:
         m = int.from_bytes(b"".join([row.to_bytes(stride, "little") for row in rows]), "little")
-        for shift, mask in _SMALL_ROUNDS.get(w) or _swap_rounds(w):
+        for shift, mask in rounds:
             t = (m ^ m >> shift) & mask
             m ^= t | t << shift
         data = m.to_bytes(stride * w, "little")
         return [int.from_bytes(data[i : i + stride], "little") for i in range(0, stride * n, stride)]
-    rounds = tuple(_swap_rounds(w))
     width = stride * -(-n // w)  # bytes per row, in whole tiles
     cut = [row.to_bytes(width, "little") for row in rows]
     into: list[int] = []
@@ -242,6 +242,15 @@ def _induced(adj: Sequence[int], vs: Sequence[int]) -> Graph:
         for w in bits(adj[v] & inside):
             rows[i] |= 1 << index[w]
     return _unchecked(len(vs), tuple(rows))
+
+
+def _relabel(row: int, labels: Sequence[int]) -> int:
+    """The mask ``row`` over 0..len(labels)-1 moved to ``labels``, bit i to
+    ``labels[i]``: the inverse of `_induced`'s relabelling."""
+    out = 0
+    for i in bits(row):
+        out |= 1 << labels[i]
+    return out
 
 
 def _unchecked(n: int, rows: tuple[int, ...]) -> Graph:

@@ -105,14 +105,13 @@ def _solve_bounded(g: Graph, edges: list[Edge], d: int, budget: SearchBudget) ->
 def exists_orientation_diameter2(g: Graph, budget: SearchBudget | None = None) -> DecisionOutcome:
     """Exact decision for an orientation of diameter at most two.
 
-    A YES outcome carries a verified witness.  Bridged, disconnected, or
-    undirected-diameter > 2 inputs are NO without search; budget
-    exhaustion yields INDETERMINATE, never a wrong answer.
+    A YES outcome carries a verified witness.  Bridged inputs are NO
+    without search, and so are disconnected or undirected-diameter > 2
+    ones: the kernel's first reach check rejects them before its first
+    node.  Budget exhaustion yields INDETERMINATE, never a wrong answer.
     """
     budget = budget or default_budget()
-    if g.n <= 1:
-        return DecisionOutcome(SearchStatus.YES, Orientation.from_arcs(g, []))
-    if not is_connected(g) or not is_bridgeless(g) or undirected_diameter(g) > 2:
+    if not is_bridgeless(g):
         return DecisionOutcome(SearchStatus.NO)
     return _solve_bounded(g, _backend.ordered_edges(g), 2, budget)
 

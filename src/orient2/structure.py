@@ -16,7 +16,7 @@ from itertools import accumulate, combinations
 from typing import Callable, Iterator, Sequence
 
 from .certs import GoodOrientationCert, split_cert, split_sizes_ok
-from .graphs import Graph, _induced, _unchecked, bits, complement, components, reach
+from .graphs import Graph, _induced, _relabel, _unchecked, bits, complement, components, reach
 
 
 class ComponentKind(Enum):
@@ -167,9 +167,8 @@ class LiveBlue:
         self._dbl: list[int] = []
         self._doubled = 0  # the labels x with dbl[x] nonempty
         self._stale = self.live  # the labels whose co and dbl may have changed since last counted
-        self._given: tuple[Graph, list[tuple[int, ...]]] | None = (g, components(g))  # until the first edit
         adj, parent, info = self.adj, self._parent, self._info
-        for comp in self._given[1]:
+        for comp in components(g):
             low = comp[0]
             mask = degrees = 0
             for v in comp:
@@ -192,39 +191,22 @@ class LiveBlue:
     def rank(self, label: int) -> int:
         return bisect_left(self.labels, label)
 
-    def induced(self, vertices: Sequence[int]) -> Graph:
-        """The graph induced on the live ``vertices``, relabelled by their sorted order."""
-        return _induced(self.adj, sorted(vertices))
-
-    def _gaps(self) -> list[tuple[int, int]]:
-        """The runs of retired labels below the highest live one, as (first
-        label, length), ascending; live labels separate them, so there are
-        at most ``order`` of them."""
-        runs = []
-        after = 0
-        for v in self.labels:
-            if v > after:
-                runs.append((after, v - after))
-            after = v + 1
-        return runs
-
     def compact(self) -> tuple[Graph, list[tuple[int, ...]]]:
-        """The level relabelled by rank, and its components there in `components` order."""
-        if self._given is not None:
-            return self._given
-        gaps = self._gaps()[::-1]  # highest first, so lower gaps keep their place
+        """The level relabelled by rank, and its components there in `components` order.
+
+        While no label has retired, every label is its own rank."""
         keys = sorted([key[:3] for key in self.non_trees] + [(-s, low, mask) for s, low, mask in self.trees])
-        masks = [mask for _, _, mask in keys] + [self.adj[v] for v in self.labels]
-        for first, length in gaps:
-            masks = [mask & (1 << first) - 1 | mask >> first + length << first for mask in masks]
-        comps = [tuple(list(bits(mask))) for mask in masks[: len(keys)]]
-        return _unchecked(self.order, tuple(masks[len(keys) :])), comps
+        if len(self.adj) == self.order:
+            return _unchecked(self.order, tuple(self.adj)), [tuple(list(bits(mask))) for _, _, mask in keys]
+        rank = {v: i for i, v in enumerate(self.labels)}
+        comps = [tuple([rank[v] for v in bits(mask)]) for _, _, mask in keys]  # from lists: see `complement`
+        return _induced(self.adj, self.labels), comps
 
     def labelled(self, masks: Sequence[int]) -> list[int]:
         """The ``masks`` over ranks moved to the labels they rank."""
-        for first, length in self._gaps():  # lowest first, so each gap opens where its labels go
-            masks = [mask & (1 << first) - 1 | mask >> first << first + length for mask in masks]
-        return list(masks)
+        if len(self.adj) == self.order:
+            return list(masks)
+        return [_relabel(mask, self.labels) for mask in masks]
 
     def _root(self, x: int) -> int:
         parent = self._parent
@@ -257,7 +239,6 @@ class LiveBlue:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         self.m += 1
-        self._given = None
         root, size, mask, edges = self._take(u)
         if self._root(v) != root:
             other, size_v, mask_v, edges_v = self._take(v)
@@ -275,7 +256,6 @@ class LiveBlue:
         adj = self.adj
         z = len(adj)
         bit = 1 << z
-        self._given = None
         triple = 1 << x1 | 1 << x2 | 1 << x3
         rows = adj[x1], adj[x2], adj[x3]
         joined = rows[0] | rows[1] | rows[2]
@@ -307,7 +287,6 @@ class LiveBlue:
         fresh labels joined by one edge; returns the first of them."""
         s = len(self.adj)
         gone = 0
-        self._given = None
         for x in w:
             gone |= 1 << x
             if self._root(x) in self._info:
@@ -497,7 +476,7 @@ def _certify_union(b: Graph | LiveBlue, parts: Sequence[tuple[int, ...]]) -> Goo
     if not _splittable(tuple(sorted(len(part) for part in parts))):
         return None
     w = sorted(v for part in parts for v in part)
-    world = complement(b.induced(w))
+    world = complement(_induced(b.adj, w))
     local = {v: i for i, v in enumerate(w)}
     for side_a, side_b in _candidate_splits([[local[v] for v in part] for part in parts], split_sizes_ok):
         cert = split_cert(world, side_a, side_b)

@@ -16,8 +16,14 @@ import pytest
 from conftest import complete_graph, cycle_graph, petersen, slack_instances
 from orient2 import _backend, _pysearch
 from orient2._backend import backend_name, ordered_edges
-from orient2.graphs import Graph, is_bridgeless, is_connected
-from orient2.oracle import exact_oriented_diameter, extremal_graph
+from orient2.graphs import Digraph, Graph, Orientation, is_bridgeless, is_connected
+from orient2.oracle import (
+    DecisionOutcome,
+    SearchStatus,
+    exact_oriented_diameter,
+    exists_orientation_diameter2,
+    extremal_graph,
+)
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "orient2" / "_speedups.c"
 
@@ -172,3 +178,43 @@ class TestCompiledArguments:
     def test_negative_diameter_raises(self, speedups):
         with pytest.raises(ValueError, match="non-negative"):
             speedups.solve(3, [(0, 1), (1, 2), (0, 2)], -1, 100)
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kernel(request, monkeypatch):
+    """Routes `_backend` to the pure kernel or to the compiled one."""
+    impl = _pysearch if request.param == "python" else request.getfixturevalue("speedups")
+    monkeypatch.setattr(_backend, "_impl", impl)
+    monkeypatch.setattr(_backend, "BACKEND", request.param)
+    return request.param
+
+
+def _two_triangles() -> Graph:
+    return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+class TestDecisionLeftToTheKernel:
+    """`exists_orientation_diameter2` tests only for bridges; the kernel's
+    first reach check settles the other inputs no orientation can serve,
+    and the trivial ones, before its first node."""
+
+    @pytest.mark.parametrize(
+        "g, status",
+        [
+            (Graph.from_edges(0, []), SearchStatus.YES),
+            (Graph.from_edges(1, []), SearchStatus.YES),
+            (Graph.from_edges(2, []), SearchStatus.NO),
+            (_two_triangles(), SearchStatus.NO),
+            (cycle_graph(6), SearchStatus.NO),
+        ],
+        ids=["K0", "K1", "2K1", "two-triangles", "C6"],
+    )
+    def test_settled_without_a_node(self, kernel, g, status):
+        outcome = exists_orientation_diameter2(g)
+        assert (outcome.status, outcome.nodes) == (status, 0)
+        expected = Orientation(g, Digraph(g.n, (0,) * g.n)) if status is SearchStatus.YES else None
+        assert outcome.orientation == expected
+
+    @pytest.mark.parametrize("n, nodes", [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39)])
+    def test_sharpness_orders(self, kernel, n, nodes):
+        assert exists_orientation_diameter2(extremal_graph(n)) == DecisionOutcome(SearchStatus.NO, None, nodes)

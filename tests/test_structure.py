@@ -18,7 +18,7 @@ from conftest import (
 )
 from orient2 import construct, structure
 from orient2.construct import orient_diameter_two
-from orient2.graphs import Graph, bits, complement, components
+from orient2.graphs import Graph, bits, complement, components, reach
 from orient2.structure import (
     ComponentClass,
     ComponentKind,
@@ -518,6 +518,43 @@ class TestLiveBlue:
         assert live.rank(6) == 3 and live.adj[6] == 1 << 1 | 1 << 3
         assert live.replace([1, 3, 6]) == 7 and live.labels == [5, 7, 8]
         assert live.adj[7] == 1 << 8 and live.m == 1 and [key[0] for key in live.trees] == [-2, -1]
+
+    def test_rank_view_round_trips_at_every_level(self, monkeypatch):
+        """At every level of seeded descents, before and after its padding,
+        `labelled` undoes `compact`'s relabelling of the rows, and each
+        `compact` component, moved to labels, is a live component."""
+        views = []
+
+        def checked(blue):
+            views.append(blue.order == len(blue.adj))  # whether no label has retired yet
+            g, comps = blue.compact()
+            assert blue.labelled(list(g.adj)) == [blue.adj[v] for v in blue.labels]
+            assert comps == components(g)
+            live = set()
+            rest = blue.live
+            while rest:
+                mask = reach(blue.adj, rest & -rest)
+                live.add(mask)
+                rest &= ~mask
+            assert {sum(1 << blue.labels[i] for i in comp) for comp in comps} == live
+
+        def choose(blue):
+            checked(blue)
+            move = choose_move(blue)
+            checked(blue)
+            return move
+
+        choose_move = construct._choose_move
+        monkeypatch.setattr(construct, "_choose_move", choose)
+        padded = 0
+        for n in (20, 40, 80, 120):
+            for seed in range(3):
+                rng = random.Random(f"rank-view:{n}:{seed}")
+                surplus = seed % 3  # blue edges short of n - 5, added back by padding
+                blue = Graph.from_edges(n, rng.sample(list(combinations(range(n), 2)), n - 5 - surplus))
+                _, trace = orient_diameter_two(complement(blue))
+                padded += isinstance(trace.steps[0], construct.PadStep)
+        assert padded >= 6 and True in views and False in views
 
 
 def filtered_combinations(sizes, count, keep):
