@@ -18,13 +18,7 @@ from ._backend import backend_name
 from .codec import GraphFormatError, emit_graph6, emit_orientation, is_edge_list, parse_graph
 from .construct import InternalVerificationError, orient_diameter_two
 from .graphs import INFINITE, Graph, complement, components
-from .oracle import (
-    SearchBudget,
-    default_budget,
-    exact_oriented_diameter,
-    verify_sharpness,
-    verify_theorem,
-)
+from .oracle import DEFAULT_MAX_NODES, SearchBudget, exact_oriented_diameter, verify_sharpness, verify_theorem
 from .structure import classify_component, excess
 
 EXIT_OK = 0
@@ -41,7 +35,7 @@ def _input_lines(args: argparse.Namespace) -> list[tuple[int, str]]:
     A byte that is not ASCII reaches the per-line parser, which rejects
     only its own line.  Raises OSError when ``--file`` cannot be read.
     """
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
     elif hasattr(sys.stdin, "buffer"):
@@ -52,12 +46,6 @@ def _input_lines(args: argparse.Namespace) -> list[tuple[int, str]]:
         # an edge list is one block, however many lines it spans
         return [(1, text)]
     return [(number, line) for number, line in enumerate(text.splitlines(), start=1) if line.strip()]
-
-
-def _budget(args: argparse.Namespace) -> SearchBudget:
-    if getattr(args, "budget", None) is not None:
-        return SearchBudget(max_nodes=args.budget)
-    return default_budget()
 
 
 def _node_budget(text: str) -> int:
@@ -96,12 +84,6 @@ def _each_line(args: argparse.Namespace, handle: Callable[[Graph], int]) -> int:
 
 
 def cmd_orient(args: argparse.Namespace) -> int:
-    try:
-        default_budget()  # read again by the exhaustive fallback, so checked before any line
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
     def orient(g: Graph) -> int:
         try:
             orientation, trace = orient_diameter_two(g)
@@ -130,11 +112,7 @@ def cmd_orient(args: argparse.Namespace) -> int:
 
 
 def cmd_diameter(args: argparse.Namespace) -> int:
-    try:
-        budget = _budget(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    budget = SearchBudget(max_nodes=args.budget)
 
     def oriented_diameter(g: Graph) -> int:
         value = exact_oriented_diameter(g, budget)
@@ -167,7 +145,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sharpness(args: argparse.Namespace) -> int:
     try:
-        sharp = verify_sharpness(args.n, _budget(args))
+        sharp = verify_sharpness(args.n, SearchBudget(max_nodes=args.budget))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -210,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diam = sub.add_parser("diameter", help="exact oriented diameter by exhaustive search")
     p_diam.add_argument("--file", help="read input from a file instead of stdin")
-    p_diam.add_argument("--budget", type=_node_budget, help="search-node budget override")
+    p_diam.add_argument("--budget", type=_node_budget, default=DEFAULT_MAX_NODES, help="search-node budget")
     p_diam.set_defaults(func=cmd_diameter)
 
     p_verify = sub.add_parser("verify", help="check every threshold instance of one order")
@@ -219,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sharp = sub.add_parser("sharpness", help="confirm the extremal graph is not orientable")
     p_sharp.add_argument("--n", type=int, required=True)
-    p_sharp.add_argument("--budget", type=_node_budget, help="search-node budget override")
+    p_sharp.add_argument("--budget", type=_node_budget, default=DEFAULT_MAX_NODES, help="search-node budget")
     p_sharp.set_defaults(func=cmd_sharpness)
 
     p_classify = sub.add_parser("classify", help="tabulate complement component classes")

@@ -50,7 +50,7 @@ from .graphs import (
     complement,
     diameter,
 )
-from .oracle import SearchStatus, default_budget, exists_orientation_diameter2
+from .oracle import SearchBudget, SearchStatus, exists_orientation_diameter2
 from .structure import (
     ComponentClass,
     ComponentKind,
@@ -376,7 +376,7 @@ def _restore_padding(rows: list[int], deleted: tuple[Edge, ...]) -> None:
 
 
 def _oracle_fallback(norm: Graph) -> Orientation:
-    budget = default_budget()
+    budget = SearchBudget()
     outcome = exists_orientation_diameter2(norm, budget)
     if outcome.status is SearchStatus.INDETERMINATE:
         raise InternalVerificationError(f"exhaustive fallback ran out of its {budget.max_nodes}-node budget")

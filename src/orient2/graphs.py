@@ -52,7 +52,14 @@ def bits(mask: int) -> Iterator[int]:
 
 def _spread(mask: int, gaps: Sequence[int]) -> int:
     """Relabel ``mask`` from positions in the sorted labels outside ``gaps``
-    to those labels, by inserting a zero bit at each label of the sorted ``gaps``."""
+    to those labels, by inserting a zero bit at each label of the sorted ``gaps``.
+
+    `_relabel` moves a mask the same way, but pays one step per set bit, and
+    this one step per gap.  `certs._lay_out` moves a certificate's dense rows
+    past the few labels of the other side, once in every construction's
+    `combine`: for |labels|, |gaps| = (8, 2), (15, 2), (25, 3) and (30, 5)
+    and rows three quarters full, `_relabel` took 2 to 9 times as long over
+    all the rows (best of 5, 2 vCPU Xeon, Python 3.11.7), so it stays out."""
     for gap in gaps:
         mask = (mask & ((1 << gap) - 1)) | (mask >> gap << (gap + 1))
     return mask

@@ -5,7 +5,6 @@ verification harnesses built on them.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -40,16 +39,6 @@ DEFAULT_MAX_NODES = 100_000_000
 class SearchBudget:
     max_nodes: int = DEFAULT_MAX_NODES
     time_limit: float | None = None
-
-
-def default_budget() -> SearchBudget:
-    """Default budget, overridable through ORIENT2_BUDGET (ValueError unless an integer >= 0)."""
-    env = os.environ.get("ORIENT2_BUDGET")
-    if not env:
-        return SearchBudget()
-    if not env.strip().isdecimal():
-        raise ValueError(f"ORIENT2_BUDGET must be an integer of at least 0, got {env!r}")
-    return SearchBudget(max_nodes=int(env))
 
 
 class SearchStatus(Enum):
@@ -102,7 +91,7 @@ def _solve_bounded(g: Graph, edges: list[Edge], d: int, budget: SearchBudget) ->
     return DecisionOutcome(SearchStatus.YES, orientation, nodes)
 
 
-def exists_orientation_diameter2(g: Graph, budget: SearchBudget | None = None) -> DecisionOutcome:
+def exists_orientation_diameter2(g: Graph, budget: SearchBudget = SearchBudget()) -> DecisionOutcome:
     """Exact decision for an orientation of diameter at most two.
 
     A YES outcome carries a verified witness.  Bridged inputs are NO
@@ -110,21 +99,17 @@ def exists_orientation_diameter2(g: Graph, budget: SearchBudget | None = None) -
     ones: the kernel's first reach check rejects them before its first
     node.  Budget exhaustion yields INDETERMINATE, never a wrong answer.
     """
-    budget = budget or default_budget()
     if not is_bridgeless(g):
         return DecisionOutcome(SearchStatus.NO)
     return _solve_bounded(g, _backend.ordered_edges(g), 2, budget)
 
 
-def exact_oriented_diameter(
-    g: Graph, budget: SearchBudget | None = None
-) -> DistanceValue | None:
+def exact_oriented_diameter(g: Graph, budget: SearchBudget = SearchBudget()) -> DistanceValue | None:
     """Minimum diameter over all orientations.
 
     INFINITE exactly when the graph is disconnected or has a bridge.
     Returns None when the budget runs out first.
     """
-    budget = budget or default_budget()
     if g.n <= 1:
         return 0
     if not is_connected(g) or not is_bridgeless(g):
@@ -502,7 +487,7 @@ def verify_theorem(n: int) -> VerificationReport:
     )
 
 
-def verify_sharpness(n: int, budget: SearchBudget | None = None) -> bool:
+def verify_sharpness(n: int, budget: SearchBudget = SearchBudget()) -> bool:
     """True iff the one-below-threshold extremal graph has no diameter-2
     orientation, decided exhaustively.  Budget exhaustion raises
     RuntimeError; n < 5 raises ValueError (`extremal_graph`)."""

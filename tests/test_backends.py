@@ -19,6 +19,7 @@ from orient2._backend import backend_name, ordered_edges
 from orient2.graphs import Digraph, Graph, Orientation, is_bridgeless, is_connected
 from orient2.oracle import (
     DecisionOutcome,
+    SearchBudget,
     SearchStatus,
     exact_oriented_diameter,
     exists_orientation_diameter2,
@@ -159,11 +160,11 @@ class TestCompiledArguments:
         assert _both(speedups, 6, eo, 2, -(10**20)) == (_pysearch.STATUS_BUDGET, None, 1)
 
     def test_budget_beyond_long_long_through_the_oracle(self, speedups, monkeypatch):
-        monkeypatch.setenv("ORIENT2_BUDGET", str(10**20))
-        expected = exact_oriented_diameter(extremal_graph(6))
+        budget = SearchBudget(max_nodes=10**20)
+        expected = exact_oriented_diameter(extremal_graph(6), budget)
         monkeypatch.setattr(_backend, "_impl", speedups)
         monkeypatch.setattr(_backend, "BACKEND", "compiled")
-        assert exact_oriented_diameter(extremal_graph(6)) == expected == 3
+        assert exact_oriented_diameter(extremal_graph(6), budget) == expected == 3
 
     def test_large_orders_route_to_the_pure_kernel(self, speedups, monkeypatch):
         monkeypatch.setattr(_backend, "_impl", speedups)

@@ -135,19 +135,6 @@ class TestOrient:
         assert code == cli.EXIT_VERIFY_FAILED and out == ""
         assert err == "error: line 1: internal error: construction failed: islice count out of range\n"
 
-    def test_bad_budget_variable_fails_the_batch(self, capsys, monkeypatch):
-        # with every constructor move refused, each line would reach the
-        # exhaustive fallback, which reads ORIENT2_BUDGET
-        from orient2 import construct
-
-        for name in ("_base_case_with_family", "find_reduction", "find_violating_triple"):
-            monkeypatch.setattr(construct, name, lambda *args: None)
-        monkeypatch.setenv("ORIENT2_BUDGET", "abc")
-        k9 = emit_graph6(complete_graph(9))
-        code, out, err = run_cli(capsys, monkeypatch, ["orient"], f"{k9}\n{k9}\n")
-        assert code == 2 and out == ""
-        assert err == "error: ORIENT2_BUDGET must be an integer of at least 0, got 'abc'\n"
-
 
 class TestDiameter:
     def test_petersen(self, capsys, monkeypatch):
@@ -183,12 +170,10 @@ class TestDiameter:
         assert exc.value.code == 2
         assert "--budget: must be at least 0, got -1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "-5"])
-    def test_bad_budget_variable_exit_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("ORIENT2_BUDGET", value)
+    def test_the_environment_sets_no_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORIENT2_BUDGET", "1")
         code, out, err = run_cli(capsys, monkeypatch, ["diameter"], emit_graph6(petersen()) + "\n")
-        assert code == 2 and out == ""
-        assert err == f"error: ORIENT2_BUDGET must be an integer of at least 0, got {value!r}\n"
+        assert (code, out, err) == (0, "6\n", "")
 
 
 class TestBatches:

@@ -31,7 +31,7 @@ from orient2.construct import (
     threshold_size,
 )
 from orient2.graphs import Digraph, Graph, Orientation, bits, complement, components, diameter
-from orient2.oracle import enumerate_blue
+from orient2.oracle import SearchBudget, enumerate_blue
 from orient2.structure import (
     ComponentClass,
     ComponentKind,
@@ -588,7 +588,7 @@ class TestFallback:
     def test_budget_exhaustion_is_not_reported_as_no(self, monkeypatch):
         for name in ("_base_case_with_family", "find_reduction", "find_violating_triple"):
             monkeypatch.setattr(construct, name, lambda blue, *comps: None)
-        monkeypatch.setenv("ORIENT2_BUDGET", "1")
+        monkeypatch.setattr(construct, "SearchBudget", lambda: SearchBudget(max_nodes=1))
         with pytest.raises(InternalVerificationError, match="ran out of its 1-node budget"):
             orient_diameter_two(complete_graph(9))
 

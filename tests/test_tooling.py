@@ -8,7 +8,8 @@ a traced run or a tool failing at start-up, so every name is resolved
 here against ``orient2``.  The table and the imports are read from the
 files' source; nothing under ``perfbench/`` is imported or run, and of
 ``tools/`` only `construct_scale.py` is loaded, for its instances and
-digest.
+digest.  The package itself reads no environment variable: a budget or
+any other setting reaches it only as an argument or a flag.
 """
 
 import ast
@@ -22,6 +23,7 @@ from conftest import load_tool
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 TOOLS = sorted((ROOT / "tools").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "orient2").glob("*.py"))
 
 
 def tracer_layers():
@@ -94,3 +96,19 @@ def test_construct_scale_digest_and_replay_at_order_400():
         assert replay_trace(g, trace) == o
         digest = tool.fold_digest(digest, o, trace)
     assert f"{digest:08x}" == "072b6871"
+
+
+def identifiers(path):
+    """Every name, attribute and imported name in the file's source."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_the_package_reads_no_environment_variable(path):
+    assert not set(identifiers(path)) & {"environ", "environb", "getenv", "getenvb"}
