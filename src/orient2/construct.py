@@ -31,10 +31,12 @@ is recorded in the trace.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, islice
 from math import comb
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._basecase_table import TABLE
 from .certs import GoodOrientationCert, combine, verify_cert
@@ -52,12 +54,14 @@ from .graphs import (
 )
 from .oracle import SearchBudget, SearchStatus, exists_orientation_diameter2
 from .structure import (
+    _MISSING,
     ComponentClass,
     ComponentKind,
     LiveBlue,
     ReductionPlan,
     TripleStep,
     _certify_union,
+    _Memo,
     classify_component,
     find_reduction,
     find_violating_triple,
@@ -203,11 +207,14 @@ def _family_may_fit(blue: LiveBlue) -> bool:
     return (bool(non_trees), tuple([-key[0] for key in reversed(trees)])) in _FAMILY_SHAPES
 
 
-def _quadruple_search(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+def _quadruple_search(
+    blue: Graph, comps: list[tuple[int, ...]], certs: _Memo | None = None
+) -> tuple[int, ...] | None:
     """Out-rows from a deterministic search over leftover choices Z among the
     blue ``comps``, each gluing the certified rest W to Z with `combine`:
     two singletons, then one P2, then two components with more than two
-    vertices between them, which Z certifies on its own."""
+    vertices between them, which Z certifies on its own.  ``certs`` is
+    the memo `_certify_union` consults, if any."""
     r = len(comps)
     singles = [i for i in range(r) if len(comps[i]) == 1]
     pairs = [i for i in range(r) if len(comps[i]) == 2]
@@ -220,7 +227,7 @@ def _quadruple_search(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, .
     ]
     for chosen in leftover_options:
         rest = [comps[i] for i in range(r) if i not in chosen]
-        cert = _certify_union(blue, rest)
+        cert = _certify_union(blue, rest, certs)
         if cert is None:
             continue
         z_comps = [comps[i] for i in chosen]
@@ -228,7 +235,7 @@ def _quadruple_search(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, .
         cert_z = None
         if len(z_verts) > 2:
             # Z's certificate does not depend on how W was split
-            cert_z = _certify_union(blue, z_comps)
+            cert_z = _certify_union(blue, z_comps, certs)
             if cert_z is None:
                 continue
         # w and z are unions of whole blue components, so every red
@@ -238,7 +245,7 @@ def _quadruple_search(blue: Graph, comps: list[tuple[int, ...]]) -> tuple[int, .
 
 
 def _base_case_with_family(
-    blue: Graph, comps: list[tuple[int, ...]]
+    blue: Graph, comps: list[tuple[int, ...]], certs: _Memo | None = None
 ) -> tuple[tuple[int, ...], str] | None:
     """Out-rows orienting the complement of ``blue`` and its family name when
     its components ``comps`` (in `components` order) form one of the
@@ -261,7 +268,7 @@ def _base_case_with_family(
         served = _serve_table(blue, comps)
         if served is not None:
             return served, f"table:{family}"
-    found = _quadruple_search(blue, comps)
+    found = _quadruple_search(blue, comps, certs)
     if found is not None:
         return found, family
     return None
@@ -476,7 +483,7 @@ def _choose_move(blue: LiveBlue) -> tuple[tuple[Edge, ...], TraceStep]:
     deleted = _first_red_pairs(blue, blue.order - 5 - blue.m)  # red edges over the threshold, which each level meets
     _delete_red_pairs(blue, deleted)
     if _family_may_fit(blue):
-        base = _base_case_with_family(*blue.compact())
+        base = _base_case_with_family(*blue.compact(), blue.certs)
         if base is not None:
             rows, family = base
             return deleted, BaseCaseStep(family, rows)
@@ -491,6 +498,57 @@ def _choose_move(blue: LiveBlue) -> tuple[tuple[Edge, ...], TraceStep]:
     return deleted, FallbackStep(reason, orientation.dir.out)
 
 
+class _SweepMemos:
+    """The repeated work of one `verify_theorem` sweep, done once.
+
+    Instances of one order share many inner levels, and levels share many
+    unions of components.  ``certs`` remembers `_certify_union`'s answers,
+    and ``levels`` each inner level's move, keyed on its blue rows in ranks
+    before padding: `_choose_move` reads nothing else, and pads and steps
+    are in ranks.  A top level is never remembered, since each instance of
+    a sweep is a different graph of the sweep's order and every inner level
+    is smaller.  Both live only as long as their sweep: a process-wide memo
+    would let a rerun of the same inputs skip every certificate it built."""
+
+    def __init__(self) -> None:
+        self.certs = _Memo()
+        self.levels = _Memo()
+
+    def choose(self, blue: LiveBlue) -> tuple[tuple[Edge, ...], TraceStep]:
+        """`_choose_move`, answered from ``levels`` where the level repeats one."""
+        blue.certs = self.certs
+        if len(blue.adj) == blue.order:  # no label has retired: the top level
+            return _choose_move(blue)
+        key = _induced(blue.adj, blue.labels).adj
+        move = self.levels.get(key)
+        if move is _MISSING:
+            move = _choose_move(blue)
+            self.levels.put(key, move)
+        else:
+            _delete_red_pairs(blue, move[0])
+        return move
+
+    def settle(self, keep: bool) -> None:
+        self.certs.settle(keep)
+        self.levels.settle(keep)
+
+
+# The memos of the sweep under way in this context, if any.  A sweep reaches
+# the driver through the public `orient_diameter_two`, whose signature stays
+# as it is, so the memos cross that one call in a context variable.
+_SWEEP: ContextVar[_SweepMemos | None] = ContextVar("orient2_sweep", default=None)
+
+
+@contextmanager
+def _one_sweep() -> Iterator[None]:
+    """Give each `orient_diameter_two` call in the block one sweep's memos."""
+    token = _SWEEP.set(_SweepMemos())
+    try:
+        yield
+    finally:
+        _SWEEP.reset(token)
+
+
 def orient_diameter_two(g: Graph) -> tuple[Orientation, ConstructionTrace]:
     """Diameter-2 orientation for any graph with n >= 5 and at least C(n,2) - n + 5
     edges, with a replayable construction trace; ValueError, before any work, for any other graph."""
@@ -498,10 +556,17 @@ def orient_diameter_two(g: Graph) -> tuple[Orientation, ConstructionTrace]:
         raise ValueError(f"need at least 5 vertices, got {g.n}")
     if g.m < threshold_size(g.n):
         raise ValueError(f"graph of order {g.n} has {g.m} edges; {threshold_size(g.n)} are required")
+    memos = _SWEEP.get()
+    built = False
     try:
-        return _execute(g, _choose_move)
+        result = _execute(g, _choose_move if memos is None else memos.choose)
+        built = True
     except ValueError as exc:  # the input met the rule, so a fault of the driver
         raise InternalVerificationError(f"construction failed: {exc}") from exc
+    finally:
+        if memos is not None:
+            memos.settle(built)
+    return result
 
 
 def replay_trace(g: Graph, trace: ConstructionTrace) -> Orientation:

@@ -447,39 +447,48 @@ def extremal_graph(n: int) -> Graph:
 def verify_theorem(n: int) -> VerificationReport:
     """Run the constructor on every threshold instance of order ``n``.
 
-    Enumerates all complements with at most n - 5 edges (timed on its
-    own as ``enumeration_time``), orients each input, and re-checks every
-    output at diameter <= 2 with one BFS per source (`eccentricity`),
-    independent of the constructor's own check.
+    Enumerates all complements with at most n - 5 edges, one at a time
+    (``enumeration_time`` sums the time spent waiting for the next), orients
+    each input, and re-checks every output at diameter <= 2 with one BFS per
+    source (`eccentricity`), independent of the constructor's own check.
+    The constructions share one sweep's memos of certified unions and of
+    inner levels' moves, which end with the sweep.
     Each failure reads ``"<graph6 of the input>: <reason>"``; the reason
     is ``"<exception type>: <message>"`` when the constructor raised.
     """
-    from .construct import orient_diameter_two
+    from .construct import _one_sweep, orient_diameter_two
 
     if n < 5:
         raise ValueError(f"verification harness starts at n = 5, got {n}")
     start = time.monotonic()
-    blues = list(enumerate_blue(n, n - 5))
-    enumeration_time = time.monotonic() - start
+    blues = enumerate_blue(n, n - 5)
+    enumeration_time = 0.0
+    instances = fallbacks = 0
     failures: list[str] = []
-    fallbacks = 0
-    for blue in blues:
-        red = complement(blue)
-        reason = None
-        try:
-            orientation, trace = orient_diameter_two(red)
-            fallbacks += trace.fallback_count()
-            if orientation.base != red:
-                reason = "orientation is not of the input graph"
-            elif (d := max(eccentricity(orientation.dir, u) for u in range(n))) > 2:
-                reason = f"orientation has diameter {d}"
-        except Exception as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-        if reason is not None:
-            failures.append(f"{emit_graph6(red)}: {reason}")
+    with _one_sweep():
+        while True:
+            started = time.monotonic()
+            blue = next(blues, None)
+            enumeration_time += time.monotonic() - started
+            if blue is None:
+                break
+            instances += 1
+            red = complement(blue)
+            reason = None
+            try:
+                orientation, trace = orient_diameter_two(red)
+                fallbacks += trace.fallback_count()
+                if orientation.base != red:
+                    reason = "orientation is not of the input graph"
+                elif (d := max(eccentricity(orientation.dir, u) for u in range(n))) > 2:
+                    reason = f"orientation has diameter {d}"
+            except Exception as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+            if reason is not None:
+                failures.append(f"{emit_graph6(red)}: {reason}")
     return VerificationReport(
         n=n,
-        instances_checked=len(blues),
+        instances_checked=instances,
         failures=tuple(failures),
         wall_time=time.monotonic() - start,
         fallback_count=fallbacks,

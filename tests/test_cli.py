@@ -256,8 +256,8 @@ class TestBatches:
 
         built = construct._base_case_with_family
 
-        def sinking(level, comps):
-            found = built(level, comps)
+        def sinking(level, comps, certs):
+            found = built(level, comps, certs)
             if found is None:
                 return None
             rows, family = found

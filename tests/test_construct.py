@@ -31,7 +31,7 @@ from orient2.construct import (
     threshold_size,
 )
 from orient2.graphs import Digraph, Graph, Orientation, bits, complement, components, diameter
-from orient2.oracle import SearchBudget, enumerate_blue
+from orient2.oracle import SearchBudget, enumerate_blue, verify_theorem
 from orient2.structure import (
     ComponentClass,
     ComponentKind,
@@ -565,8 +565,8 @@ class TestLevels:
         blue = disjoint_union(complete_graph(4), *singletons(7))
         built = construct._base_case_with_family
 
-        def faulty(level, comps):
-            rows, family = built(level, comps)
+        def faulty(level, comps, certs):
+            rows, family = built(level, comps, certs)
             return corrupt(rows), family
 
         monkeypatch.setattr(construct, "_base_case_with_family", faulty)
@@ -677,6 +677,91 @@ class TestDriver:
             if len(present) == 3:
                 outs = sum(o.dir.out[u] >> x & 1 for x in present)
                 assert outs in (0, 3)
+
+
+class TestSweepMemos:
+    """A `verify_theorem` sweep remembers certified unions and the moves of
+    inner levels for as long as it runs; nothing it builds may change."""
+
+    @staticmethod
+    def sweep(monkeypatch, n):
+        """Each instance of ``verify_theorem(n)`` with its out-rows, its trace
+        and the sweep's memos, as built inside the sweep."""
+        built = []
+        real = construct.orient_diameter_two
+
+        def spy(g):
+            o, trace = real(g)
+            built.append((g, o.dir.out, trace.to_json(), construct._SWEEP.get()))
+            return o, trace
+
+        monkeypatch.setattr(construct, "orient_diameter_two", spy)
+        report = verify_theorem(n)
+        assert report.ok and report.instances_checked == len(built)
+        assert construct._SWEEP.get() is None  # the memos end with the sweep
+        return built
+
+    @pytest.mark.parametrize("n", [11, 12, 13])  # 13: the first order where a padded level repeats
+    def test_a_sweep_builds_what_a_standalone_call_builds(self, monkeypatch, n):
+        hits = Counter()
+        real_get = structure._Memo.get
+
+        def get(memo, key):
+            value = real_get(memo, key)
+            hits[memo] += value is not structure._MISSING
+            return value
+
+        monkeypatch.setattr(structure._Memo, "get", get)
+        built = self.sweep(monkeypatch, n)
+        memos = built[0][3]
+        assert hits[memos.certs] and hits[memos.levels]
+        for g, rows, steps, _ in built:
+            o, trace = orient_diameter_two(g)
+            assert o.dir.out == rows and trace.to_json() == steps
+
+    def test_a_certificate_is_remembered_with_the_order_of_its_parts(self):
+        blue = disjoint_union(complete_graph(3), paths_union([3]))
+        parts = components(blue)
+        assert structure._certify_union(blue, parts) != structure._certify_union(blue, parts[::-1])
+        memo = structure._Memo()
+        for order in (parts, parts[::-1], parts):
+            assert structure._certify_union(blue, order, memo) == structure._certify_union(blue, order)
+        assert len(memo.entries) == 2
+
+    def test_no_memo_grows_past_its_bound(self, monkeypatch):
+        largest = Counter()
+        real_put = structure._Memo.put
+
+        def put(memo, key, value):
+            real_put(memo, key, value)
+            largest[memo] = max(largest[memo], len(memo.entries))
+
+        monkeypatch.setattr(structure._Memo, "put", put)
+        memos = self.sweep(monkeypatch, 14)[0][3]
+        assert largest[memos.certs] <= structure._MEMO_SIZE
+        assert largest[memos.levels] == structure._MEMO_SIZE  # n = 14 has more inner levels than that
+
+    def test_an_instance_that_raises_leaves_no_entry(self, monkeypatch):
+        first = complement(disjoint_union(cycle_graph(4), *singletons(5)))  # a triple, then an inner level
+        second = complement(disjoint_union(cycle_graph(4), cycle_graph(4), *singletons(8)))  # two inner levels
+
+        def entries(memos):
+            return [list(memos.certs.entries.items()), list(memos.levels.entries.items())]
+
+        with construct._one_sweep():
+            memos = construct._SWEEP.get()
+            orient_diameter_two(first)
+            kept = entries(memos)
+            orient_diameter_two(second)
+            assert all(len(now) > len(before) for now, before in zip(entries(memos), kept))
+        with construct._one_sweep():
+            memos = construct._SWEEP.get()
+            orient_diameter_two(first)
+            assert entries(memos) == kept
+            monkeypatch.setattr(construct, "diameter", lambda d: 3)  # the output check fails
+            with pytest.raises(InternalVerificationError):
+                orient_diameter_two(second)
+            assert entries(memos) == kept
 
 
 @st.composite
