@@ -3,6 +3,9 @@
 
 Usage: python3 benchmarks/bench_backends.py [--repeat N]
 
+Exits with status 1 when the two kernels return different results on any
+workload.
+
 Workloads:
 * sharpness: prove the one-below-threshold extremal graph of order 9
   (31 edges) has no diameter-2 orientation,
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 import time
 
 from orient2 import _pysearch
@@ -72,7 +76,8 @@ def census_series() -> list[Graph]:
     return graphs
 
 
-def bench(label: str, fn, repeat: int) -> float:
+def bench(label: str, fn, repeat: int) -> tuple[float, object]:
+    """The best of ``repeat`` timings of ``fn`` and its last result."""
     best = float("inf")
     result = None
     for _ in range(repeat):
@@ -80,7 +85,7 @@ def bench(label: str, fn, repeat: int) -> float:
         result = fn()
         best = min(best, time.perf_counter() - t0)
     print(f"  {label:<24} {best * 1000:10.2f} ms   result={result}")
-    return best
+    return best, result
 
 
 def workloads(impl):
@@ -129,26 +134,33 @@ def workloads(impl):
     return jobs
 
 
-def main() -> None:
+def main() -> int:
+    """Times both kernels; exits 1 when they disagree on any workload."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
     timings: dict[str, dict[str, float]] = {}
+    results: dict[str, dict[str, object]] = {}
     for name, impl in [("python", _pysearch)] + ([("compiled", _speedups)] if _speedups else []):
         print(f"backend: {name}")
         timings[name] = {}
+        results[name] = {}
         for label, fn in workloads(impl):
-            timings[name][label] = bench(label, fn, args.repeat)
+            timings[name][label], results[name][label] = bench(label, fn, args.repeat)
         print()
-    if "compiled" in timings:
-        print("speedups (pure / compiled):")
-        for label, t in timings["compiled"].items():
-            ratio = timings["python"][label] / max(t, 1e-9)
-            print(f"  {label:<24} {ratio:8.1f}x")
-    else:
+    if "compiled" not in timings:
         print("compiled backend unavailable; only the pure kernel was timed")
+        return 0
+    print("speedups (pure / compiled):")
+    for label, t in timings["compiled"].items():
+        ratio = timings["python"][label] / max(t, 1e-9)
+        print(f"  {label:<24} {ratio:8.1f}x")
+    differ = [label for label, got in results["compiled"].items() if got != results["python"][label]]
+    for label in differ:
+        print(f"kernels disagree on {label}: pure {results['python'][label]}, compiled {results['compiled'][label]}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,7 +7,11 @@ refreshes its table and logs overwritten rows, the compiled one rebuilds
 it after each commit), and both skip the cut-arc search of a source that
 reaches every vertex within d - 1 steps and another in-neighbour of the
 arc's head no later than the head itself, since cutting the arc delays
-such a source by at most one step; so the choice only affects speed.
+such a source by at most one step.  Both propagate a search node to its
+fixpoint in one cyclic pass over the edges, committing each forced edge
+where they find it; a commit only removes potential arcs, so no scan
+order can change the fixpoint, and the shared order keeps the node
+counts equal too.  The choice of backend only affects speed.
 The naive cross-check has only the pure, bitsliced kernel.
 """
 

@@ -9,7 +9,14 @@ connects it within ``d`` steps.  Assigning an edge only removes potential
 arcs, so pruning on potential reachability is sound.  On top of the
 pruning the kernel runs failed-direction propagation: any undirected
 edge that is infeasible one way is committed the other way before
-branching.
+branching.  Propagation is one cyclic pass over the edges: it commits a
+forced edge where it finds it, goes on with the next index, wrapping at
+m, and stops at the fixpoint, after m indices in a row with no force, or
+at the first edge infeasible both ways.  The scan order is free because
+every test is monotone: a commit only removes potential arcs, so a
+direction that cannot be removed stays so, and every order reaches the
+same fixpoint or the same conflict.  Only the number of commits made
+before a conflict depends on the order, and with it the node count.
 
 Each propagation test asks whether the current, feasible state stays
 feasible once one potential arc a->b is gone, and reads the answer off a
@@ -237,26 +244,23 @@ def solve(
             assigned[i] = -1
 
     def propagate() -> bool:
-        # assumes the current state is feasible
-        while True:
-            forced = -1
-            forced_dir = 0
-            for i in range(m):
-                if assigned[i] >= 0:
-                    continue
+        # assumes the current state is feasible; one cyclic scan that commits
+        # each forced edge where it finds it and stops after m quiet indices
+        i = quiet = 0
+        while quiet < m:
+            quiet += 1
+            if assigned[i] < 0:
                 p, q = edges[i]
                 ok0 = removable(q, p)  # p->q drops the potential arc q->p
                 ok1 = removable(p, q)
                 if not ok0 and not ok1:
                     return False
                 if ok0 != ok1:
-                    forced = i
-                    forced_dir = 0 if ok0 else 1
-                    break
-            if forced < 0:
-                return True
-            set_arc(forced, forced_dir)
-            tick()
+                    set_arc(i, 0 if ok0 else 1)
+                    tick()
+                    quiet = 0
+            i = i + 1 if i + 1 < m else 0
+        return True
 
     def search() -> bool:
         mark = len(trail)

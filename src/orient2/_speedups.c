@@ -1,17 +1,17 @@
 /* Compiled search kernel: a port of ``_pysearch.solve`` (see its module
- * docstring) with the same propagation, branching order, witnesses and
- * node counts.  It rebuilds the reach table after each commit, where the
- * pure kernel refreshes the changed rows and logs the rows it overwrites;
- * the two tables are equal.  ``removable`` skips the cut-arc search of a
- * source hit at k <= d - 2 that is in shared[k + 1][b] and in ``slack``
- * (within d - 1 steps of every vertex): a path through a->b to b's other
- * in-neighbour is longer than k + 1, so cutting the arc delays that source
- * by at most one step, which keeps it within d of every vertex.  A cut-arc
- * search stops as soon as the rows it has expanded cover every vertex,
- * partway through a level if need be.  A vertex set is one 64-bit
- * word, so n is limited to 62; ``_backend`` routes larger inputs to the
- * pure kernel.  Budget exhaustion unwinds the search with longjmp, where
- * the pure kernel raises ``_BudgetExceeded``.
+ * docstring) with the same propagation (one cyclic pass to the fixpoint),
+ * branching order, witnesses and node counts.  It rebuilds the reach table
+ * after each commit, where the pure kernel refreshes the changed rows and
+ * logs the rows it overwrites; the two tables are equal.  ``removable``
+ * skips the cut-arc search of a source hit at k <= d - 2 that is in
+ * shared[k + 1][b] and in ``slack`` (within d - 1 steps of every vertex):
+ * a path through a->b to b's other in-neighbour is longer than k + 1, so
+ * cutting the arc delays that source by at most one step, which keeps it
+ * within d of every vertex.  A cut-arc search stops as soon as the rows it
+ * has expanded cover every vertex, partway through a level if need be.  A
+ * vertex set is one 64-bit word, so n is limited to 62; ``_backend``
+ * routes larger inputs to the pure kernel.  Budget exhaustion unwinds the
+ * search with longjmp, where the pure kernel raises ``_BudgetExceeded``.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -179,30 +179,26 @@ static void undo_to(Solver *s, int mark)
     }
 }
 
-/* assumes the current state is feasible */
+/* assumes the current state is feasible; one cyclic scan that commits
+ * each forced edge where it finds it and stops after m quiet indices */
 static int propagate(Solver *s)
 {
-    for (;;) {
-        int forced = -1, forced_dir = 0;
-        for (int i = 0; i < s->m; i++) {
-            if (s->assigned[i] >= 0)
-                continue;
-            int p = s->ep[i], q = s->eq[i];
-            int ok0 = removable(s, q, p); /* p->q drops the potential arc q->p */
-            int ok1 = removable(s, p, q);
-            if (!ok0 && !ok1)
-                return 0;
-            if (ok0 != ok1) {
-                forced = i;
-                forced_dir = ok0 ? 0 : 1;
-                break;
-            }
+    for (int i = 0, quiet = 0; quiet < s->m; i = i + 1 < s->m ? i + 1 : 0) {
+        quiet++;
+        if (s->assigned[i] >= 0)
+            continue;
+        int p = s->ep[i], q = s->eq[i];
+        int ok0 = removable(s, q, p); /* p->q drops the potential arc q->p */
+        int ok1 = removable(s, p, q);
+        if (!ok0 && !ok1)
+            return 0;
+        if (ok0 != ok1) {
+            set_arc(s, i, ok0 ? 0 : 1);
+            tick(s);
+            quiet = 0;
         }
-        if (forced < 0)
-            return 1;
-        set_arc(s, forced, forced_dir);
-        tick(s);
     }
+    return 1;
 }
 
 static int search(Solver *s)

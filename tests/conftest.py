@@ -1,9 +1,11 @@
 import importlib.util
 import random
+import time
 from pathlib import Path
 
 import pytest
 
+from orient2 import _pysearch
 from orient2.certs import matchjoin_cert, window_cert
 from orient2.graphs import Graph, complement
 
@@ -122,6 +124,161 @@ def slack_instances(rng: random.Random, count: int):
         d = undirected_diameter(g) + rng.randint(1, 2)
         max_nodes = 10**7 if rng.random() < 0.5 else rng.randint(0, 100)
         yield n, edges, d, max_nodes
+
+
+def reference_solve(
+    n: int,
+    edges: list[tuple[int, int]],
+    d: int,
+    max_nodes: int,
+    time_limit: float | None = None,
+    restart: bool = False,
+) -> tuple[int, list[int] | None, int]:
+    """The search the reach table replaced: each propagation test sets the
+    edge, searches from every source within d - 1 reverse steps of the head
+    of the dropped arc, and unsets the edge.  Propagation is one cyclic scan
+    to the fixpoint, as in the kernels; ``restart`` instead scans again from
+    edge 0 after every forced edge."""
+    m = len(edges)
+    full = (1 << n) - 1
+    out = [0] * n
+    inn = [0] * n
+    und = [0] * n
+    for p, q in edges:
+        und[p] |= 1 << q
+        und[q] |= 1 << p
+    assigned = [-1] * m
+    trail: list[int] = []
+    nodes = 0
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
+
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise _pysearch._BudgetExceeded
+        if deadline is not None and nodes % _pysearch._TICK_INTERVAL == 0:
+            if time.monotonic() > deadline:
+                raise _pysearch._BudgetExceeded
+
+    def reach_ok(src: int) -> bool:
+        r = 1 << src
+        for _ in range(d):
+            nxt = r
+            mask = r
+            while mask:
+                low = mask & -mask
+                v = low.bit_length() - 1
+                mask ^= low
+                nxt |= out[v] | und[v]
+            if nxt == r:
+                break
+            r = nxt
+            if r == full:
+                return True
+        return r == full
+
+    def feasible_around(head: int) -> bool:
+        r = 1 << head
+        for _ in range(d - 1):
+            nxt = r
+            mask = r
+            while mask:
+                low = mask & -mask
+                v = low.bit_length() - 1
+                mask ^= low
+                nxt |= inn[v] | und[v]
+            if nxt == r:
+                break
+            r = nxt
+        mask = r
+        while mask:
+            low = mask & -mask
+            u = low.bit_length() - 1
+            mask ^= low
+            if not reach_ok(u):
+                return False
+        return True
+
+    def set_arc(i: int, direction: int) -> int:
+        p, q = edges[i]
+        if direction:
+            p, q = q, p
+        out[p] |= 1 << q
+        inn[q] |= 1 << p
+        und[p] &= ~(1 << q)
+        und[q] &= ~(1 << p)
+        assigned[i] = direction
+        return q
+
+    def unset_arc(i: int) -> None:
+        p, q = edges[i]
+        if assigned[i]:
+            p, q = q, p
+        out[p] &= ~(1 << q)
+        inn[q] &= ~(1 << p)
+        und[p] |= 1 << q
+        und[q] |= 1 << p
+        assigned[i] = -1
+
+    def undo_to(mark: int) -> None:
+        while len(trail) > mark:
+            unset_arc(trail.pop())
+
+    def propagate() -> bool:
+        i = quiet = 0
+        while quiet < m:
+            quiet += 1
+            if assigned[i] < 0:
+                ok0 = feasible_around(set_arc(i, 0))
+                unset_arc(i)
+                ok1 = feasible_around(set_arc(i, 1))
+                unset_arc(i)
+                if not ok0 and not ok1:
+                    return False
+                if ok0 != ok1:
+                    set_arc(i, 0 if ok0 else 1)
+                    trail.append(i)
+                    tick()
+                    quiet = 0
+                    if restart:
+                        i = 0
+                        continue
+            i = i + 1 if i + 1 < m else 0
+        return True
+
+    def search() -> bool:
+        mark = len(trail)
+        if not propagate():
+            undo_to(mark)
+            return False
+        branch = next((i for i in range(m) if assigned[i] < 0), -1)
+        if branch < 0:
+            return True
+        for direction in (0, 1):
+            submark = len(trail)
+            head = set_arc(branch, direction)
+            trail.append(branch)
+            tick()
+            if feasible_around(head) and search():
+                return True
+            undo_to(submark)
+        undo_to(mark)
+        return False
+
+    try:
+        if not all(reach_ok(u) for u in range(n)):
+            return (_pysearch.STATUS_NO, None, nodes)
+        if m == 0:
+            return (_pysearch.STATUS_YES, [], nodes)
+        head = set_arc(0, 0)
+        trail.append(0)
+        tick()
+        if feasible_around(head) and search():
+            return (_pysearch.STATUS_YES, list(assigned), nodes)
+        return (_pysearch.STATUS_NO, None, nodes)
+    except _pysearch._BudgetExceeded:
+        return (_pysearch.STATUS_BUDGET, None, nodes)
 
 
 @pytest.fixture(scope="session")

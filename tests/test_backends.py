@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, petersen, slack_instances
+from conftest import complete_graph, cycle_graph, petersen, reference_solve, slack_instances
 from orient2 import _backend, _pysearch
 from orient2._backend import backend_name, ordered_edges
 from orient2.graphs import Digraph, Graph, Orientation, is_bridgeless, is_connected
@@ -89,16 +89,28 @@ class TestKernelEquivalence:
         statuses = {_both(speedups, *instance)[0] for instance in slack_instances(random.Random(151516), 300)}
         assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
 
-    @pytest.mark.parametrize("n, nodes", [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39)])
-    def test_sharpness_node_counts(self, speedups, n, nodes):
+    @pytest.mark.parametrize("n, restart_nodes", [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39)])
+    def test_sharpness_node_counts(self, speedups, n, restart_nodes):
+        # 3n - 3 nodes with one cyclic scan, more when the scan restarts at
+        # edge 0 after each forced edge
         edges = ordered_edges(extremal_graph(n))
-        assert _both(speedups, n, edges, 2, 10**7) == (_pysearch.STATUS_NO, None, nodes)
+        assert _both(speedups, n, edges, 2, 10**7) == (_pysearch.STATUS_NO, None, 3 * n - 3)
+        assert reference_solve(n, edges, 2, 10**7, restart=True)[2] == restart_nodes
 
     def test_petersen_level_node_counts(self, speedups):
         edges = ordered_edges(petersen())
         got = [_both(speedups, 10, edges, d, 10**7) for d in range(2, 7)]
-        assert [nodes for _, _, nodes in got] == [1, 1, 40, 315, 15]
+        assert [nodes for _, _, nodes in got] == [1, 1, 43, 308, 15]
         assert [status for status, _, _ in got] == [_pysearch.STATUS_NO] * 4 + [_pysearch.STATUS_YES]
+
+    @pytest.mark.parametrize(
+        "g, d, nodes", [(extremal_graph(9), 2, 24), (petersen(), 5, 308)], ids=["sharpness-9", "petersen-5"]
+    )
+    def test_budget_of_exactly_the_node_count_decides(self, speedups, g, d, nodes):
+        # the node that would exceed the budget is still counted
+        edges = ordered_edges(g)
+        assert _both(speedups, g.n, edges, d, nodes) == (_pysearch.STATUS_NO, None, nodes)
+        assert _both(speedups, g.n, edges, d, nodes - 1) == (_pysearch.STATUS_BUDGET, None, nodes)
 
     def test_identical_budget_cutoffs(self, speedups):
         eo = ordered_edges(complete_graph(7))
@@ -109,14 +121,14 @@ class TestKernelEquivalence:
         assert _both(speedups, 10, ordered_edges(petersen()), 6, 10**7)[0] == _pysearch.STATUS_YES
 
     def test_zero_time_limit_stops_at_first_clock_read(self, speedups):
-        # a bridgeless graph whose d = 3 search takes 3,912 nodes; the clock
+        # a bridgeless graph whose d = 3 search takes 3,437 nodes; the clock
         # is first read at node 2,048
         rng = random.Random(6)
         pairs = [(u, v) for u in range(19) for v in range(u + 1, 19)]
         g = Graph.from_edges(19, sorted(rng.sample(pairs, 58)))
         assert is_connected(g) and is_bridgeless(g)
         eo = ordered_edges(g)
-        assert speedups.solve(19, eo, 3, 10**7, None)[::2] == (_pysearch.STATUS_YES, 3912)
+        assert speedups.solve(19, eo, 3, 10**7, None)[::2] == (_pysearch.STATUS_YES, 3437)
         assert _both(speedups, 19, eo, 3, 10**7, 0.0) == (_pysearch.STATUS_BUDGET, None, 2048)
 
     def test_no_answers_match(self, speedups):
@@ -156,7 +168,7 @@ class TestPureArguments:
 class TestCompiledArguments:
     def test_budget_beyond_long_long_is_unlimited(self, speedups):
         eo = ordered_edges(extremal_graph(6))
-        assert _both(speedups, 6, eo, 2, 10**20) == (_pysearch.STATUS_NO, None, 21)
+        assert _both(speedups, 6, eo, 2, 10**20) == (_pysearch.STATUS_NO, None, 15)
         assert _both(speedups, 6, eo, 2, -(10**20)) == (_pysearch.STATUS_BUDGET, None, 1)
 
     def test_budget_beyond_long_long_through_the_oracle(self, speedups, monkeypatch):
@@ -216,6 +228,10 @@ class TestDecisionLeftToTheKernel:
         expected = Orientation(g, Digraph(g.n, (0,) * g.n)) if status is SearchStatus.YES else None
         assert outcome.orientation == expected
 
-    @pytest.mark.parametrize("n, nodes", [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39)])
-    def test_sharpness_orders(self, kernel, n, nodes):
-        assert exists_orientation_diameter2(extremal_graph(n)) == DecisionOutcome(SearchStatus.NO, None, nodes)
+    @pytest.mark.parametrize("n, restart_nodes", [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39)])
+    def test_sharpness_orders(self, kernel, n, restart_nodes):
+        # 3n - 3 nodes with one cyclic scan, more when the scan restarts at
+        # edge 0 after each forced edge
+        g = extremal_graph(n)
+        assert exists_orientation_diameter2(g) == DecisionOutcome(SearchStatus.NO, None, 3 * n - 3)
+        assert reference_solve(n, ordered_edges(g), 2, 10**7, restart=True)[2] == restart_nodes

@@ -1,12 +1,20 @@
 import random
-import time
 from itertools import chain, combinations, permutations, product
 from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import complete_graph, cycle_graph, path_graph, petersen, random_connected, relabel, slack_instances
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    petersen,
+    random_connected,
+    reference_solve,
+    relabel,
+    slack_instances,
+)
 from orient2 import _backend, _pysearch, oracle
 from orient2.codec import emit_graph6
 from orient2.graphs import (
@@ -130,15 +138,23 @@ class TestOneBelowThreshold:
     edges, decided exactly: only the extremal graph has no diameter-2
     orientation."""
 
-    @pytest.mark.parametrize("n, count, nodes", [(6, 2, 49), (7, 5, 174), (8, 11, 464), (9, 25, 1493), (10, 66, 4595)])
-    def test_census(self, n, count, nodes):
+    # the census's search nodes with propagation as one cyclic scan
+    NODES = {6: 37, 7: 145, 8: 398, 9: 1327, 10: 4104}
+
+    @pytest.mark.parametrize(
+        "n, count, restart_nodes", [(6, 2, 49), (7, 5, 174), (8, 11, 464), (9, 25, 1493), (10, 66, 4595)]
+    )
+    def test_census(self, n, count, restart_nodes):
         instances = [complement(b) for b in enumerate_blue(n, n - 4) if b.m == n - 4]
         outcomes = [exists_orientation_diameter2(g) for g in instances]
         assert len(instances) == count
         no = [canonical_form(g) for g, out in zip(instances, outcomes) if out.status is SearchStatus.NO]
         assert no == [canonical_form(extremal_graph(n))]
         assert sum(out.status is SearchStatus.YES for out in outcomes) == count - 1
-        assert sum(out.nodes for out in outcomes) == nodes
+        assert sum(out.nodes for out in outcomes) == self.NODES[n]
+        # a scan that restarts at edge 0 after each forced edge takes more
+        restarted = [reference_solve(g.n, _backend.ordered_edges(g), 2, 10**7, restart=True) for g in instances]
+        assert sum(nodes for _, _, nodes in restarted) == restart_nodes
 
 
 @st.composite
@@ -321,157 +337,53 @@ class TestNaiveKernel:
             naive_oriented_diameter(k10)
 
 
-def _reference_solve(
-    n: int,
-    edges: list[tuple[int, int]],
-    d: int,
-    max_nodes: int,
-    time_limit: float | None = None,
-) -> tuple[int, list[int] | None, int]:
-    """The search the reach table replaced: each propagation test sets the
-    edge, searches from every source within d - 1 reverse steps of the head
-    of the dropped arc, and unsets the edge."""
-    m = len(edges)
-    full = (1 << n) - 1
-    out = [0] * n
-    inn = [0] * n
-    und = [0] * n
-    for p, q in edges:
-        und[p] |= 1 << q
-        und[q] |= 1 << p
-    assigned = [-1] * m
-    trail: list[int] = []
-    nodes = 0
-    deadline = time.monotonic() + time_limit if time_limit is not None else None
+def _random_instances(rng: random.Random, count: int):
+    """``count`` kernel inputs (n, edges, d, max_nodes) on G(n, p) with
+    n = 2..10 and d = 1..4; edges degree-ranked or shuffled, budgets
+    unlimited or 0..30 nodes."""
+    for _ in range(count):
+        n = rng.randint(2, 10)
+        p = rng.uniform(0.2, 0.95)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if rng.random() < 0.5:
+            edges = _backend.ordered_edges(g)
+        else:
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+            rng.shuffle(edges)
+        d = rng.randint(1, 4)
+        max_nodes = 10**7 if rng.random() < 0.5 else rng.randint(0, 30)
+        yield n, edges, d, max_nodes
 
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise _pysearch._BudgetExceeded
-        if deadline is not None and nodes % _pysearch._TICK_INTERVAL == 0:
-            if time.monotonic() > deadline:
-                raise _pysearch._BudgetExceeded
 
-    def reach_ok(src: int) -> bool:
-        r = 1 << src
-        for _ in range(d):
-            nxt = r
-            mask = r
-            while mask:
-                low = mask & -mask
-                v = low.bit_length() - 1
-                mask ^= low
-                nxt |= out[v] | und[v]
-            if nxt == r:
-                break
-            r = nxt
-            if r == full:
-                return True
-        return r == full
+def _deep_instances(rng: random.Random, count: int):
+    """``count`` kernel inputs on connected bridgeless graphs with n = 11..16
+    and d = 2..6, where trails run to dozens of commits and a failed branch
+    unwinds many of them at once; budgets unlimited or 0..100 nodes."""
+    drawn = 0
+    while drawn < count:
+        n = rng.randint(11, 16)
+        p = rng.uniform(0.2, 0.6)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if not (is_connected(g) and is_bridgeless(g)):
+            continue
+        drawn += 1
+        if rng.random() < 0.5:
+            edges = _backend.ordered_edges(g)
+        else:
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+            rng.shuffle(edges)
+        d = rng.randint(2, 6)
+        max_nodes = 10**7 if rng.random() < 0.5 else rng.randint(0, 100)
+        yield n, edges, d, max_nodes
 
-    def feasible_around(head: int) -> bool:
-        r = 1 << head
-        for _ in range(d - 1):
-            nxt = r
-            mask = r
-            while mask:
-                low = mask & -mask
-                v = low.bit_length() - 1
-                mask ^= low
-                nxt |= inn[v] | und[v]
-            if nxt == r:
-                break
-            r = nxt
-        mask = r
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
-            if not reach_ok(u):
-                return False
-        return True
 
-    def set_arc(i: int, direction: int) -> int:
-        p, q = edges[i]
-        if direction:
-            p, q = q, p
-        out[p] |= 1 << q
-        inn[q] |= 1 << p
-        und[p] &= ~(1 << q)
-        und[q] &= ~(1 << p)
-        assigned[i] = direction
-        return q
-
-    def unset_arc(i: int) -> None:
-        p, q = edges[i]
-        if assigned[i]:
-            p, q = q, p
-        out[p] &= ~(1 << q)
-        inn[q] &= ~(1 << p)
-        und[p] |= 1 << q
-        und[q] |= 1 << p
-        assigned[i] = -1
-
-    def undo_to(mark: int) -> None:
-        while len(trail) > mark:
-            unset_arc(trail.pop())
-
-    def propagate() -> bool:
-        while True:
-            forced = -1
-            forced_dir = 0
-            for i in range(m):
-                if assigned[i] >= 0:
-                    continue
-                ok0 = feasible_around(set_arc(i, 0))
-                unset_arc(i)
-                ok1 = feasible_around(set_arc(i, 1))
-                unset_arc(i)
-                if not ok0 and not ok1:
-                    return False
-                if ok0 != ok1:
-                    forced = i
-                    forced_dir = 0 if ok0 else 1
-                    break
-            if forced < 0:
-                return True
-            set_arc(forced, forced_dir)
-            trail.append(forced)
-            tick()
-
-    def search() -> bool:
-        mark = len(trail)
-        if not propagate():
-            undo_to(mark)
-            return False
-        branch = next((i for i in range(m) if assigned[i] < 0), -1)
-        if branch < 0:
-            return True
-        for direction in (0, 1):
-            submark = len(trail)
-            head = set_arc(branch, direction)
-            trail.append(branch)
-            tick()
-            if feasible_around(head) and search():
-                return True
-            undo_to(submark)
-        undo_to(mark)
-        return False
-
-    try:
-        if not all(reach_ok(u) for u in range(n)):
-            return (_pysearch.STATUS_NO, None, nodes)
-        if m == 0:
-            return (_pysearch.STATUS_YES, [], nodes)
-        head = set_arc(0, 0)
-        trail.append(0)
-        tick()
-        if feasible_around(head) and search():
-            return (_pysearch.STATUS_YES, list(assigned), nodes)
-        return (_pysearch.STATUS_NO, None, nodes)
-    except _pysearch._BudgetExceeded:
-        return (_pysearch.STATUS_BUDGET, None, nodes)
+def _solve_corpora():
+    """The three corpora TestSolveKernel checks against the reference."""
+    return chain(
+        _random_instances(random.Random(20181), 2000),
+        _deep_instances(random.Random(20182), 40),
+        slack_instances(random.Random(20186), 25),
+    )
 
 
 class TestSolveKernel:
@@ -479,46 +391,19 @@ class TestSolveKernel:
     and unset reference: same status, witness and node count."""
 
     def test_matches_reference(self):
-        rng = random.Random(20181)
         statuses = set()
-        for _ in range(2000):
-            n = rng.randint(2, 10)
-            p = rng.uniform(0.2, 0.95)
-            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-            if rng.random() < 0.5:
-                edges = _backend.ordered_edges(g)
-            else:
-                edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
-                rng.shuffle(edges)
-            d = rng.randint(1, 4)
-            max_nodes = 10**7 if rng.random() < 0.5 else rng.randint(0, 30)
+        for n, edges, d, max_nodes in _random_instances(random.Random(20181), 2000):
             got = _pysearch.solve(n, edges, d, max_nodes, None)
-            assert got == _reference_solve(n, edges, d, max_nodes, None), (n, edges, d, max_nodes)
+            assert got == reference_solve(n, edges, d, max_nodes, None), (n, edges, d, max_nodes)
             statuses.add(got[0])
         assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
 
     def test_matches_reference_on_deep_trails(self):
-        # connected bridgeless graphs on 11..16 vertices: trails run to dozens
-        # of commits, and a failed branch unwinds many of them at once
-        rng = random.Random(20182)
         statuses = set()
-        backtracked = drawn = 0
-        while drawn < 40:
-            n = rng.randint(11, 16)
-            p = rng.uniform(0.2, 0.6)
-            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-            if not (is_connected(g) and is_bridgeless(g)):
-                continue
-            drawn += 1
-            if rng.random() < 0.5:
-                edges = _backend.ordered_edges(g)
-            else:
-                edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
-                rng.shuffle(edges)
-            d = rng.randint(2, 6)
-            max_nodes = 10**7 if rng.random() < 0.5 else rng.randint(0, 100)
+        backtracked = 0
+        for n, edges, d, max_nodes in _deep_instances(random.Random(20182), 40):
             got = _pysearch.solve(n, edges, d, max_nodes, None)
-            assert got == _reference_solve(n, edges, d, max_nodes, None), (n, edges, d, max_nodes)
+            assert got == reference_solve(n, edges, d, max_nodes, None), (n, edges, d, max_nodes)
             statuses.add(got[0])
             # one node per commit: more than a straight run means an undo
             backtracked += got[2] > (1 if got[0] == _pysearch.STATUS_NO else len(edges))
@@ -531,25 +416,43 @@ class TestSolveKernel:
         statuses = set()
         for n, edges, d, max_nodes in slack_instances(random.Random(20186), 25):
             got = _pysearch.solve(n, edges, d, max_nodes, None)
-            assert got == _reference_solve(n, edges, d, max_nodes, None), (n, edges, d, max_nodes)
+            assert got == reference_solve(n, edges, d, max_nodes, None), (n, edges, d, max_nodes)
             statuses.add(got[0])
         assert statuses == {_pysearch.STATUS_NO, _pysearch.STATUS_YES, _pysearch.STATUS_BUDGET}
 
+    def test_scan_order_changes_no_answer(self):
+        # every propagation test is monotone under commits, so the kernel's
+        # cyclic scan and a scan restarted at edge 0 after each forced edge
+        # reach the same fixpoint or conflict; only node counts may differ
+        fewer = more = 0
+        for n, edges, d, _ in _solve_corpora():
+            status, witness, nodes = _pysearch.solve(n, edges, d, 10**7)
+            old_status, old_witness, old_nodes = reference_solve(n, edges, d, 10**7, restart=True)
+            assert (status, witness) == (old_status, old_witness), (n, edges, d)
+            fewer += nodes < old_nodes
+            more += nodes > old_nodes
+        assert fewer > more > 0
+
     @pytest.mark.parametrize(
-        "n, nodes",
+        "n, restart_nodes",
         [(5, 20), (6, 21), (7, 27), (8, 33), (9, 39), (10, 45), (11, 51), (12, 57), (13, 63)],
     )
-    def test_sharpness_node_counts(self, n, nodes):
-        out = exists_orientation_diameter2(extremal_graph(n))
-        assert (out.status, out.nodes) == (SearchStatus.NO, nodes)
+    def test_sharpness_node_counts(self, n, restart_nodes):
+        # 3n - 3 nodes with one cyclic scan; a scan that restarts at edge 0
+        # after each forced edge takes 20 at n = 5 and 6n - 15 from n = 6
+        g = extremal_graph(n)
+        out = exists_orientation_diameter2(g)
+        assert (out.status, out.nodes) == (SearchStatus.NO, 3 * n - 3)
+        restarted = reference_solve(n, _backend.ordered_edges(g), 2, 10**7, restart=True)
+        assert restarted == (_pysearch.STATUS_NO, None, restart_nodes)
 
     def test_petersen_level_node_counts(self):
         g = petersen()
         edges = _backend.ordered_edges(g)
         got = [_pysearch.solve(g.n, edges, d, 10**7, None) for d in range(2, 7)]
-        assert [nodes for _, _, nodes in got] == [1, 1, 40, 315, 15]
+        assert [nodes for _, _, nodes in got] == [1, 1, 43, 308, 15]
         assert [status for status, _, _ in got] == [_pysearch.STATUS_NO] * 4 + [_pysearch.STATUS_YES]
-        assert got[-1] == _reference_solve(g.n, edges, 6, 10**7, None)
+        assert got[-1] == reference_solve(g.n, edges, 6, 10**7, None)
 
 
 def _distances(n: int, out: list[int], src: int) -> list[int]:
@@ -1122,4 +1025,4 @@ class TestHarnesses:
     def test_the_environment_sets_no_budget(self, monkeypatch):
         monkeypatch.setenv("ORIENT2_BUDGET", "1")
         outcome = exists_orientation_diameter2(extremal_graph(9))
-        assert (outcome.status, outcome.nodes) == (SearchStatus.NO, 39)
+        assert (outcome.status, outcome.nodes) == (SearchStatus.NO, 24)

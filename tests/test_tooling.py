@@ -10,10 +10,13 @@ files' source; nothing under ``perfbench/`` is imported or run, and of
 ``tools/`` only `construct_scale.py` is loaded, for its instances and
 digest.  The package itself reads no environment variable: a budget or
 any other setting reaches it only as an argument or a flag.
+`benchmarks/bench_backends.py` fails when the two kernels disagree.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ from conftest import load_tool
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 TOOLS = sorted((ROOT / "tools").glob("*.py"))
+BENCH_BACKENDS = ROOT / "benchmarks" / "bench_backends.py"
 PACKAGE = sorted((ROOT / "src" / "orient2").glob("*.py"))
 
 
@@ -112,3 +116,18 @@ def identifiers(path):
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_the_package_reads_no_environment_variable(path):
     assert not set(identifiers(path)) & {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.skipif(not BENCH_BACKENDS.is_file(), reason="benchmarks/bench_backends.py is absent")
+@pytest.mark.parametrize("compiled_nodes, code", [(24, 0), (25, 1)], ids=["agree", "disagree"])
+def test_bench_backends_exits_1_when_the_kernels_disagree(monkeypatch, capsys, compiled_nodes, code):
+    spec = importlib.util.spec_from_file_location("bench_backends", BENCH_BACKENDS)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "_speedups", object())  # stands in for the compiled kernel
+    monkeypatch.setattr(
+        bench, "workloads", lambda impl: [("sharpness", lambda: 24 if impl is bench._pysearch else compiled_nodes)]
+    )
+    monkeypatch.setattr(sys, "argv", ["bench_backends.py", "--repeat", "1"])
+    assert bench.main() == code
+    assert ("kernels disagree on sharpness" in capsys.readouterr().out) == bool(code)
